@@ -8,6 +8,7 @@ JSON document; human-readable logs go to stderr.
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import InternalError, MajorbitError, SchemaError
@@ -42,6 +43,28 @@ def _read_json(path):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _at_least(minimum):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _positive_tol(args, default):
+    """--tol if given, else the default; a tolerance that is zero, negative
+    or not finite would make the check it relaxes meaningless."""
+    if args.tol is None:
+        return default
+    if not 0 < args.tol < math.inf:
+        raise SchemaError(f"--tol must be finite and > 0, got {args.tol}")
+    return args.tol
 
 
 def _load_function(path, normalize=False):
@@ -126,7 +149,7 @@ def _cmd_matrix_extreme(args):
 
 def _cmd_birkhoff(args):
     doc = _read_json(args.function)
-    ds = DoublyStochastic.from_document(doc, tol=args.tol or 1e-9)
+    ds = DoublyStochastic.from_document(doc, tol=_positive_tol(args, 1e-9))
     decomposition = birkhoff_decompose(ds)
     out = decomposition.serialize()
     import numpy as np
@@ -146,7 +169,9 @@ def _cmd_ttransform(args):
 
 def _cmd_suite(args):
     trials = args.trials if args.trials is not None else 200
-    report = identity_suite(args.seed, n=args.dim, trials=trials, tol=args.tol or 1e-8)
+    report = identity_suite(
+        args.seed, n=args.dim, trials=trials, tol=_positive_tol(args, 1e-8)
+    )
     return 0, report.serialize()
 
 
@@ -164,7 +189,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="majorbit", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=1, help="PRNG seed (u64)")
-    common.add_argument("--trials", type=int, default=None)
+    common.add_argument("--trials", type=_at_least(0), default=None)
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--normalize", action="store_true",
                         help="rescale input masses to total 1 before use")
@@ -186,7 +211,7 @@ def build_parser() -> _Parser:
             p.add_argument("--snap", type=int, default=None,
                            help="snap eigenvalues to denominators up to N")
         if flags.get("dim"):
-            p.add_argument("--dim", type=int, default=6)
+            p.add_argument("--dim", type=_at_least(1), default=6)
         p.set_defaults(handler=handler)
         return p
 

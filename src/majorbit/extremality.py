@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import NotInOrbit, ValueNotAttained
 from .measure import ZERO, SimpleFunction
 from .rationals import format_ratstr
-from .scales import StepScale, cumulative, majorise_check, rearrange
+from .scales import StepScale, cumulative, majorise_check, rearrange, scale_constant_on
 
 SINGLE_ATOM = "single_atom"
 MULTIPLE_ATOMS = "multiple_atoms"
@@ -107,16 +107,6 @@ def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
         out.append(ConstancyInterval(acc, acc + length, value, classify_level(x, value)))
         acc += length
     return tuple(out)
-
-
-def scale_constant_on(scale: StepScale, t1: Fraction, t2: Fraction) -> Fraction | None:
-    """The single value the scale takes on all of [t1, t2), or None."""
-    acc = ZERO
-    for value, length in scale.steps:
-        if acc <= t1 < acc + length:
-            return value if t2 <= acc + length else None
-        acc += length
-    return None
 
 
 def evaluate_conditions(

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigsolver import eigh_hermitian, unitary_from
 from .errors import (
     DimensionMismatch,
     InternalError,
@@ -26,7 +25,7 @@ from .errors import (
     SchemaError,
 )
 from .extremality import check_extreme
-from .measure import MeasureSpace, SimpleFunction
+from .measure import MeasureSpace, SimpleFunction, common_refinement
 from .prng import SplitMix64
 from .scales import MajorisationReport, StepScale, majorise_check
 
@@ -43,6 +42,25 @@ def gershgorin_bound(a: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
 
 
+def _require_finite(a: np.ndarray, tol: float) -> None:
+    """Reject NaN or infinite entries and a tolerance outside [0, inf):
+    comparisons against NaN are silently False, so no later check would."""
+    if not np.all(np.isfinite(a)):
+        raise SchemaError("entries must be finite numbers")
+    if not 0 <= tol < math.inf:
+        raise SchemaError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def _float_vector(values) -> np.ndarray:
+    """Floats from numbers or rational strings."""
+    try:
+        return np.asarray(
+            [float(Fraction(v)) if isinstance(v, str) else float(v) for v in values]
+        )
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"vector entries must be numbers or ratstrs: {exc}") from exc
+
+
 class HermitianOperator:
     """n x n Hermitian matrix with a declared comparison tolerance.
 
@@ -56,8 +74,7 @@ class HermitianOperator:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if tol is None:
             tol = TOL_COEFFICIENT * (1.0 + gershgorin_bound(a))
-        if tol < 0:
-            raise SchemaError("tolerance must be nonnegative")
+        _require_finite(a, tol)
         if _maxabs(a - a.conj().T) > tol:
             raise NotHermitian("matrix differs from its adjoint beyond tolerance")
         self.entries = a
@@ -79,7 +96,7 @@ class HermitianOperator:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues descending and matching orthonormal eigenvectors."""
         if self._eig is None:
-            w, v = eigh_hermitian((self.entries + self.entries.conj().T) / 2.0)
+            w, v = np.linalg.eigh((self.entries + self.entries.conj().T) / 2.0)
             self._eig = (w[::-1].copy(), v[:, ::-1].copy())
         return self._eig
 
@@ -129,21 +146,9 @@ def eig_scale(a: HermitianOperator, snap_denominator: int | None = None) -> Step
 def scales_equal_within(a: StepScale, b: StepScale, tol: float) -> bool:
     """Sup-distance of two step scales at most tol (lengths are exact, so
     walking the merged segments is enough)."""
-    ai = bi = 0
-    rem_a, rem_b = a.steps[0][1], b.steps[0][1]
-    while ai < len(a.steps) and bi < len(b.steps):
-        if abs(float(a.steps[ai][0] - b.steps[bi][0])) > tol:
-            return False
-        step = min(rem_a, rem_b)
-        rem_a -= step
-        rem_b -= step
-        if rem_a == 0:
-            ai += 1
-            rem_a = a.steps[ai][1] if ai < len(a.steps) else 0
-        if rem_b == 0:
-            bi += 1
-            rem_b = b.steps[bi][1] if bi < len(b.steps) else 0
-    return True
+    return all(
+        abs(float(va - vb)) <= tol for va, vb, _ in common_refinement(a.steps, b.steps)
+    )
 
 
 def matrix_majorise(
@@ -254,6 +259,7 @@ class DoublyStochastic:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        _require_finite(a, tol)
         if float(np.min(a)) < -tol:
             raise NotDoublyStochastic("negative entry")
         ones = np.ones(a.shape[0])
@@ -319,37 +325,6 @@ def _perfect_matching(matrix: np.ndarray, threshold: float) -> list[int] | None:
     return perm
 
 
-def _gaussian_nullvector(matrix: np.ndarray) -> np.ndarray | None:
-    """A nonzero vector in the null space of ``matrix`` (rows x cols,
-    cols > rank), by elimination with partial pivoting."""
-    a = np.array(matrix, dtype=float, copy=True)
-    rows, cols = a.shape
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot = int(np.argmax(np.abs(a[r:, c]))) + r
-        if abs(a[pivot, c]) < 1e-12:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r] /= a[r, c]
-        for rr in range(rows):
-            if rr != r and a[rr, c] != 0.0:
-                a[rr] -= a[rr, c] * a[r]
-        pivot_cols.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivot_cols]
-    if not free:
-        return None
-    target = free[0]
-    vec = np.zeros(cols)
-    vec[target] = 1.0
-    for row_index, c in enumerate(pivot_cols):
-        vec[c] = -a[row_index, target]
-    return vec
-
-
 def _caratheodory_prune(
     coeffs: list[float], perms: list[tuple[int, ...]], n: int, bound: int
 ) -> tuple[list[float], list[tuple[int, ...]]]:
@@ -364,8 +339,11 @@ def _caratheodory_prune(
                 flat[row * n + col] = 1.0
             flat[-1] = 1.0
             columns.append(flat)
-        alpha = _gaussian_nullvector(np.array(columns).T)
-        if alpha is None:
+        terms = np.array(columns).T
+        # the right-singular vector of the smallest singular value; a null
+        # vector whenever the columns are dependent
+        alpha = np.linalg.svd(terms)[2][-1]
+        if _maxabs(terms @ alpha) > 1e-9:
             raise InternalError("expected an affine dependence among terms")
         positive = [(coeffs[i] / alpha[i], i) for i in range(len(coeffs)) if alpha[i] > 1e-12]
         if not positive:
@@ -426,10 +404,10 @@ def t_transform_chain(x, y, tol: float = 1e-12) -> DoublyStochastic:
     """Doubly stochastic S with S y = x, built from at most n-1 two-index
     averaging (T-transform) steps on the sorted vectors, conjugated by the
     sorting permutations."""
-    x = np.asarray([float(Fraction(v)) if isinstance(v, str) else float(v) for v in x])
-    y = np.asarray([float(Fraction(v)) if isinstance(v, str) else float(v) for v in y])
+    x, y = _float_vector(x), _float_vector(y)
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch("vectors of equal length expected")
+    _require_finite(np.concatenate([x, y]), tol)
     n = x.size
     scale = 1.0 + max(_maxabs(x), _maxabs(y))
     close = tol * scale
@@ -482,7 +460,13 @@ def random_unitary(rng: SplitMix64, n: int) -> np.ndarray:
     g = np.array(
         [[complex(rng.gauss(), rng.gauss()) for _ in range(n)] for _ in range(n)]
     )
-    return unitary_from(g)
+    # the phases of R's diagonal move into Q, which makes that diagonal
+    # positive real and so Q a deterministic function of the sample
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    if float(np.min(np.abs(d))) < 1e-12:
+        raise InternalError("degenerate sample for unitary construction")
+    return q * (d / np.abs(d))
 
 
 def random_projection(rng: SplitMix64, n: int, rank: int) -> np.ndarray:
@@ -635,5 +619,4 @@ def _sandwich_holds(op: HermitianOperator, proj: np.ndarray, k: int, slack: floa
 
 
 def diag_operator(values, tol: float | None = None) -> HermitianOperator:
-    vals = [float(Fraction(v)) if isinstance(v, str) else float(v) for v in values]
-    return HermitianOperator(np.diag(np.asarray(vals, dtype=float)), tol=tol)
+    return HermitianOperator(np.diag(_float_vector(values)), tol=tol)

@@ -166,7 +166,9 @@ def _as_document(document):
     return document
 
 
-def parse_space(document) -> MeasureSpace:
+def _space_entries(document) -> tuple[tuple[tuple[str, Fraction], ...], Fraction]:
+    """The checked atoms and diffuse mass of a space document, not yet
+    required to total 1."""
     doc = _as_document(document)
     if not isinstance(doc, dict) or "atoms" not in doc or "diffuse_mass" not in doc:
         raise SchemaError("space document needs 'atoms' and 'diffuse_mass'")
@@ -179,7 +181,25 @@ def parse_space(document) -> MeasureSpace:
         if not isinstance(entry["id"], str):
             raise SchemaError("atom ids must be strings")
         atoms.append((entry["id"], parse_ratstr(entry["weight"])))
-    return MeasureSpace(tuple(atoms), parse_ratstr(doc["diffuse_mass"]))
+    return tuple(atoms), parse_ratstr(doc["diffuse_mass"])
+
+
+def parse_space(document) -> MeasureSpace:
+    return MeasureSpace(*_space_entries(document))
+
+
+def _function_entries(doc: dict):
+    """The checked atom values and diffuse pieces of a function document."""
+    atom_doc = doc.get("atoms", {})
+    if not isinstance(atom_doc, dict):
+        raise SchemaError("'atoms' must be an object of id -> ratstr")
+    values = {aid: parse_ratstr(v) for aid, v in atom_doc.items()}
+    pieces = []
+    for entry in doc.get("diffuse", []):
+        if not isinstance(entry, dict) or "value" not in entry or "mass" not in entry:
+            raise SchemaError(f"bad diffuse piece: {entry!r}")
+        pieces.append((parse_ratstr(entry["value"]), parse_ratstr(entry["mass"])))
+    return values, tuple(pieces)
 
 
 def parse_function(document, space: MeasureSpace | None = None) -> SimpleFunction:
@@ -190,16 +210,7 @@ def parse_function(document, space: MeasureSpace | None = None) -> SimpleFunctio
         if "space" not in doc:
             raise SchemaError("function document needs an embedded 'space'")
         space = parse_space(doc["space"])
-    atom_doc = doc.get("atoms", {})
-    if not isinstance(atom_doc, dict):
-        raise SchemaError("'atoms' must be an object of id -> ratstr")
-    values = {aid: parse_ratstr(v) for aid, v in atom_doc.items()}
-    pieces = []
-    for entry in doc.get("diffuse", []):
-        if not isinstance(entry, dict) or "value" not in entry or "mass" not in entry:
-            raise SchemaError(f"bad diffuse piece: {entry!r}")
-        pieces.append((parse_ratstr(entry["value"]), parse_ratstr(entry["mass"])))
-    return SimpleFunction(space, values, tuple(pieces))
+    return SimpleFunction(space, *_function_entries(doc))
 
 
 def serialize_space(space: MeasureSpace) -> dict:
@@ -224,54 +235,44 @@ def serialize_function(f: SimpleFunction) -> dict:
 
 def parse_function_normalized(document) -> SimpleFunction:
     """Parse a function whose embedded space may not be normalized; masses
-    (weights, diffuse_mass, piece masses) are rescaled by the same factor."""
+    (weights, diffuse_mass, piece masses) are rescaled by the same factor.
+    The document passes the same checks as in parse_function."""
     doc = _as_document(document)
     if not isinstance(doc, dict) or "space" not in doc:
         raise SchemaError("function document needs an embedded 'space'")
-    space_doc = doc["space"]
-    atoms = tuple(
-        (entry["id"], parse_ratstr(entry["weight"])) for entry in space_doc["atoms"]
-    )
-    diffuse = parse_ratstr(space_doc["diffuse_mass"])
+    atoms, diffuse = _space_entries(doc["space"])
     total = sum((w for _, w in atoms), diffuse)
     if total <= 0:
         raise NormalizationError("total mass must be positive to normalize")
     space = MeasureSpace(tuple((a, w / total) for a, w in atoms), diffuse / total)
-    values = {aid: parse_ratstr(v) for aid, v in doc.get("atoms", {}).items()}
-    pieces = tuple(
-        (parse_ratstr(p["value"]), parse_ratstr(p["mass"]) / total)
-        for p in doc.get("diffuse", [])
-    )
-    return SimpleFunction(space, values, pieces)
+    values, pieces = _function_entries(doc)
+    return SimpleFunction(space, values, tuple((v, m / total) for v, m in pieces))
 
 
 # ---------------------------------------------------------------------------
 # pointwise arithmetic (piece lists are aligned on the union of boundaries)
 # ---------------------------------------------------------------------------
 
-def _aligned_pieces(f: SimpleFunction, g: SimpleFunction):
-    """Yield (value_f, value_g, mass) over the common refinement of the
-    two piece lists, which partition the same diffuse part."""
-    out = []
-    f_list = list(f.diffuse_pieces)
-    g_list = list(g.diffuse_pieces)
+def common_refinement(a, b):
+    """Yield (a_value, b_value, length) over the common refinement of two
+    sequences of (value, length) steps laid end to end. Raises
+    MassMismatchError, once the shorter is used up, if their totals differ."""
     i = j = 0
-    rem_f = f_list[0][1] if f_list else ZERO
-    rem_g = g_list[0][1] if g_list else ZERO
-    while i < len(f_list) and j < len(g_list):
-        step = min(rem_f, rem_g)
-        out.append((f_list[i][0], g_list[j][0], step))
-        rem_f -= step
-        rem_g -= step
-        if rem_f == 0:
+    rem_a = a[0][1] if a else ZERO
+    rem_b = b[0][1] if b else ZERO
+    while i < len(a) and j < len(b):
+        step = min(rem_a, rem_b)
+        yield a[i][0], b[j][0], step
+        rem_a -= step
+        rem_b -= step
+        if rem_a == 0:
             i += 1
-            rem_f = f_list[i][1] if i < len(f_list) else ZERO
-        if rem_g == 0:
+            rem_a = a[i][1] if i < len(a) else ZERO
+        if rem_b == 0:
             j += 1
-            rem_g = g_list[j][1] if j < len(g_list) else ZERO
-    if i < len(f_list) or j < len(g_list):
-        raise MassMismatchError("piece lists cover different diffuse masses")
-    return out
+            rem_b = b[j][1] if j < len(b) else ZERO
+    if i < len(a) or j < len(b):
+        raise MassMismatchError("step lists cover different total lengths")
 
 
 def _require_same_space(f: SimpleFunction, g: SimpleFunction):
@@ -282,8 +283,8 @@ def _require_same_space(f: SimpleFunction, g: SimpleFunction):
 def add_functions(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
     _require_same_space(f, g)
     values = {aid: f.atom_values[aid] + g.atom_values[aid] for aid in f.space.atom_ids}
-    pieces = tuple((a + b, m) for a, b, m in _aligned_pieces(f, g))
-    return SimpleFunction(f.space, values, pieces)
+    pieces = common_refinement(f.diffuse_pieces, g.diffuse_pieces)
+    return SimpleFunction(f.space, values, tuple((a + b, m) for a, b, m in pieces))
 
 
 def scale_function(f: SimpleFunction, c: Fraction) -> SimpleFunction:
@@ -291,17 +292,8 @@ def scale_function(f: SimpleFunction, c: Fraction) -> SimpleFunction:
     return f.map_values(lambda v: v * c)
 
 
-def negate_function(f: SimpleFunction) -> SimpleFunction:
-    return scale_function(f, -1)
-
-
 def abs_function(f: SimpleFunction) -> SimpleFunction:
     return f.map_values(abs)
-
-
-def shift_function(f: SimpleFunction, c: Fraction) -> SimpleFunction:
-    c = Fraction(c)
-    return f.map_values(lambda v: v + c)
 
 
 def equal_ae(f: SimpleFunction, g: SimpleFunction) -> bool:
@@ -310,4 +302,5 @@ def equal_ae(f: SimpleFunction, g: SimpleFunction) -> bool:
     _require_same_space(f, g)
     if any(f.atom_values[a] != g.atom_values[a] for a in f.space.atom_ids):
         return False
-    return all(a == b for a, b, _ in _aligned_pieces(f, g))
+    pieces = common_refinement(f.diffuse_pieces, g.diffuse_pieces)
+    return all(a == b for a, b, _ in pieces)

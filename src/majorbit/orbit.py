@@ -20,8 +20,7 @@ from math import lcm
 from .errors import InternalError, NotAtomic, NotInOrbit, SchemaError, SizeLimit, UnknownAtomError
 from .measure import ZERO, MeasureSpace, SimpleFunction
 from .prng import SplitMix64
-from .scales import StepScale, cumulative, majorise_check, rearrange
-from .extremality import scale_constant_on
+from .scales import StepScale, cumulative, majorise_check, rearrange, scale_constant_on
 
 MAX_ORACLE_ATOMS = 20
 MAX_ENUMERATE_ATOMS = 6

@@ -35,9 +35,6 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i)
@@ -55,7 +52,3 @@ class SplitMix64:
         radius = math.sqrt(-2.0 * math.log(u1))
         self._spare_gauss = radius * math.sin(2.0 * math.pi * u2)
         return radius * math.cos(2.0 * math.pi * u2)
-
-    def spawn(self) -> "SplitMix64":
-        """Independent child stream (used to decouple per-instance draws)."""
-        return SplitMix64(self.next_u64())

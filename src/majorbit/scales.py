@@ -6,12 +6,13 @@ adjacent equal values merged. All breakpoints and values are exact
 rationals; every comparison below is exact.
 """
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InternalError
-from .measure import ONE, ZERO, SimpleFunction, abs_function
-from .rationals import format_ratstr, parse_ratstr
+from .measure import ONE, ZERO, SimpleFunction, abs_function, common_refinement
+from .rationals import format_ratstr
 
 
 def merge_pairs(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -30,22 +31,34 @@ def merge_pairs(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
 
 @dataclass(frozen=True)
 class StepScale:
-    """Decreasing right-continuous step function on [0,1), total length 1."""
+    """Decreasing right-continuous step function on [0,1), total length 1.
+
+    Construction also records the step profile every query reads: the
+    right end of each step and the integral over [0, start of each step).
+    """
 
     steps: tuple[tuple[Fraction, Fraction], ...]
+    _ends: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _integrals: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.steps:
             raise InternalError("a scale is never empty")
-        total = ZERO
+        total = integral = ZERO
+        ends, integrals = [], []
         for i, (value, length) in enumerate(self.steps):
             if length <= 0:
                 raise InternalError("step lengths must be > 0")
             if i and self.steps[i - 1][0] <= value:
                 raise InternalError("step values must be strictly decreasing")
+            integrals.append(integral)
+            integral += value * length
             total += length
+            ends.append(total)
         if total != 1:
             raise InternalError(f"step lengths sum to {total}, expected 1")
+        object.__setattr__(self, "_ends", tuple(ends))
+        object.__setattr__(self, "_integrals", tuple(integrals))
 
     @classmethod
     def from_pairs(cls, pairs) -> "StepScale":
@@ -55,26 +68,13 @@ class StepScale:
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Cumulative right endpoints of the steps; the last one is 1."""
-        out, acc = [], ZERO
-        for _, length in self.steps:
-            acc += length
-            out.append(acc)
-        return tuple(out)
+        return self._ends
 
     def value_at(self, t: Fraction) -> Fraction:
         t = Fraction(t)
         if not 0 <= t < 1:
             raise DomainError(f"scale evaluated outside [0,1): {t}")
-        acc = ZERO
-        for value, length in self.steps:
-            acc += length
-            if t < acc:
-                return value
-        raise InternalError("unreachable: lengths sum to 1")
-
-    def last_value(self) -> Fraction:
-        """The value on the final step, i.e. the left limit at 1."""
-        return self.steps[-1][0]
+        return self.steps[bisect_right(self._ends, t)][0]
 
     def serialize(self) -> dict:
         return {
@@ -83,15 +83,6 @@ class StepScale:
                 for v, l in self.steps
             ]
         }
-
-
-def parse_scale(document) -> StepScale:
-    return StepScale(
-        tuple(
-            (parse_ratstr(s["value"]), parse_ratstr(s["length"]))
-            for s in document["steps"]
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -145,12 +136,6 @@ def distribution(f: SimpleFunction, s: Fraction) -> Fraction:
     return sum((m for v, m in f.weighted_values() if v > s), ZERO)
 
 
-def scale_distribution(scale: StepScale, s: Fraction) -> Fraction:
-    """Distribution function of a scale viewed as a function on [0,1)."""
-    s = Fraction(s)
-    return sum((l for v, l in scale.steps if v > s), ZERO)
-
-
 def co_scale(f: SimpleFunction) -> IncreasingScale:
     """The increasing rearrangement; equals t -> -rearrange(-f)(t)."""
     return IncreasingScale(tuple(reversed(rearrange(f).steps)))
@@ -161,58 +146,23 @@ def singular_scale(f: SimpleFunction) -> StepScale:
     return rearrange(abs_function(f))
 
 
-def cumulative(scale, s: Fraction) -> Fraction:
+def cumulative(scale: StepScale, s: Fraction) -> Fraction:
     """Integral of the step function over [0, s]; piecewise linear in s."""
     s = Fraction(s)
     if not 0 <= s <= 1:
         raise DomainError(f"cumulative argument outside [0,1]: {s}")
-    acc = ZERO
-    total = ZERO
-    for value, length in scale.steps:
-        if s <= acc + length:
-            return total + value * (s - acc)
-        total += value * length
-        acc += length
-    return total
-
-
-def total_integral(scale) -> Fraction:
-    return sum((v * l for v, l in scale.steps), ZERO)
+    k = bisect_left(scale._ends, s)
+    value, length = scale.steps[k]
+    start = scale._ends[k] - length
+    return scale._integrals[k] + value * (s - start)
 
 
 def add_scales(a: StepScale, b: StepScale) -> StepScale:
     """Pointwise sum of two decreasing step functions: refine the breakpoint
     sets, add values, re-merge. The sum is again decreasing."""
-    out = []
-    ai = bi = 0
-    rem_a, rem_b = a.steps[0][1], b.steps[0][1]
-    while ai < len(a.steps) and bi < len(b.steps):
-        step = min(rem_a, rem_b)
-        out.append((a.steps[ai][0] + b.steps[bi][0], step))
-        rem_a -= step
-        rem_b -= step
-        if rem_a == 0:
-            ai += 1
-            rem_a = a.steps[ai][1] if ai < len(a.steps) else ZERO
-        if rem_b == 0:
-            bi += 1
-            rem_b = b.steps[bi][1] if bi < len(b.steps) else ZERO
-    return StepScale(merge_pairs(out))
-
-
-def prefix_steps(scale: StepScale, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The (value, length) profile of the scale restricted to [0, t)."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise DomainError(f"prefix boundary outside [0,1]: {t}")
-    out, acc = [], ZERO
-    for value, length in scale.steps:
-        if acc + length <= t:
-            out.append((value, length))
-        elif acc < t:
-            out.append((value, t - acc))
-        acc += length
-    return tuple(out)
+    return StepScale(
+        merge_pairs((va + vb, l) for va, vb, l in common_refinement(a.steps, b.steps))
+    )
 
 
 def steps_on_interval(
@@ -220,14 +170,23 @@ def steps_on_interval(
 ) -> tuple[tuple[Fraction, Fraction], ...]:
     """The (value, length) profile of the scale restricted to [lo, hi)."""
     lo, hi = Fraction(lo), Fraction(hi)
-    out, acc = [], ZERO
-    for value, length in scale.steps:
-        start, end = acc, acc + length
-        cut_lo, cut_hi = max(start, lo), min(end, hi)
-        if cut_lo < cut_hi:
-            out.append((value, cut_hi - cut_lo))
-        acc = end
-    return merge_pairs(out)
+    out = []
+    for k in range(bisect_right(scale._ends, lo), len(scale.steps)):
+        value, length = scale.steps[k]
+        end = scale._ends[k]
+        cut_lo, cut_hi = max(end - length, lo), min(end, hi)
+        if cut_lo >= cut_hi:
+            break
+        out.append((value, cut_hi - cut_lo))
+    return tuple(out)
+
+
+def scale_constant_on(scale: StepScale, t1: Fraction, t2: Fraction) -> Fraction | None:
+    """The single value the scale takes on all of [t1, t2), or None."""
+    if not 0 <= t1 < 1:
+        return None
+    k = bisect_right(scale._ends, t1)
+    return scale.steps[k][0] if t2 <= scale._ends[k] else None
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ class CriterionResult:
             "name": self.name,
             "trials": self.trials,
             "failures": self.failures,
-            "seconds": round(self.seconds, 3),
             "passed": self.passed,
             "note": self.note,
         }
@@ -231,10 +230,6 @@ def criterion_witnesses(seed: int, trials: int = 1000) -> CriterionResult:
     return CriterionResult(
         4, "witness soundness and completeness", checked, failures, time.perf_counter() - start
     )
-
-
-def _frac(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def criterion_golden(seed: int = 0, trials: int = 3) -> CriterionResult:

@@ -17,11 +17,10 @@ from .measure import (
     ZERO,
     SimpleFunction,
     add_functions,
+    common_refinement,
     equal_ae,
     scale_function,
     serialize_function,
-    _aligned_pieces,
-    _require_same_space,
 )
 from .extremality import evaluate_conditions
 from .rationals import format_ratstr
@@ -61,7 +60,7 @@ def _carriers(x: SimpleFunction, u: SimpleFunction) -> list[tuple[Fraction, Frac
     out = [
         (x.atom_values[aid], u.atom_values[aid], w) for aid, w in x.space.atoms
     ]
-    out.extend(_aligned_pieces(x, u))
+    out.extend(common_refinement(x.diffuse_pieces, u.diffuse_pieces))
     return out
 
 
@@ -328,20 +327,3 @@ def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool
         if steps_on_interval(p_scale, s4, ONE) != steps_on_interval(x_scale, s4, ONE):
             return False
     return True
-
-
-def line_bound_holds(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool:
-    """Diagnostic only: does the chord bound
-    cumulative_x(s1) + value_x(s1)*(s - s1) <= cumulative_y(s) hold on the
-    whole perturbed region [s1, s4]? It certifies non-extremality on its
-    own when true, but valid two-level witnesses routinely fail it at the
-    region's right end where the slack returns to zero, so it never vetoes
-    a witness."""
-    s1, s4 = _perturbed_region(x, w.perturbation.u)
-    x_scale, y_scale = rearrange(x), rearrange(y)
-    base = cumulative(x_scale, s1)
-    slope = x_scale.value_at(s1)
-    # the difference is concave in s, so the endpoints decide
-    return all(
-        base + slope * (s - s1) <= cumulative(y_scale, s) for s in (s1, s4)
-    )

@@ -211,3 +211,54 @@ def test_json_indent(tmp_path, capsys):
     code = cli.main(["rearrange", "-f", path, "--json-indent", "2"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("{\n  ")
+
+
+def test_non_finite_matrix_exits_2(tmp_path, capsys):
+    """NaN passes a `> tol` check silently, and 1e308 entries overflow the
+    default tolerance to inf; both are bad input."""
+    for name, entries in (("nan", [[1.0, float("nan")], [float("nan"), 1.0]]),
+                          ("huge", [[1e308, 1e308], [1e308, 1e308]])):
+        m = write(tmp_path, f"{name}.json", {"n": 2, "re": entries})
+        code = cli.main(["matrix-eig", "-f", m])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.count("\n") == 1 and json.loads(out)["error"] == "SchemaError"
+
+
+def test_normalize_checks_the_space(tmp_path, capsys):
+    doc = {
+        "space": {"atoms": [{"id": "a"}], "diffuse_mass": "1"},
+        "atoms": {"a": "1"},
+        "diffuse": [{"value": "0", "mass": "1"}],
+    }
+    path = write(tmp_path, "f.json", doc)
+    code, out = run(capsys, ["rearrange", "-f", path, "--normalize"])
+    assert code == 2 and out["error"] == "SchemaError"
+
+
+def test_zero_tol_is_rejected_not_replaced(tmp_path, capsys):
+    ds = write(tmp_path, "s.json", {"n": 2, "re": [[0.5, 0.5], [0.5, 0.5]]})
+    for argv in (["birkhoff", "-f", ds, "--tol", "0"],
+                 ["suite", "--trials", "2", "--dim", "2", "--tol", "0"],
+                 ["suite", "--trials", "2", "--dim", "2", "--tol", "-1e-8"]):
+        code, out = run(capsys, argv)
+        assert code == 2 and out["error"] == "SchemaError"
+
+
+def test_negative_trials_and_empty_dim_exit_2(capsys):
+    for argv in (["selftest", "--trials", "-5"],
+                 ["suite", "--trials", "-3"],
+                 ["suite", "--trials", "2", "--dim", "0"]):
+        code, out = run(capsys, argv)
+        assert code == 2 and out["error"] == "SchemaError"
+
+
+def test_selftest_stdout_is_deterministic(capsys):
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["selftest", "--trials", "1"]) == 0
+        captured = capsys.readouterr()
+        outputs.append(captured.out)
+        assert "s]" in captured.err  # wall time stays on stderr
+    assert outputs[0] == outputs[1]
+    assert all("seconds" not in c for c in json.loads(outputs[0])["criteria"])

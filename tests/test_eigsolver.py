@@ -1,12 +1,10 @@
+"""The eigensolver behind HermitianOperator.eigensystem (numpy's eigh) and
+the seeded unitary stream of random_unitary (numpy's qr)."""
+
 import numpy as np
 import pytest
 
-from majorbit.eigsolver import (
-    eigh_hermitian,
-    eigh_real_symmetric,
-    eigvals_hermitian,
-    unitary_from,
-)
+from majorbit.hermitian import HermitianOperator, random_unitary
 from majorbit.prng import SplitMix64
 
 
@@ -16,17 +14,24 @@ def random_complex(rng, n):
     )
 
 
+def check_eigensystem(a, w, v):
+    """Descending eigenvalues matching numpy's, small eigen-residual and
+    orthonormal eigenvectors, all relative to the spectrum's size."""
+    n = a.shape[0]
+    w_ref = np.linalg.eigvalsh(a)[::-1]
+    scale = 1.0 + np.max(np.abs(w_ref))
+    assert np.all(np.diff(w) <= 0)
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(a @ v - v @ np.diag(w))) <= 1e-12 * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 10, 12])
 def test_real_symmetric_against_numpy(n):
     rng = SplitMix64(100 + n)
     g = np.array([[rng.gauss() for _ in range(n)] for _ in range(n)])
     a = (g + g.T) / 2
-    w, v = eigh_real_symmetric(a)
-    w_ref = np.linalg.eigvalsh(a)
-    scale = 1.0 + np.max(np.abs(w_ref))
-    assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
-    assert np.max(np.abs(a @ v - v @ np.diag(w))) <= 1e-12 * scale
-    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+    check_eigensystem(a, *HermitianOperator(a).eigensystem())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
@@ -34,40 +39,33 @@ def test_hermitian_against_numpy(n):
     rng = SplitMix64(200 + n)
     g = random_complex(rng, n)
     a = (g + g.conj().T) / 2
-    w, v = eigh_hermitian(a)
-    w_ref = np.linalg.eigvalsh(a)
-    scale = 1.0 + np.max(np.abs(w_ref))
-    assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
-    assert np.max(np.abs(a @ v - v @ np.diag(w))) <= 1e-12 * scale
-    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+    check_eigensystem(a, *HermitianOperator(a).eigensystem())
 
 
 def test_degenerate_spectrum():
-    rng = SplitMix64(7)
-    u = unitary_from(random_complex(rng, 5))
+    u = random_unitary(SplitMix64(7), 5)
     values = np.array([2.0, 2.0, 2.0, -1.0, -1.0])
     a = u @ np.diag(values) @ u.conj().T
-    w, v = eigh_hermitian(a)
-    assert np.max(np.abs(np.sort(w) - np.sort(values))) <= 1e-12
+    w, v = HermitianOperator(a).eigensystem()
+    assert np.max(np.abs(w - values)) <= 1e-12
     assert np.max(np.abs(a @ v - v @ np.diag(w))) <= 1e-11
     assert np.max(np.abs(v.conj().T @ v - np.eye(5))) <= 1e-11
 
 
 def test_diagonal_matrix_is_exact():
-    w, v = eigh_hermitian(np.diag([3.0, 1.0, -2.0]))
-    assert list(w) == [-2.0, 1.0, 3.0]
-    assert np.array_equal(np.abs(v), np.eye(3)[:, [2, 1, 0]])
+    """Exact eigenvalues on diagonal input carry the exact eig_scale ==
+    rearrange bridge in test_hermitian."""
+    w, v = HermitianOperator(np.diag([3.0, 1.0, -2.0])).eigensystem()
+    assert list(w) == [3.0, 1.0, -2.0]
+    assert np.array_equal(np.abs(v), np.eye(3))
 
 
-def test_eigvals_shortcut():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(eigvals_hermitian(a), [1.0, 3.0], atol=1e-13)
-
-
-def test_unitary_from_properties():
-    rng = SplitMix64(9)
-    g = random_complex(rng, 6)
-    u = unitary_from(g)
+def test_random_unitary_properties():
+    u = random_unitary(SplitMix64(9), 6)
     assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-12
-    # deterministic: same input, same output
-    assert np.array_equal(u, unitary_from(g))
+    # deterministic: same seed, same output
+    assert np.array_equal(u, random_unitary(SplitMix64(9), 6))
+    # the phase normalization: U* G has a positive real diagonal
+    g = random_complex(SplitMix64(9), 6)
+    d = np.diag(u.conj().T @ g)
+    assert np.all(d.real > 0) and np.max(np.abs(d.imag)) <= 1e-12

@@ -11,6 +11,7 @@ from majorbit.errors import (
     NotInOrbit,
     NotMajorised,
     NotUnitary,
+    SchemaError,
 )
 from majorbit.extremality import check_extreme
 from majorbit.hermitian import (
@@ -44,6 +45,26 @@ def test_hermitian_validation():
         HermitianOperator([[1.0, 2.0, 3.0]])
     op = HermitianOperator([[2.0, 1j], [-1j, 2.0]])
     assert op.n == 2 and abs(op.tau() - 2.0) < 1e-12
+
+
+def test_non_finite_input_is_rejected():
+    nan, inf = float("nan"), float("inf")
+    for bad in ([[1.0, nan], [nan, 1.0]], [[inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(SchemaError):
+            HermitianOperator(bad)
+        with pytest.raises(SchemaError):
+            DoublyStochastic(bad)
+    with pytest.raises(SchemaError):
+        HermitianOperator([[1e308, 1e308], [1e308, 1e308]])  # default tol is inf
+    for tol in (nan, inf, -1.0):
+        with pytest.raises(SchemaError):
+            HermitianOperator(np.eye(2), tol=tol)
+        with pytest.raises(SchemaError):
+            DoublyStochastic(np.eye(2), tol=tol)
+    with pytest.raises(SchemaError):
+        t_transform_chain([1.0, nan], [2.0, 0.0])
+    with pytest.raises(SchemaError):
+        t_transform_chain(["1/0", "1"], ["2", "0"])
 
 
 def test_eig_scale_examples():
@@ -159,6 +180,23 @@ def test_birkhoff_examples():
         DoublyStochastic([[0.9, 0.0], [0.0, 0.9]])
     with pytest.raises(NotDoublyStochastic):
         DoublyStochastic([[1.5, -0.5], [-0.5, 1.5]])
+
+
+def test_caratheodory_prune_keeps_the_matrix():
+    """Greedy extraction rarely exceeds the (n-1)^2 + 1 bound, so the prune
+    is driven directly: all six 3x3 permutations are affinely dependent."""
+    from itertools import permutations
+
+    from majorbit.hermitian import BirkhoffDecomposition, _caratheodory_prune
+
+    perms = list(permutations(range(3)))
+    coeffs = [1.0 / 6] * 6
+    before = BirkhoffDecomposition(tuple(zip(coeffs, perms))).matrix(3)
+    kept, kept_perms = _caratheodory_prune(coeffs, perms, 3, 5)
+    assert len(kept) <= 5 and all(c > 0 for c in kept)
+    after = BirkhoffDecomposition(tuple(zip(kept, kept_perms))).matrix(3)
+    assert abs(sum(kept) - 1.0) <= 1e-12
+    assert np.max(np.abs(after - before)) <= 1e-12
 
 
 def test_t_transform_examples():

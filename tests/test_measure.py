@@ -21,7 +21,6 @@ from majorbit.measure import (
     scale_function,
     serialize_function,
     serialize_space,
-    shift_function,
 )
 from majorbit.rationals import format_ratstr, parse_ratstr
 from majorbit.scales import rearrange
@@ -148,7 +147,7 @@ def test_function_arithmetic():
         "a1": Fraction(2),
     }
     assert scale_function(f, Fraction(1, 2)).atom_values["a1"] == Fraction(3, 2)
-    assert shift_function(f, 4).atom_values["a0"] == 5
+    assert f.map_values(lambda v: v + 4).atom_values["a0"] == 5
     assert f.integral() == 2
 
 

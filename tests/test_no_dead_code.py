@@ -1,0 +1,60 @@
+"""Dead-code guard: every module-level function or class in the package is
+either public API (listed in ``__all__``) or used somewhere in the package
+outside its own definition. Methods are out of scope."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "majorbit"
+
+
+def dead_names(package: Path) -> list[str]:
+    """``module.name`` for each unreferenced module-level def or class."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    exported = set()
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+
+    def references(tree, skip) -> set[str]:
+        found, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            if node is skip:
+                continue
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+        return found
+
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in exported:
+                continue
+            if not any(node.name in references(other, node) for other in trees.values()):
+                dead.append(f"{module}.{node.name}")
+    return dead
+
+
+def test_no_unreferenced_module_level_names():
+    assert dead_names(PACKAGE) == []
+
+
+def test_guard_flags_an_unused_helper(tmp_path):
+    (tmp_path / "__init__.py").write_text('from .a import api\n__all__ = ["api"]\n')
+    (tmp_path / "a.py").write_text(
+        "def api():\n    return used()\n\n"
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "class Unused:\n    def method(self):\n        return Unused\n"
+    )
+    assert dead_names(tmp_path) == ["a.recursive", "a.Unused"]

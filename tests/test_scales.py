@@ -1,16 +1,11 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from majorbit.errors import DomainError
-from majorbit.measure import (
-    MeasureSpace,
-    SimpleFunction,
-    add_functions,
-    negate_function,
-    shift_function,
-)
+from majorbit.errors import DomainError, MassMismatchError
+from majorbit.measure import MeasureSpace, SimpleFunction, add_functions, common_refinement
 from majorbit.scales import (
     StepScale,
     add_scales,
@@ -18,13 +13,11 @@ from majorbit.scales import (
     cumulative,
     distribution,
     majorise_check,
-    prefix_steps,
     rearrange,
-    scale_distribution,
+    scale_constant_on,
     singular_scale,
     steps_on_interval,
     submajorise_check,
-    total_integral,
 )
 
 from conftest import frac, mkatomic, function_pairs, simple_functions
@@ -69,7 +62,7 @@ def test_equimeasurability(f):
     probes = probe_values + [v - frac("1/3") for v in probe_values] + [probe_values[-1] + 1]
     r = rearrange(f)
     for s in probes:
-        assert distribution(f, s) == scale_distribution(r, s)
+        assert distribution(f, s) == sum((l for v, l in r.steps if v > s), Fraction(0))
 
 
 def test_co_scale_examples():
@@ -83,7 +76,7 @@ def test_co_scale_examples():
 def test_co_scale_is_negated_rearrangement(f):
     """Pointwise identity: the increasing rearrangement at t equals minus
     the decreasing rearrangement of -f at t."""
-    negated = rearrange(negate_function(f))
+    negated = rearrange(f.map_values(lambda v: -v))
     assert co_scale(f).steps == tuple((-v, m) for v, m in negated.steps)
 
 
@@ -117,12 +110,12 @@ def test_trace_identity(f):
     the increasing rearrangement."""
     r = rearrange(f)
     assert cumulative(r, 1) == f.integral()
-    assert total_integral(co_scale(f)) == f.integral()
+    assert sum(v * l for v, l in co_scale(f).steps) == f.integral()
 
 
 @given(simple_functions())
 def test_shift_property(f):
-    shifted = rearrange(shift_function(f, frac("7/3")))
+    shifted = rearrange(f.map_values(lambda v: v + frac("7/3")))
     assert shifted.steps == tuple((v + frac("7/3"), m) for v, m in rearrange(f).steps)
 
 
@@ -215,7 +208,7 @@ def test_cut_identities(f):
                 restricted[-1] = (value, restricted[-1][1] + mass)
             else:
                 restricted.append((value, mass))
-        assert tuple(restricted) == prefix_steps(r, t)
+        assert tuple(restricted) == steps_on_interval(r, 0, t)
         remainder = []
         for value, mass in sorted(rest, key=lambda p: p[0], reverse=True):
             if remainder and remainder[-1][0] == value:
@@ -223,3 +216,83 @@ def test_cut_identities(f):
             else:
                 remainder.append((value, mass))
         assert tuple(remainder) == steps_on_interval(r, t, 1)
+
+
+# plain linear walks over the steps: the reference for the cached profile
+
+
+def walk_cumulative(scale, s):
+    total, acc = Fraction(0), Fraction(0)
+    for value, length in scale.steps:
+        total += value * min(length, max(s - acc, 0))
+        acc += length
+    return total
+
+
+def walk_value_at(scale, t):
+    acc = Fraction(0)
+    for value, length in scale.steps:
+        acc += length
+        if t < acc:
+            return value
+
+
+def walk_steps_on_interval(scale, lo, hi):
+    out, acc = [], Fraction(0)
+    for value, length in scale.steps:
+        cut = min(acc + length, hi) - max(acc, lo)
+        if cut > 0:
+            out.append((value, cut))
+        acc += length
+    return tuple(out)
+
+
+def walk_constant_on(scale, t1, t2):
+    acc = Fraction(0)
+    for value, length in scale.steps:
+        if acc <= t1 < acc + length:
+            return value if t2 <= acc + length else None
+        acc += length
+    return None
+
+
+probe_fractions = st.fractions(min_value=0, max_value=1, max_denominator=24)
+
+
+@given(simple_functions(), st.lists(probe_fractions, max_size=4))
+def test_step_profile_matches_linear_walk(f, extra):
+    r = rearrange(f)
+    ends = list(r.breakpoints)
+    starts = [Fraction(0)] + ends[:-1]
+    mids = [(a + b) / 2 for a, b in zip(starts, ends)]
+    points = sorted(set(starts + ends + mids + extra))
+    for t in points:
+        assert cumulative(r, t) == walk_cumulative(r, t)
+        if t < 1:
+            assert r.value_at(t) == walk_value_at(r, t)
+    outside = [Fraction(-1, 3), Fraction(4, 3)]
+    for lo in points + outside:
+        for hi in points + outside:
+            assert steps_on_interval(r, lo, hi) == walk_steps_on_interval(r, lo, hi)
+            assert scale_constant_on(r, lo, hi) == walk_constant_on(r, lo, hi)
+
+
+@given(function_pairs())
+def test_common_refinement_matches_breakpoint_union(pair):
+    rf, rg = rearrange(pair[0]), rearrange(pair[1])
+    points = sorted({Fraction(0)} | set(rf.breakpoints) | set(rg.breakpoints))
+    expected = [
+        (walk_value_at(rf, a), walk_value_at(rg, a), b - a)
+        for a, b in zip(points, points[1:])
+    ]
+    assert list(common_refinement(rf.steps, rg.steps)) == expected
+
+
+def test_common_refinement_edges():
+    assert list(common_refinement([], [])) == []
+    half = [(Fraction(1), frac("1/2"))]
+    for a, b in ((half, [(Fraction(2), frac("1/3"))]), (half, []), ([], half)):
+        with pytest.raises(MassMismatchError):
+            list(common_refinement(a, b))
+        with pytest.raises(MassMismatchError):
+            list(common_refinement(b, a))

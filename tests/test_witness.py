@@ -20,7 +20,6 @@ from majorbit.witness import (
     WitnessPair,
     admissible_delta,
     build_witness,
-    line_bound_holds,
     serialize_witness,
     verify_witness,
 )
@@ -108,9 +107,6 @@ def test_build_witness_two_values():
     w = build_witness(x, y)
     assert w.perturbation.case_tag == TWO_VALUES
     assert verify_witness(x, y, w)
-    # the literal chord bound fails here even though the witness is sound;
-    # it stays a diagnostic only
-    assert not line_bound_holds(x, y, w)
 
 
 def test_build_witness_criterion_satisfied():
