@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import NotInOrbit, ValueNotAttained
 from .measure import ZERO, SimpleFunction
 from .rationals import format_ratstr
-from .scales import StepScale, cumulative, majorise_check, rearrange, scale_constant_on
+from .scales import MajorisationReport, cumulative, majorise_check, rearrange, scale_constant_on
 
 SINGLE_ATOM = "single_atom"
 MULTIPLE_ATOMS = "multiple_atoms"
@@ -85,9 +85,7 @@ class ExtremalityVerdict:
 def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
     """How the level set {x = v} sits in the space: one atom, several atoms,
     diffuse pieces only, or a mixture."""
-    v = Fraction(v)
-    atom_ids = tuple(aid for aid in x.space.atom_ids if x.atom_values[aid] == v)
-    pieces = [i for i, (val, _) in enumerate(x.diffuse_pieces) if val == v]
+    atom_ids, pieces = x.level_set(Fraction(v))
     if not atom_ids and not pieces:
         raise ValueNotAttained(f"{v} is not a value of the function")
     if atom_ids and pieces:
@@ -111,14 +109,16 @@ def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
 
 def evaluate_conditions(
     x: SimpleFunction, y: SimpleFunction
-) -> tuple[tuple[ConstancyInterval, ...], tuple[int | None, ...], StepScale, StepScale]:
-    """Per-interval condition tags (1, 2, or None if both fail).
+) -> tuple[tuple[ConstancyInterval, ...], tuple[int | None, ...], MajorisationReport]:
+    """Per-interval condition tags (1, 2, or None if both fail), with the
+    report of the majorisation check of x's scale against y's.
 
     Raises NotInOrbit when x is not majorised by y: orbit membership is a
     precondition of the criterion, not a verdict.
     """
-    x_scale, y_scale = rearrange(x), rearrange(y)
-    if not majorise_check(x_scale, y_scale).holds:
+    y_scale = rearrange(y)
+    report = majorise_check(rearrange(x), y_scale)
+    if not report.holds:
         raise NotInOrbit("x is not majorised by y")
     intervals = constancy_intervals(x)
     conditions: list[int | None] = []
@@ -133,7 +133,7 @@ def evaluate_conditions(
             conditions.append(2)
         else:
             conditions.append(None)
-    return intervals, tuple(conditions), x_scale, y_scale
+    return intervals, tuple(conditions), report
 
 
 def check_extreme(x: SimpleFunction, y: SimpleFunction) -> ExtremalityVerdict:
@@ -142,9 +142,10 @@ def check_extreme(x: SimpleFunction, y: SimpleFunction) -> ExtremalityVerdict:
 
     y may live on a different space: only its scale enters the criterion.
     """
-    intervals, conditions, _, _ = evaluate_conditions(x, y)
+    evaluation = evaluate_conditions(x, y)
+    intervals, conditions, _ = evaluation
     if all(c is not None for c in conditions):
         return ExtremalityVerdict(True, intervals, conditions)
-    from .witness import build_witness
+    from .witness import _witness_from
 
-    return ExtremalityVerdict(False, intervals, conditions, build_witness(x, y))
+    return ExtremalityVerdict(False, intervals, conditions, _witness_from(x, y, evaluation))

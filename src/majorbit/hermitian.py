@@ -61,20 +61,32 @@ def _float_vector(values) -> np.ndarray:
         raise SchemaError(f"vector entries must be numbers or ratstrs: {exc}") from exc
 
 
+def _float_matrix(rows) -> np.ndarray:
+    """Floats from the 're' or 'im' rows of a matrix document."""
+    try:
+        return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"matrix entries must be equal-length rows of numbers: {exc}") from exc
+
+
 class HermitianOperator:
     """n x n Hermitian matrix with a declared comparison tolerance.
 
     Default tolerance scales with the size of the spectrum:
-    1e-9 * (1 + spectral radius estimate).
+    1e-9 * (1 + spectral radius estimate). A matrix whose estimate is not
+    finite is rejected whatever the tolerance: its spectrum may overflow.
     """
 
     def __init__(self, entries, tol: float | None = None):
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        _require_finite(a, 0.0 if tol is None else tol)
+        bound = gershgorin_bound(a)
+        if not math.isfinite(bound):
+            raise SchemaError("absolute row sums of the entries overflow the float range")
         if tol is None:
-            tol = TOL_COEFFICIENT * (1.0 + gershgorin_bound(a))
-        _require_finite(a, tol)
+            tol = TOL_COEFFICIENT * (1.0 + bound)
         if _maxabs(a - a.conj().T) > tol:
             raise NotHermitian("matrix differs from its adjoint beyond tolerance")
         self.entries = a
@@ -104,8 +116,8 @@ class HermitianOperator:
     def from_document(cls, doc, tol: float | None = None) -> "HermitianOperator":
         if not isinstance(doc, dict) or "re" not in doc:
             raise SchemaError("matrix document needs at least 're'")
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
+        re = _float_matrix(doc["re"])
+        im = _float_matrix(doc["im"]) if "im" in doc else np.zeros_like(re)
         if re.shape != im.shape:
             raise SchemaError("'re' and 'im' have different shapes")
         if "n" in doc and re.shape != (doc["n"], doc["n"]):
@@ -279,7 +291,7 @@ class DoublyStochastic:
     def from_document(cls, doc, tol: float = 1e-9) -> "DoublyStochastic":
         if not isinstance(doc, dict) or "re" not in doc:
             raise SchemaError("matrix document needs 're'")
-        return cls(np.asarray(doc["re"], dtype=float), tol)
+        return cls(_float_matrix(doc["re"]), tol)
 
 
 @dataclass(frozen=True)
@@ -407,6 +419,8 @@ def t_transform_chain(x, y, tol: float = 1e-12) -> DoublyStochastic:
     x, y = _float_vector(x), _float_vector(y)
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch("vectors of equal length expected")
+    if not x.size:
+        raise SchemaError("vectors must not be empty")
     _require_finite(np.concatenate([x, y]), tol)
     n = x.size
     scale = 1.0 + max(_maxabs(x), _maxabs(y))

@@ -97,6 +97,14 @@ class SimpleFunction:
         pairs.extend(self.diffuse_pieces)
         return pairs
 
+    def level_set(self, value: Fraction) -> tuple[tuple, tuple[int, ...]]:
+        """The atom ids (in space order) and the diffuse piece indices
+        where the function equals ``value``."""
+        return (
+            tuple(aid for aid in self.space.atom_ids if self.atom_values[aid] == value),
+            tuple(i for i, (v, _) in enumerate(self.diffuse_pieces) if v == value),
+        )
+
     def integral(self) -> Fraction:
         return sum((v * m for v, m in self.weighted_values()), ZERO)
 
@@ -194,8 +202,11 @@ def _function_entries(doc: dict):
     if not isinstance(atom_doc, dict):
         raise SchemaError("'atoms' must be an object of id -> ratstr")
     values = {aid: parse_ratstr(v) for aid, v in atom_doc.items()}
+    piece_doc = doc.get("diffuse", [])
+    if not isinstance(piece_doc, list):
+        raise SchemaError("'diffuse' must be a list of pieces")
     pieces = []
-    for entry in doc.get("diffuse", []):
+    for entry in piece_doc:
         if not isinstance(entry, dict) or "value" not in entry or "mass" not in entry:
             raise SchemaError(f"bad diffuse piece: {entry!r}")
         pieces.append((parse_ratstr(entry["value"]), parse_ratstr(entry["mass"])))

@@ -15,12 +15,14 @@ _RATSTR = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 def parse_ratstr(text) -> Fraction:
     if not isinstance(text, str) or not _RATSTR.match(text):
         raise SchemaError(f"not a valid rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise SchemaError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # longer than Python's int-string conversion limit
+        raise SchemaError(f"rational literal too long: {exc}") from exc
+    if den == 0:
+        raise SchemaError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def format_ratstr(value: Fraction) -> str:

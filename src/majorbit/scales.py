@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InternalError
-from .measure import ONE, ZERO, SimpleFunction, abs_function, common_refinement
+from .measure import ZERO, SimpleFunction, abs_function, common_refinement
 from .rationals import format_ratstr
 
 
@@ -193,28 +193,24 @@ def scale_constant_on(scale: StepScale, t1: Fraction, t2: Fraction) -> Fraction 
 # orders
 # ---------------------------------------------------------------------------
 
-def _union_breakpoints(a: StepScale, b: StepScale) -> list[Fraction]:
-    pts = set(a.breakpoints) | set(b.breakpoints)
-    return sorted(pts)
-
-
 def majorise_check(x: StepScale, y: StepScale) -> MajorisationReport:
     """Hardy-Littlewood-Polya order: cumulative of x never exceeds that of y,
-    with equal totals. Both cumulatives are piecewise linear and the
-    difference can only attain its minimum at a breakpoint of either scale,
-    so checking the union of breakpoints is exact and sufficient."""
+    with equal totals. One walk over the common refinement of the two step
+    lists carries the running slack; both cumulatives are linear on each
+    refinement step, whose ends are the union of breakpoints, so checking
+    the slack at those ends is exact and sufficient."""
     slacks = []
-    for t in _union_breakpoints(x, y):
-        slacks.append((t, cumulative(y, t) - cumulative(x, t)))
-    total_gap = cumulative(y, ONE) - cumulative(x, ONE)
-    holds = total_gap == 0 and all(s >= 0 for _, s in slacks)
-    return MajorisationReport(holds, tuple(slacks), total_gap)
+    t = slack = ZERO
+    for x_value, y_value, length in common_refinement(x.steps, y.steps):
+        t += length
+        slack += (y_value - x_value) * length
+        slacks.append((t, slack))
+    holds = slack == 0 and all(s >= 0 for _, s in slacks)
+    return MajorisationReport(holds, tuple(slacks), slack)
 
 
 def submajorise_check(x: SimpleFunction, y: SimpleFunction) -> bool:
     """Weak (sub)majorisation of the singular value scales: partial integrals
     of |x|'s rearrangement never exceed |y|'s; no total-equality requirement."""
-    mx, my = singular_scale(x), singular_scale(y)
-    return all(
-        cumulative(mx, t) <= cumulative(my, t) for t in _union_breakpoints(mx, my)
-    )
+    report = majorise_check(singular_scale(x), singular_scale(y))
+    return all(s >= 0 for _, s in report.breakpoint_slacks)

@@ -15,6 +15,7 @@ from .errors import CriterionSatisfied, DegenerateDirection, InternalError
 from .measure import (
     ONE,
     ZERO,
+    Refinement,
     SimpleFunction,
     add_functions,
     common_refinement,
@@ -24,7 +25,7 @@ from .measure import (
 )
 from .extremality import evaluate_conditions
 from .rationals import format_ratstr
-from .scales import StepScale, cumulative, majorise_check, rearrange, steps_on_interval
+from .scales import MajorisationReport, StepScale, majorise_check, rearrange, steps_on_interval
 
 THREE_VALUES = "three_values"
 TWO_VALUES = "two_values"
@@ -71,7 +72,9 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
     While the ordering persists, the rearranged cumulative of x +- delta*u
     at any fixed mass t is linear in delta, so each breakpoint contributes
     one linear constraint; ordering itself contributes one constraint per
-    pair of levels moving towards each other.
+    pair of levels moving towards each other. The breakpoints are the ends
+    of the common refinement of the perturbed blocks and y's scale, so one
+    walk over it carries both cumulatives.
     """
     carriers = _carriers(x, u)
     if all(coeff == 0 for _, coeff, _ in carriers):
@@ -93,29 +96,15 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
             blocks[key] = blocks.get(key, ZERO) + mass
         ordered = sorted(blocks.items(), key=lambda kv: kv[0], reverse=True)
 
-        points = {ONE}
-        acc = ZERO
-        for _, mass in ordered:
-            acc += mass
-            points.add(acc)
-        points.update(y_scale.breakpoints)
-
-        for t in sorted(points):
-            base = ZERO
-            drift = ZERO
-            acc = ZERO
-            for (v, signed_coeff), mass in ordered:
-                take = min(mass, t - acc)
-                if take <= 0:
-                    break
-                base += v * take
-                drift += signed_coeff * take
-                acc += take
-            rhs = cumulative(y_scale, t)
+        base = drift = rhs = ZERO
+        for (v, signed_coeff), y_value, length in common_refinement(ordered, y_scale.steps):
+            base += v * length
+            drift += signed_coeff * length
+            rhs += y_value * length
             if drift > 0:
                 bounds.append((rhs - base) / drift)
             elif base > rhs:
-                # x itself violates the bound at t: no positive step exists
+                # x itself violates the bound here: no positive step exists
                 bounds.append(ZERO)
 
     if not bounds:
@@ -123,17 +112,17 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
     return max(min(bounds), ZERO)
 
 
-def _slack_components(x_scale: StepScale, y_scale: StepScale) -> list[tuple[Fraction, Fraction]]:
+def _slack_components(report: MajorisationReport) -> list[tuple[Fraction, Fraction]]:
     """Maximal open intervals on which the running slack
-    s -> integral_0^s (scale of y - scale of x) is strictly positive."""
-    points = sorted({ZERO, ONE} | set(x_scale.breakpoints) | set(y_scale.breakpoints))
-    slack = {t: cumulative(y_scale, t) - cumulative(x_scale, t) for t in points}
+    s -> integral_0^s (scale of y - scale of x) is strictly positive, read
+    off the report of majorise_check(scale of x, scale of y)."""
+    points = [(ZERO, ZERO), *report.breakpoint_slacks]
     components: list[tuple[Fraction, Fraction]] = []
     open_start = None
-    for left, right in zip(points, points[1:]):
-        segment_positive = slack[left] > 0 or slack[right] > 0
+    for (left, left_slack), (_, right_slack) in zip(points, points[1:]):
+        segment_positive = left_slack > 0 or right_slack > 0
         if segment_positive:
-            if open_start is None or slack[left] == 0:
+            if open_start is None or left_slack == 0:
                 if open_start is not None:
                     components.append((open_start, left))
                 open_start = left
@@ -142,54 +131,25 @@ def _slack_components(x_scale: StepScale, y_scale: StepScale) -> list[tuple[Frac
                 components.append((open_start, left))
                 open_start = None
     if open_start is not None:
-        components.append((open_start, points[-1]))
+        components.append((open_start, points[-1][0]))
     return components
 
 
-def _indicator(
-    x: SimpleFunction,
-    plus_atoms: set,
-    plus_pieces: dict,
-    minus_atoms: set,
-    minus_pieces: dict,
-    ratio: Fraction,
-    split: tuple | None = None,
-) -> SimpleFunction:
-    """Direction u = 1_(plus part) - ratio * 1_(minus part) on x's space.
+def _indicator(x: SimpleFunction, plus: tuple, minus: tuple, ratio: Fraction) -> SimpleFunction:
+    """Direction u = 1_plus - ratio * 1_minus on x's space. Each set is a
+    pair (atom ids, piece indices), as SimpleFunction.level_set returns."""
 
-    piece dicts map piece index -> coefficient applies to whole piece;
-    ``split=(index, first_mass)`` splits that piece, giving +1 to the first
-    sub-piece and -ratio to the second.
-    """
-    values = {}
-    for aid in x.space.atom_ids:
-        if aid in plus_atoms:
-            values[aid] = ONE
-        elif aid in minus_atoms:
-            values[aid] = -ratio
-        else:
-            values[aid] = ZERO
-    pieces = []
-    for index, (_, mass) in enumerate(x.diffuse_pieces):
-        if split is not None and index == split[0]:
-            first = split[1]
-            pieces.append((ONE, first))
-            pieces.append((-ratio, mass - first))
-        elif index in plus_pieces:
-            pieces.append((ONE, mass))
-        elif index in minus_pieces:
-            pieces.append((-ratio, mass))
-        else:
-            pieces.append((ZERO, mass))
-    return SimpleFunction(x.space, values, tuple(pieces))
+    def coefficient(key, plus_keys, minus_keys) -> Fraction:
+        if key in plus_keys:
+            return ONE
+        return -ratio if key in minus_keys else ZERO
 
-
-def _level_direction(x: SimpleFunction, upper: Fraction, lower: Fraction, ratio: Fraction) -> SimpleFunction:
-    plus_atoms = {a for a in x.space.atom_ids if x.atom_values[a] == upper}
-    minus_atoms = {a for a in x.space.atom_ids if x.atom_values[a] == lower}
-    plus_pieces = {i for i, (v, _) in enumerate(x.diffuse_pieces) if v == upper}
-    minus_pieces = {i for i, (v, _) in enumerate(x.diffuse_pieces) if v == lower}
-    return _indicator(x, plus_atoms, plus_pieces, minus_atoms, minus_pieces, ratio)
+    values = {aid: coefficient(aid, plus[0], minus[0]) for aid in x.space.atom_ids}
+    pieces = tuple(
+        (coefficient(index, plus[1], minus[1]), mass)
+        for index, (_, mass) in enumerate(x.diffuse_pieces)
+    )
+    return SimpleFunction(x.space, values, pieces)
 
 
 def _split_direction(x: SimpleFunction, value: Fraction) -> SimpleFunction:
@@ -197,45 +157,40 @@ def _split_direction(x: SimpleFunction, value: Fraction) -> SimpleFunction:
     1_p1 - (mass(p1)/mass(p2)) 1_p2. p1 is the first atom in space order if
     the level holds any atom, else the first piece; a level consisting of a
     single diffuse piece is split into two equal-mass halves."""
-    atoms = [
-        (aid, w) for aid, w in x.space.atoms if x.atom_values[aid] == value
-    ]
-    pieces = [
-        (i, mass) for i, (v, mass) in enumerate(x.diffuse_pieces) if v == value
-    ]
+    atoms, pieces = x.level_set(value)
     carriers = len(atoms) + len(pieces)
     if carriers == 0:
         raise InternalError("level set is empty")
     if carriers == 1:
         if not pieces:
             raise InternalError("a single-atom level cannot be split")
-        index, mass = pieces[0]
-        return _indicator(x, set(), {}, set(), {}, ONE, split=(index, mass / 2))
+        index = pieces[0]
+        half = x.diffuse_pieces[index][1] / 2
+        halved = Refinement(x, {index: (half, half)}).apply()
+        return _indicator(halved, ((), (index,)), ((), (index + 1,)), ONE)
+    weights = dict(x.space.atoms)
+    masses = [weights[aid] for aid in atoms] + [x.diffuse_pieces[i][1] for i in pieces]
     if atoms:
-        first_mass = atoms[0][1]
-        plus_atoms, rest_atoms = {atoms[0][0]}, {a for a, _ in atoms[1:]}
-        rest_pieces = {i for i, _ in pieces}
+        plus, minus = (atoms[:1], ()), (atoms[1:], pieces)
     else:
-        first_mass = pieces[0][1]
-        plus_atoms, rest_atoms = set(), set()
-        rest_pieces = {i for i, _ in pieces[1:]}
-    plus_pieces = set() if atoms else {pieces[0][0]}
-    rest_mass = sum(
-        (w for a, w in atoms if a in rest_atoms),
-        sum((m for i, m in pieces if i in rest_pieces), ZERO),
-    )
-    ratio = first_mass / rest_mass
-    return _indicator(x, plus_atoms, plus_pieces, rest_atoms, rest_pieces, ratio)
+        plus, minus = ((), pieces[:1]), ((), pieces[1:])
+    return _indicator(x, plus, minus, masses[0] / sum(masses[1:], ZERO))
 
 
 def build_witness(x: SimpleFunction, y: SimpleFunction) -> WitnessPair:
-    """Construct a verified witness pair for a criterion-violating (x, y).
+    """Construct a verified witness pair for a criterion-violating (x, y)."""
+    return _witness_from(x, y, evaluate_conditions(x, y))
+
+
+def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPair:
+    """The witness pair of build_witness from the result of
+    evaluate_conditions(x, y), so that a caller holding it evaluates once.
 
     The leftmost violating constancy interval picks the construction: a
     non-atomic level is split in place; a single-atom level is handled by
     balancing two adjacent levels of the strict-slack component around it.
     """
-    intervals, conditions, x_scale, y_scale = evaluate_conditions(x, y)
+    intervals, conditions, report = evaluation
     violating = [iv for iv, c in zip(intervals, conditions) if c is None]
     if not violating:
         raise CriterionSatisfied("x satisfies the extremality criterion")
@@ -245,7 +200,7 @@ def build_witness(x: SimpleFunction, y: SimpleFunction) -> WitnessPair:
         u = _split_direction(x, target.value)
         tag = SPLIT_LEVEL
     else:
-        components = _slack_components(x_scale, y_scale)
+        components = _slack_components(report)
         home = [
             (a, b) for a, b in components if a <= target.t1 and target.t2 <= b
         ]
@@ -263,7 +218,8 @@ def build_witness(x: SimpleFunction, y: SimpleFunction) -> WitnessPair:
         else:
             upper, lower = inside[1], inside[2]
             tag = THREE_VALUES
-        u = _level_direction(x, upper.value, lower.value, upper.length / lower.length)
+        ratio = upper.length / lower.length
+        u = _indicator(x, x.level_set(upper.value), x.level_set(lower.value), ratio)
 
     delta_sup = admissible_delta(x, y, u)
     if delta_sup <= 0:
@@ -279,11 +235,10 @@ def build_witness(x: SimpleFunction, y: SimpleFunction) -> WitnessPair:
     return pair
 
 
-def _perturbed_region(x: SimpleFunction, u: SimpleFunction) -> tuple[Fraction, Fraction]:
-    """[s1, s4): union of the constancy intervals of the levels u touches."""
-    touched = {v for v, coeff, _ in _carriers(x, u) if coeff != 0}
+def _perturbed_region(x_scale: StepScale, touched: set) -> tuple[Fraction, Fraction]:
+    """[s1, s4): union of the constancy intervals of the touched levels."""
     lo, hi, acc = None, None, ZERO
-    for value, length in rearrange(x).steps:
+    for value, length in x_scale.steps:
         if value in touched:
             if lo is None:
                 lo = acc
@@ -313,15 +268,12 @@ def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool
     touched = {v for v, coeff, _ in _carriers(x, u) if coeff != 0}
     if not 1 <= len(touched) <= 2:
         return False
-    y_scale = rearrange(y)
-    if not majorise_check(rearrange(w.x_plus), y_scale).holds:
-        return False
-    if not majorise_check(rearrange(w.x_minus), y_scale).holds:
-        return False
-    s1, s4 = _perturbed_region(x, u)
-    x_scale = rearrange(x)
+    x_scale, y_scale = rearrange(x), rearrange(y)
+    s1, s4 = _perturbed_region(x_scale, touched)
     for perturbed in (w.x_plus, w.x_minus):
         p_scale = rearrange(perturbed)
+        if not majorise_check(p_scale, y_scale).holds:
+            return False
         if steps_on_interval(p_scale, ZERO, s1) != steps_on_interval(x_scale, ZERO, s1):
             return False
         if steps_on_interval(p_scale, s4, ONE) != steps_on_interval(x_scale, s4, ONE):

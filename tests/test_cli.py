@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from majorbit import cli
 from majorbit.selftest import CriterionResult
 
@@ -262,3 +264,27 @@ def test_selftest_stdout_is_deterministic(capsys):
         assert "s]" in captured.err  # wall time stays on stderr
     assert outputs[0] == outputs[1]
     assert all("seconds" not in c for c in json.loads(outputs[0])["criteria"])
+
+
+ONE_ATOM = {"atoms": [{"id": "a", "weight": "1"}], "diffuse_mass": "0"}
+
+
+@pytest.mark.parametrize(
+    "command, docs",
+    [
+        ("matrix-eig -f {0}", [{"re": [[1, 2], [3]]}]),  # ragged rows
+        ("birkhoff -f {0}", [{"re": [["a", 1], [1, 0]]}]),  # string entries
+        ("matrix-eig --tol 1 -f {0}", [{"re": [[1.5e308, 1.5e308], [1.5e308, 1.5e308]]}]),
+        ("ttransform -x {0} -y {1}", [[], []]),
+        ("rearrange -f {0}", [{"space": CONST5["space"], "diffuse": 5}]),
+        ("rearrange -f {0}", [{"space": ONE_ATOM, "atoms": {"a": "1" * 5000}}]),  # > 4300 digits
+    ],
+    ids=["ragged-rows", "string-entries", "overflowing-spectrum", "empty-vectors",
+         "diffuse-not-a-list", "overlong-ratstr"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, command, docs):
+    paths = [write(tmp_path, f"d{i}.json", doc) for i, doc in enumerate(docs)]
+    code = cli.main(command.format(*paths).split())
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1 and json.loads(out)["error"] == "SchemaError"

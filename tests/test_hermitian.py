@@ -56,6 +56,10 @@ def test_non_finite_input_is_rejected():
             DoublyStochastic(bad)
     with pytest.raises(SchemaError):
         HermitianOperator([[1e308, 1e308], [1e308, 1e308]])  # default tol is inf
+    with pytest.raises(SchemaError):  # row sums overflow whatever the tolerance
+        HermitianOperator([[1.5e308, 1.5e308], [1.5e308, 1.5e308]], tol=1.0)
+    with pytest.raises(SchemaError):
+        t_transform_chain([], [])
     for tol in (nan, inf, -1.0):
         with pytest.raises(SchemaError):
             HermitianOperator(np.eye(2), tol=tol)

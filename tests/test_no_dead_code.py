@@ -1,6 +1,7 @@
-"""Dead-code guard: every module-level function or class in the package is
+"""Dead-code guards: every module-level function or class in the package is
 either public API (listed in ``__all__``) or used somewhere in the package
-outside its own definition. Methods are out of scope."""
+outside its own definition, and every module-level import outside
+``__init__.py`` is used by its module. Methods are out of scope."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,24 @@ def dead_names(package: Path) -> list[str]:
     return dead
 
 
+def unused_imports(package: Path) -> list[str]:
+    """``module.name`` for each module-level import (outside ``__init__``)
+    that its module never references."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "*" and name not in used:
+                        unused.append(f"{path.stem}.{name}")
+    return unused
+
+
 def test_no_unreferenced_module_level_names():
     assert dead_names(PACKAGE) == []
 
@@ -58,3 +77,17 @@ def test_guard_flags_an_unused_helper(tmp_path):
         "class Unused:\n    def method(self):\n        return Unused\n"
     )
     assert dead_names(tmp_path) == ["a.recursive", "a.Unused"]
+
+
+def test_no_unused_imports():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_import_guard_flags_an_unused_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import api\n")
+    (tmp_path / "a.py").write_text(
+        "import json\nimport os.path\nimport numpy as np\n"
+        "from math import ceil, floor\n\n"
+        "def api(x):\n    import sys\n    return os.path.join(str(floor(x)), sys.argv[0])\n"
+    )
+    assert unused_imports(tmp_path) == ["a.json", "a.np", "a.ceil"]

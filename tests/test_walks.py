@@ -1,0 +1,207 @@
+"""The merge walks against the formulations they replaced.
+
+Each ``reference_*`` function below evaluates the same quantity the old
+way: bisecting ``cumulative`` at every point of the sorted union of
+breakpoints. The walks must give the same Fractions in the same order.
+"""
+
+import hashlib
+import json
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+import majorbit.extremality as extremality
+import majorbit.witness as witness
+from majorbit.errors import DegenerateDirection, InternalError, MajorbitError
+from majorbit.extremality import check_extreme
+from majorbit.measure import ONE, ZERO, SimpleFunction
+from majorbit.orbit import sample_orbit
+from majorbit.prng import SplitMix64
+from majorbit.scales import (
+    cumulative,
+    majorise_check,
+    merge_pairs,
+    rearrange,
+    singular_scale,
+    submajorise_check,
+)
+from majorbit.selftest import (
+    _random_atomic_instance,
+    _random_diffuse_instance,
+    _random_mixed_instance,
+)
+from majorbit.witness import (
+    _carriers,
+    _slack_components,
+    admissible_delta,
+    build_witness,
+    serialize_witness,
+)
+
+from conftest import frac, function_pairs, mkatomic, simple_functions
+
+
+def union_points(*scales):
+    return sorted(set().union(*(s.breakpoints for s in scales)))
+
+
+def reference_majorise(x, y):
+    slacks = tuple((t, cumulative(y, t) - cumulative(x, t)) for t in union_points(x, y))
+    total_gap = cumulative(y, ONE) - cumulative(x, ONE)
+    return total_gap == 0 and all(s >= 0 for _, s in slacks), slacks, total_gap
+
+
+def reference_submajorise(x, y):
+    mx, my = singular_scale(x), singular_scale(y)
+    return all(cumulative(mx, t) <= cumulative(my, t) for t in union_points(mx, my))
+
+
+def reference_admissible_delta(x, y, u):
+    carriers = _carriers(x, u)
+    if all(coeff == 0 for _, coeff, _ in carriers):
+        raise DegenerateDirection("u vanishes almost everywhere")
+    y_scale = rearrange(y)
+    bounds = []
+    for i, (vi, ui, _) in enumerate(carriers):
+        for vj, uj, _ in carriers[i + 1 :]:
+            if vi != vj and ui != uj:
+                bounds.append(abs(vi - vj) / abs(ui - uj))
+    for sign in (1, -1):
+        blocks = {}
+        for v, coeff, mass in carriers:
+            blocks[(v, sign * coeff)] = blocks.get((v, sign * coeff), ZERO) + mass
+        ordered = sorted(blocks.items(), key=lambda kv: kv[0], reverse=True)
+        points, acc = {ONE}, ZERO
+        for _, mass in ordered:
+            acc += mass
+            points.add(acc)
+        for t in sorted(points | set(y_scale.breakpoints)):
+            base = drift = acc = ZERO
+            for (v, signed_coeff), mass in ordered:
+                take = min(mass, t - acc)
+                if take <= 0:
+                    break
+                base += v * take
+                drift += signed_coeff * take
+                acc += take
+            rhs = cumulative(y_scale, t)
+            if drift > 0:
+                bounds.append((rhs - base) / drift)
+            elif base > rhs:
+                bounds.append(ZERO)
+    if not bounds:
+        raise InternalError("direction admits no binding constraint")
+    return max(min(bounds), ZERO)
+
+
+def reference_slack_components(x_scale, y_scale):
+    points = sorted({ZERO, ONE} | set(x_scale.breakpoints) | set(y_scale.breakpoints))
+    slack = {t: cumulative(y_scale, t) - cumulative(x_scale, t) for t in points}
+    components, open_start = [], None
+    for left, right in zip(points, points[1:]):
+        if slack[left] > 0 or slack[right] > 0:
+            if open_start is None or slack[left] == 0:
+                if open_start is not None:
+                    components.append((open_start, left))
+                open_start = left
+        elif open_start is not None:
+            components.append((open_start, left))
+            open_start = None
+    if open_start is not None:
+        components.append((open_start, points[-1]))
+    return components
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MajorbitError as exc:
+        return type(exc)
+
+
+@given(simple_functions(), simple_functions())
+def test_majorise_walk_matches_bisection(f, g):
+    x, y = rearrange(f), rearrange(g)
+    report = majorise_check(x, y)
+    assert (report.holds, report.breakpoint_slacks, report.total_gap) == reference_majorise(x, y)
+
+
+@given(simple_functions(), simple_functions())
+def test_submajorise_walk_matches_bisection(f, g):
+    assert submajorise_check(f, g) == reference_submajorise(f, g)
+
+
+@given(simple_functions(), simple_functions())
+def test_slack_components_read_the_report(f, g):
+    x, y = rearrange(f), rearrange(g)
+    assert _slack_components(majorise_check(x, y)) == reference_slack_components(x, y)
+
+
+@given(function_pairs(), simple_functions())
+def test_admissible_delta_walk_matches_per_breakpoint_bound(pair, y):
+    x, u = pair
+    assert outcome(admissible_delta, x, y, u) == outcome(reference_admissible_delta, x, y, u)
+
+
+@given(simple_functions(max_atoms=4, max_pieces=3), st.integers(0, 2**64 - 1))
+def test_admissible_delta_on_witness_directions(y, seed):
+    x = sample_orbit(y, seed)
+    verdict = check_extreme(x, y)
+    if verdict.extreme:
+        return
+    u = verdict.witness.perturbation.u
+    delta_sup = admissible_delta(x, y, u)
+    assert delta_sup == reference_admissible_delta(x, y, u)
+    assert verdict.witness.perturbation.delta == delta_sup / 2
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (mkatomic([2, 2]), mkatomic([3, 1])),  # split level
+        (
+            mkatomic([4, 2, frac("1/2"), frac("-1/2")], weights=[frac("1/4")] * 4),
+            mkatomic([4, 2, 1, -1], weights=[frac("1/4")] * 4),
+        ),  # single-atom level: two values
+    ],
+)
+def test_check_extreme_evaluates_once(monkeypatch, x, y):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    evaluate = extremality.evaluate_conditions
+    monkeypatch.setattr(extremality, "evaluate_conditions", counting)
+    monkeypatch.setattr(witness, "evaluate_conditions", counting)
+    verdict = check_extreme(x, y)
+    assert not verdict.extreme and len(calls) == 1
+    assert serialize_witness(verdict.witness) == serialize_witness(build_witness(x, y))
+
+
+def corpus_digest(instances: int = 300) -> str:
+    """sha256 over the serialised check_extreme documents, witnesses
+    included, of seeded atomic, diffuse and mixed orbit elements; each x is
+    also decided with its adjacent equal-valued pieces merged."""
+    rng = SplitMix64(8)
+    makers = [
+        lambda: _random_atomic_instance(rng, rng.randint(2, 6)),
+        lambda: _random_diffuse_instance(rng),
+        lambda: _random_mixed_instance(rng),
+    ]
+    digest = hashlib.sha256()
+    for i in range(instances):
+        y = makers[i % 3]()
+        x = sample_orbit(y, rng.next_u64())
+        merged = SimpleFunction(x.space, x.atom_values, merge_pairs(x.diffuse_pieces))
+        for candidate in (x, merged):
+            digest.update(json.dumps(check_extreme(candidate, y).serialize()).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_corpus_digest_is_pinned():
+    """Captured before the merge walks replaced the bisections."""
+    assert corpus_digest() == "2e29440ee7a1310536b3df035d76a10634c4379bf2dd9fb9b2c01cdf88b18006"

@@ -152,7 +152,7 @@ def test_split_level_prefers_first_atom_in_mixed_level():
 
 
 def test_tau_preservation_and_locality():
-    from majorbit.witness import _perturbed_region
+    from majorbit.witness import _carriers, _perturbed_region
 
     rng = SplitMix64(31)
     y = mkatomic([6, 3, 1, 0], weights=[frac("1/8"), frac("3/8"), frac("1/4"), frac("1/4")])
@@ -166,8 +166,9 @@ def test_tau_preservation_and_locality():
         w = verdict.witness
         assert w.x_plus.integral() == x.integral() == y.integral()
         assert w.x_minus.integral() == x.integral()
-        lo, hi = _perturbed_region(x, w.perturbation.u)
         xs = rearrange(x)
+        touched = {v for v, coeff, _ in _carriers(x, w.perturbation.u) if coeff != 0}
+        lo, hi = _perturbed_region(xs, touched)
         for perturbed in (w.x_plus, w.x_minus):
             ps = rearrange(perturbed)
             assert steps_on_interval(ps, 0, lo) == steps_on_interval(xs, 0, lo)
@@ -181,7 +182,7 @@ def test_slack_components_split_at_interior_zero():
 
     y = mkatomic([4, 2, 1, -1], weights=[frac("1/4")] * 4)
     x = mkatomic([3, 3, 0, 0], weights=[frac("1/4")] * 4)
-    components = _slack_components(rearrange(x), rearrange(y))
+    components = _slack_components(majorise_check(rearrange(x), rearrange(y)))
     assert components == [(0, frac("1/2")), (frac("1/2"), 1)]
 
 
