@@ -8,6 +8,8 @@ instantiates the same circle of ideas for Hermitian matrices under the
 normalized trace.
 """
 
+from importlib import import_module
+
 from .errors import MajorbitError
 from .measure import (
     MeasureSpace,
@@ -50,28 +52,28 @@ from .witness import (
     build_witness,
     verify_witness,
 )
-from .orbit import (
-    OrbitPolytope,
-    TightSet,
-    enumerate_extreme,
-    oracle_extreme,
-    partial_average,
-    sample_orbit,
-)
-from .hermitian import (
-    BirkhoffDecomposition,
-    DoublyStochastic,
-    HermitianOperator,
-    birkhoff_decompose,
-    check_extreme_diag,
-    diag_expectation,
-    eig_scale,
-    identity_suite,
-    matrix_majorise,
-    schur_horn_check,
-    t_transform_chain,
-)
 from .prng import SplitMix64
+
+# The polytope oracle and the numpy-based matrix side load on first access
+# (PEP 562), so that the exact core imports neither.
+_LAZY = {
+    "orbit": ("OrbitPolytope", "TightSet", "enumerate_extreme", "oracle_extreme",
+              "partial_average", "sample_orbit"),
+    "hermitian": ("BirkhoffDecomposition", "DoublyStochastic", "HermitianOperator",
+                  "birkhoff_decompose", "check_extreme_diag", "diag_expectation",
+                  "eig_scale", "identity_suite", "matrix_majorise", "schur_horn_check",
+                  "t_transform_chain"),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = import_module(f".{module}", __name__)
+            globals()[name] = value = loaded if name == module else getattr(loaded, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

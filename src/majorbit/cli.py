@@ -13,20 +13,8 @@ import sys
 
 from .errors import InternalError, MajorbitError, SchemaError
 from .extremality import check_extreme
-from .hermitian import (
-    DoublyStochastic,
-    HermitianOperator,
-    birkhoff_decompose,
-    check_extreme_diag,
-    eig_scale,
-    identity_suite,
-    matrix_majorise,
-    t_transform_chain,
-)
 from .measure import parse_function, parse_function_normalized, serialize_function
-from .orbit import enumerate_extreme, oracle_extreme, sample_orbit
 from .scales import majorise_check, rearrange, submajorise_check
-from .selftest import run_all
 from .witness import build_witness, serialize_witness
 
 
@@ -41,7 +29,7 @@ def _read_json(path):
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -75,6 +63,8 @@ def _load_function(path, normalize=False):
 
 
 def _load_matrix(path, tol):
+    from .hermitian import HermitianOperator
+
     return HermitianOperator.from_document(_read_json(path), tol=tol)
 
 
@@ -115,39 +105,53 @@ def _cmd_witness(args):
 
 
 def _cmd_oracle(args):
+    from .orbit import oracle_extreme
+
     x = _load_function(args.x, args.normalize)
     y = _load_function(args.y, args.normalize)
     return 0, {"extreme": oracle_extreme(x, y)}
 
 
 def _cmd_enumerate(args):
+    from .orbit import enumerate_extreme
+
     y = _load_function(args.y, args.normalize)
     return 0, [serialize_function(f) for f in enumerate_extreme(y)]
 
 
 def _cmd_sample(args):
+    from .orbit import sample_orbit
+
     y = _load_function(args.y, args.normalize)
     return 0, serialize_function(sample_orbit(y, args.seed))
 
 
 def _cmd_matrix_eig(args):
+    from .hermitian import eig_scale
+
     a = _load_matrix(args.function, args.tol)
     return 0, eig_scale(a, snap_denominator=args.snap).serialize()
 
 
 def _cmd_matrix_majorise(args):
+    from .hermitian import matrix_majorise
+
     x = _load_matrix(args.x, args.tol)
     y = _load_matrix(args.y, args.tol)
     return 0, matrix_majorise(x, y, tol=args.tol).serialize()
 
 
 def _cmd_matrix_extreme(args):
+    from .hermitian import check_extreme_diag
+
     x = _load_matrix(args.x, args.tol)
     y = _load_matrix(args.y, args.tol)
     return 0, {"extreme": check_extreme_diag(x, y)}
 
 
 def _cmd_birkhoff(args):
+    from .hermitian import DoublyStochastic, birkhoff_decompose
+
     doc = _read_json(args.function)
     ds = DoublyStochastic.from_document(doc, tol=_positive_tol(args, 1e-9))
     decomposition = birkhoff_decompose(ds)
@@ -161,6 +165,8 @@ def _cmd_birkhoff(args):
 
 
 def _cmd_ttransform(args):
+    from .hermitian import t_transform_chain
+
     x = _load_vector(args.x)
     y = _load_vector(args.y)
     s = t_transform_chain(x, y)
@@ -168,6 +174,8 @@ def _cmd_ttransform(args):
 
 
 def _cmd_suite(args):
+    from .hermitian import identity_suite
+
     trials = args.trials if args.trials is not None else 200
     report = identity_suite(
         args.seed, n=args.dim, trials=trials, tol=_positive_tol(args, 1e-8)
@@ -176,6 +184,8 @@ def _cmd_suite(args):
 
 
 def _cmd_selftest(args):
+    from .selftest import run_all
+
     results, ok = run_all(seed=args.seed, trials=args.trials, stream=sys.stderr)
     doc = {
         "seed": args.seed,

@@ -58,7 +58,8 @@ class NotAtomic(MajorbitError):
 
 
 class SizeLimit(MajorbitError):
-    """Instance too large for exhaustive subset enumeration."""
+    """Instance too large: for exhaustive subset enumeration, or a rational
+    too long to print under Python's int-string conversion limit."""
 
 
 class NotHermitian(MajorbitError):

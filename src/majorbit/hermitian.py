@@ -108,7 +108,7 @@ class HermitianOperator:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues descending and matching orthonormal eigenvectors."""
         if self._eig is None:
-            w, v = np.linalg.eigh((self.entries + self.entries.conj().T) / 2.0)
+            w, v = np.linalg.eigh(0.5 * self.entries + 0.5 * self.entries.conj().T)
             self._eig = (w[::-1].copy(), v[:, ::-1].copy())
         return self._eig
 

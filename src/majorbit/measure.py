@@ -18,6 +18,7 @@ from .errors import (
     MassMismatchError,
     NormalizationError,
     SchemaError,
+    SizeLimit,
     UnknownAtomError,
 )
 from .rationals import format_ratstr, parse_ratstr
@@ -42,7 +43,11 @@ class MeasureSpace:
             raise SchemaError("diffuse_mass must be >= 0")
         total = sum((w for _, w in self.atoms), self.diffuse_mass)
         if total != 1:
-            raise NormalizationError(f"total mass is {total}, expected 1")
+            try:
+                shown = format_ratstr(total)
+            except SizeLimit:
+                shown = "a rational too long to print"
+            raise NormalizationError(f"total mass is {shown}, expected 1")
 
     @property
     def atom_ids(self) -> tuple[str, ...]:
@@ -169,7 +174,7 @@ def _as_document(document):
     if isinstance(document, str):
         try:
             return json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise SchemaError(f"invalid JSON: {exc}") from exc
     return document
 

@@ -7,7 +7,7 @@ so that inputs are bit-exact reproducible.
 import re
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import SchemaError, SizeLimit
 
 _RATSTR = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
@@ -27,6 +27,9 @@ def parse_ratstr(text) -> Fraction:
 
 def format_ratstr(value: Fraction) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # longer than Python's int-string conversion limit
+        raise SizeLimit(f"rational too long to print: {exc}") from exc

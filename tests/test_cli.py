@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -278,9 +279,10 @@ ONE_ATOM = {"atoms": [{"id": "a", "weight": "1"}], "diffuse_mass": "0"}
         ("ttransform -x {0} -y {1}", [[], []]),
         ("rearrange -f {0}", [{"space": CONST5["space"], "diffuse": 5}]),
         ("rearrange -f {0}", [{"space": ONE_ATOM, "atoms": {"a": "1" * 5000}}]),  # > 4300 digits
+        ("rearrange -f {0}", ["9" * 5000]),  # a document that is a JSON string of a huge integer
     ],
     ids=["ragged-rows", "string-entries", "overflowing-spectrum", "empty-vectors",
-         "diffuse-not-a-list", "overlong-ratstr"],
+         "diffuse-not-a-list", "overlong-ratstr", "huge-integer-in-a-string-document"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, docs):
     paths = [write(tmp_path, f"d{i}.json", doc) for i, doc in enumerate(docs)]
@@ -288,3 +290,39 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, docs):
     out = capsys.readouterr().out
     assert code == 2
     assert out.count("\n") == 1 and json.loads(out)["error"] == "SchemaError"
+
+
+def test_huge_json_integer_exits_2(tmp_path, capsys):
+    """json.load raises a plain ValueError, not JSONDecodeError, for an
+    integer literal past the int-string limit (json.dumps cannot write one,
+    so the text is written by hand)."""
+    matrix = tmp_path / "m.json"
+    matrix.write_text('{"re": [[' + "1" * 5000 + "]]}")
+    code = cli.main(["matrix-eig", "-f", str(matrix)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1 and json.loads(out)["error"] == "SchemaError"
+
+
+def test_unprintable_output_exits_2(tmp_path, capsys):
+    """Rescaling three 3000-digit weights gives a merged length too long to
+    print; a total mass too long to print still reports the bad total."""
+    ones = "1" * 2999
+    atoms = [{"id": a, "weight": f"1/{ones}{d}"} for a, d in (("a", 1), ("b", 3), ("c", 7))]
+    doc = {"space": {"atoms": atoms, "diffuse_mass": "0"},
+           "atoms": {"a": "1", "b": "1", "c": "2"}, "diffuse": []}
+    path = write(tmp_path, "f.json", doc)
+    code, out = run(capsys, ["rearrange", "-f", path, "--normalize"])
+    assert code == 2 and out["error"] == "SizeLimit"
+    doc["space"]["atoms"] = atoms[:2]
+    doc["atoms"] = {"a": "1", "b": "2"}
+    path = write(tmp_path, "g.json", doc)
+    code, out = run(capsys, ["rearrange", "-f", path])
+    assert code == 2 and out["error"] == "NormalizationError"
+
+
+def test_finite_huge_entry_has_its_spectrum(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"re": [[1e308, 0.5], [0.5, 2.0]]})
+    code, out = run(capsys, ["matrix-eig", "-f", path])
+    assert code == 0
+    assert [float(Fraction(s["value"])) for s in out["steps"]] == [1e308, 2.0]

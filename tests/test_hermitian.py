@@ -71,6 +71,18 @@ def test_non_finite_input_is_rejected():
         t_transform_chain(["1/0", "1"], ["2", "0"])
 
 
+def test_symmetrisation_does_not_overflow():
+    """(a + aᴴ) / 2 overflows at a finite 1e308 entry; 0.5·a + 0.5·aᴴ does
+    not, and gives the same bits on normal-range input."""
+    w, _ = HermitianOperator([[1e308, 0.5], [0.5, 2.0]]).eigensystem()
+    assert list(w) == [1e308, 2.0]
+    for seed in range(5):
+        a = random_hermitian(SplitMix64(seed), 6)
+        w, v = a.eigensystem()
+        w_ref, v_ref = np.linalg.eigh((a.entries + a.entries.conj().T) / 2.0)
+        assert np.array_equal(w, w_ref[::-1]) and np.array_equal(v, v_ref[:, ::-1])
+
+
 def test_eig_scale_examples():
     assert eig_scale(diag_operator([1, 3])).steps == (
         (Fraction(3), frac("1/2")),

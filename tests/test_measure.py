@@ -8,6 +8,7 @@ from majorbit.errors import (
     MassMismatchError,
     NormalizationError,
     SchemaError,
+    SizeLimit,
     UnknownAtomError,
 )
 from majorbit.measure import (
@@ -40,6 +41,18 @@ def test_parse_ratstr_strict():
 def test_format_ratstr_roundtrip():
     for text in ("0", "-3", "3/4", "-11/7"):
         assert format_ratstr(parse_ratstr(text)) == text
+
+
+def test_unprintable_rational_is_a_size_limit():
+    """Python refuses to print an int of more than 4300 digits; that is an
+    input too large, not an internal failure."""
+    for value in (Fraction(10**4400), Fraction(10**4400 + 1, 3), Fraction(1, 10**4400)):
+        with pytest.raises(SizeLimit):
+            format_ratstr(value)
+    ones = "1" * 3000
+    with pytest.raises(NormalizationError, match="too long to print"):
+        parse_space({"atoms": [{"id": "a", "weight": f"1/{ones}"},
+                               {"id": "b", "weight": f"1/{ones}3"}], "diffuse_mass": "0"})
 
 
 def test_parse_space_examples():

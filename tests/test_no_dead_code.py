@@ -1,7 +1,9 @@
 """Dead-code guards: every module-level function or class in the package is
 either public API (listed in ``__all__``) or used somewhere in the package
 outside its own definition, and every module-level import outside
-``__init__.py`` is used by its module. Methods are out of scope."""
+``__init__.py`` is used by its module. Methods are out of scope, and so are
+module-level dunders such as a PEP 562 ``__getattr__``, which the
+interpreter calls."""
 
 import ast
 from pathlib import Path
@@ -39,7 +41,7 @@ def dead_names(package: Path) -> list[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if node.name in exported:
+            if node.name in exported or (node.name.startswith("__") and node.name.endswith("__")):
                 continue
             if not any(node.name in references(other, node) for other in trees.values()):
                 dead.append(f"{module}.{node.name}")
@@ -68,14 +70,26 @@ def test_no_unreferenced_module_level_names():
     assert dead_names(PACKAGE) == []
 
 
+HELPERS = (
+    "def api():\n    return used()\n\n"
+    "def used():\n    return 1\n\n"
+    "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+    "class Unused:\n    def method(self):\n        return Unused\n"
+)
+
+
 def test_guard_flags_an_unused_helper(tmp_path):
     (tmp_path / "__init__.py").write_text('from .a import api\n__all__ = ["api"]\n')
-    (tmp_path / "a.py").write_text(
-        "def api():\n    return used()\n\n"
-        "def used():\n    return 1\n\n"
-        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
-        "class Unused:\n    def method(self):\n        return Unused\n"
+    (tmp_path / "a.py").write_text(HELPERS)
+    assert dead_names(tmp_path) == ["a.recursive", "a.Unused"]
+
+
+def test_guard_skips_a_module_getattr(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        'from .a import api\n__all__ = ["api"]\n\n'
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
     )
+    (tmp_path / "a.py").write_text(HELPERS)
     assert dead_names(tmp_path) == ["a.recursive", "a.Unused"]
 
 
