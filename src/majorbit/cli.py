@@ -186,7 +186,7 @@ def _cmd_suite(args):
 def _cmd_selftest(args):
     from .selftest import run_all
 
-    results, ok = run_all(seed=args.seed, trials=args.trials, stream=sys.stderr)
+    results, ok = run_all(seed=args.seed, trials=args.trials)
     doc = {
         "seed": args.seed,
         "passed": ok,
@@ -195,51 +195,48 @@ def _cmd_selftest(args):
     return (0 if ok else 1), doc
 
 
+_FLAGS = {
+    "-f": dict(dest="function", required=True),
+    "-x": dict(dest="x", required=True),
+    "-y": dict(dest="y", required=True),
+    "--normalize": dict(action="store_true", help="rescale input masses to total 1 before use"),
+    "--seed": dict(type=int, default=1, help="PRNG seed (u64)"),
+    "--trials": dict(type=_at_least(0), default=None),
+    "--tol": dict(type=float, default=None),
+    "--witness": dict(action="store_true"),
+    "--snap": dict(type=_at_least(1), default=None, help="snap eigenvalues to denominators up to N"),
+    "--dim": dict(type=_at_least(1), default=6),
+}
+
+# each subcommand's handler and the flags it reads, besides --json-indent
+_COMMANDS = {
+    "rearrange": (_cmd_rearrange, ("-f", "--normalize")),
+    "majorise": (_cmd_majorise, ("-x", "-y", "--normalize")),
+    "submajorise": (_cmd_submajorise, ("-x", "-y", "--normalize")),
+    "extreme": (_cmd_extreme, ("-x", "-y", "--normalize", "--witness")),
+    "witness": (_cmd_witness, ("-x", "-y", "--normalize")),
+    "oracle": (_cmd_oracle, ("-x", "-y", "--normalize")),
+    "enumerate": (_cmd_enumerate, ("-y", "--normalize")),
+    "sample": (_cmd_sample, ("-y", "--normalize", "--seed")),
+    "matrix-eig": (_cmd_matrix_eig, ("-f", "--tol", "--snap")),
+    "matrix-majorise": (_cmd_matrix_majorise, ("-x", "-y", "--tol")),
+    "matrix-extreme": (_cmd_matrix_extreme, ("-x", "-y", "--tol")),
+    "birkhoff": (_cmd_birkhoff, ("-f", "--tol")),
+    "ttransform": (_cmd_ttransform, ("-x", "-y")),
+    "suite": (_cmd_suite, ("--seed", "--trials", "--tol", "--dim")),
+    "selftest": (_cmd_selftest, ("--seed", "--trials")),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="majorbit", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=1, help="PRNG seed (u64)")
-    common.add_argument("--trials", type=_at_least(0), default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--normalize", action="store_true",
-                        help="rescale input masses to total 1 before use")
-    common.add_argument("--json-indent", type=int, default=None)
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **flags):
-        p = sub.add_parser(name, parents=[common])
-        if flags.get("f"):
-            p.add_argument("-f", dest="function", required=True)
-        if flags.get("x"):
-            p.add_argument("-x", dest="x", required=True)
-        if flags.get("y"):
-            p.add_argument("-y", dest="y", required=True)
-        if flags.get("witness"):
-            p.add_argument("--witness", action="store_true")
-        if flags.get("snap"):
-            p.add_argument("--snap", type=int, default=None,
-                           help="snap eigenvalues to denominators up to N")
-        if flags.get("dim"):
-            p.add_argument("--dim", type=_at_least(1), default=6)
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--json-indent", type=int, default=None)
         p.set_defaults(handler=handler)
-        return p
-
-    add("rearrange", _cmd_rearrange, f=True)
-    add("majorise", _cmd_majorise, x=True, y=True)
-    add("submajorise", _cmd_submajorise, x=True, y=True)
-    add("extreme", _cmd_extreme, x=True, y=True, witness=True)
-    add("witness", _cmd_witness, x=True, y=True)
-    add("oracle", _cmd_oracle, x=True, y=True)
-    add("enumerate", _cmd_enumerate, y=True)
-    add("sample", _cmd_sample, y=True)
-    add("matrix-eig", _cmd_matrix_eig, f=True, snap=True)
-    add("matrix-majorise", _cmd_matrix_majorise, x=True, y=True)
-    add("matrix-extreme", _cmd_matrix_extreme, x=True, y=True)
-    add("birkhoff", _cmd_birkhoff, f=True)
-    add("ttransform", _cmd_ttransform, x=True, y=True)
-    add("suite", _cmd_suite, dim=True)
-    add("selftest", _cmd_selftest)
     return parser
 
 

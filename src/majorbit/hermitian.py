@@ -207,21 +207,19 @@ def _equal_weight_model(values: list[Fraction]) -> SimpleFunction:
     return SimpleFunction(space, {f"e{i}": values[i] for i in range(n)})
 
 
-def _faithful_snap(values: np.ndarray, tol: float, denominator: int = 10**6):
-    """Rationals with small denominators reproducing the floats within tol,
-    or None when the data is not that clean."""
+def _faithful_snap(values: np.ndarray, tol: float):
+    """Rationals with denominators up to 10**6 reproducing the floats
+    within tol, or None when the data is not that clean."""
     snapped = []
     for value in values:
-        q = Fraction(float(value)).limit_denominator(denominator)
+        q = Fraction(float(value)).limit_denominator(10**6)
         if abs(float(q) - float(value)) > tol:
             return None
         snapped.append(q)
     return snapped
 
 
-def check_extreme_diag(
-    x: HermitianOperator, y: HermitianOperator, model_check: bool = True
-) -> bool:
+def check_extreme_diag(x: HermitianOperator, y: HermitianOperator) -> bool:
     """Diagonal x is extreme among diagonal orbit elements iff its scale
     equals y's within tolerance (every atom of the matrix algebra has the
     same trace 1/n, which collapses the single-atom condition into scale
@@ -237,12 +235,9 @@ def check_extreme_diag(
     if not matrix_majorise(x, y, tol).holds:
         raise NotInOrbit("x is not majorised by y")
     verdict = scales_equal_within(eig_scale(x), eig_scale(y), tol)
-    if model_check:
-        model = _diag_model_verdict(x, y, tol)
-        if model is not None and model != verdict:
-            raise InternalError(
-                "matrix-side verdict disagrees with the atomic-model criterion"
-            )
+    model = _diag_model_verdict(x, y, tol)
+    if model is not None and model != verdict:
+        raise InternalError("matrix-side verdict disagrees with the atomic-model criterion")
     return verdict
 
 

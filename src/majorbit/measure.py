@@ -5,11 +5,12 @@ part of total mass ``diffuse_mass``; weights and masses are exact
 rationals summing to 1. A simple function assigns one rational value per
 atom and carries an ordered list of (value, mass) pieces partitioning the
 diffuse part. Everything is immutable after construction and safe to
-share across threads.
+share across threads; a function keeps its rearrangement once it is
+computed.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -69,6 +70,8 @@ class SimpleFunction:
     space: MeasureSpace
     atom_values: Mapping[str, Fraction]
     diffuse_pieces: tuple[tuple[Fraction, Fraction], ...] = ()
+    # the decreasing rearrangement, filled by scales.rearrange on first use
+    _scale: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(

@@ -126,8 +126,12 @@ class MajorisationReport:
 
 def rearrange(f: SimpleFunction) -> StepScale:
     """The decreasing rearrangement: all (value, mass) carriers sorted by
-    value descending, equal values merged. Equimeasurable with f."""
-    return StepScale.from_pairs(f.weighted_values())
+    value descending, equal values merged. Equimeasurable with f.
+
+    f keeps its scale once computed, so later calls return the same object."""
+    if f._scale is None:
+        object.__setattr__(f, "_scale", StepScale.from_pairs(f.weighted_values()))
+    return f._scale
 
 
 def distribution(f: SimpleFunction, s: Fraction) -> Fraction:

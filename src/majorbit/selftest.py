@@ -6,6 +6,7 @@ acceptance module drives the same functions, so the CLI `selftest` and the
 test suite cannot drift apart.
 """
 
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -468,13 +469,10 @@ CRITERIA = [
 ]
 
 
-def run_all(seed: int = 1, trials: int | None = None, stream=None):
-    """Run every criterion; scale instance counts by trials/1000 when a
-    trial budget is given. Returns (results, all_passed)."""
-    import sys
-
-    if stream is None:
-        stream = sys.stderr
+def run_all(seed: int = 1, trials: int | None = None):
+    """Run every criterion, logging one line each to stderr; scale instance
+    counts by trials/1000 when a trial budget is given. Returns (results,
+    all_passed)."""
     results = []
     overall_start = time.perf_counter()
     for index, (name, fn, default) in enumerate(CRITERIA, start=1):
@@ -486,11 +484,11 @@ def run_all(seed: int = 1, trials: int | None = None, stream=None):
         else:
             result = fn(seed, count)
         results.append(result)
-        print(result.line(), file=stream)
+        print(result.line(), file=sys.stderr)
     total = time.perf_counter() - overall_start
     ok = all(r.passed for r in results)
     print(
         f"selftest {'PASS' if ok else 'FAIL'} in {total:.2f}s (seed={seed})",
-        file=stream,
+        file=sys.stderr,
     )
     return results, ok

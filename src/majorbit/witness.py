@@ -71,10 +71,13 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
 
     While the ordering persists, the rearranged cumulative of x +- delta*u
     at any fixed mass t is linear in delta, so each breakpoint contributes
-    one linear constraint; ordering itself contributes one constraint per
-    pair of levels moving towards each other. The breakpoints are the ends
-    of the common refinement of the perturbed blocks and y's scale, so one
-    walk over it carries both cumulatives.
+    one linear constraint. The breakpoints are the ends of the common
+    refinement of the perturbed blocks and y's scale, so one walk over it
+    carries both cumulatives. Sorted by (value, signed coefficient), the
+    blocks are in the order of x +- delta*u for small delta > 0; blocks of
+    one level only move apart, and the first two blocks to meet are
+    adjacent in that order, so the ordering bound is read off adjacent
+    blocks that close in.
     """
     carriers = _carriers(x, u)
     if all(coeff == 0 for _, coeff, _ in carriers):
@@ -82,19 +85,16 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
     y_scale = rearrange(y)
     bounds: list[Fraction] = []
 
-    for i, (vi, ui, _) in enumerate(carriers):
-        for vj, uj, _ in carriers[i + 1 :]:
-            if vi == vj or ui == uj:
-                continue
-            hi, lo = (vi, vj) if vi > vj else (vj, vi)
-            bounds.append((hi - lo) / abs(ui - uj))
-
     for sign in (1, -1):
         blocks: dict[tuple[Fraction, Fraction], Fraction] = {}
         for v, coeff, mass in carriers:
             key = (v, sign * coeff)
             blocks[key] = blocks.get(key, ZERO) + mass
         ordered = sorted(blocks.items(), key=lambda kv: kv[0], reverse=True)
+
+        for ((upper, c_up), _), ((lower, c_low), _) in zip(ordered, ordered[1:]):
+            if c_low > c_up:
+                bounds.append((upper - lower) / (c_low - c_up))
 
         base = drift = rhs = ZERO
         for (v, signed_coeff), y_value, length in common_refinement(ordered, y_scale.steps):

@@ -38,7 +38,7 @@ small_values = st.fractions(min_value=-5, max_value=8, max_denominator=12)
 
 
 @st.composite
-def simple_functions(draw, max_atoms=3, max_pieces=3):
+def simple_functions(draw, max_atoms=3, max_pieces=3, values=small_values):
     n = draw(st.integers(min_value=0, max_value=max_atoms))
     k = draw(st.integers(min_value=0 if n else 1, max_value=max_pieces))
     parts = [draw(st.integers(min_value=1, max_value=9)) for _ in range(n + k)]
@@ -48,15 +48,15 @@ def simple_functions(draw, max_atoms=3, max_pieces=3):
         tuple((f"a{i}", weights[i]) for i in range(n)),
         sum(weights[n:], Fraction(0)),
     )
-    values = {f"a{i}": draw(small_values) for i in range(n)}
-    pieces = tuple((draw(small_values), weights[n + j]) for j in range(k))
-    return SimpleFunction(space, values, pieces)
+    atom_values = {f"a{i}": draw(values) for i in range(n)}
+    pieces = tuple((draw(values), weights[n + j]) for j in range(k))
+    return SimpleFunction(space, atom_values, pieces)
 
 
 @st.composite
-def function_pairs(draw, max_atoms=3, max_pieces=3):
+def function_pairs(draw, max_atoms=3, max_pieces=3, values=small_values):
     """Two functions on the same space."""
-    f = draw(simple_functions(max_atoms=max_atoms, max_pieces=max_pieces))
-    values = {aid: draw(small_values) for aid in f.space.atom_ids}
-    pieces = tuple((draw(small_values), m) for _, m in f.diffuse_pieces)
-    return f, SimpleFunction(f.space, values, pieces)
+    f = draw(simple_functions(max_atoms=max_atoms, max_pieces=max_pieces, values=values))
+    atom_values = {aid: draw(values) for aid in f.space.atom_ids}
+    pieces = tuple((draw(values), m) for _, m in f.diffuse_pieces)
+    return f, SimpleFunction(f.space, atom_values, pieces)

@@ -277,11 +277,12 @@ ONE_ATOM = {"atoms": [{"id": "a", "weight": "1"}], "diffuse_mass": "0"}
         ("birkhoff -f {0}", [{"re": [["a", 1], [1, 0]]}]),  # string entries
         ("matrix-eig --tol 1 -f {0}", [{"re": [[1.5e308, 1.5e308], [1.5e308, 1.5e308]]}]),
         ("ttransform -x {0} -y {1}", [[], []]),
+        ("matrix-eig --snap 0 -f {0}", [{"re": [[1.0]]}]),
         ("rearrange -f {0}", [{"space": CONST5["space"], "diffuse": 5}]),
         ("rearrange -f {0}", [{"space": ONE_ATOM, "atoms": {"a": "1" * 5000}}]),  # > 4300 digits
         ("rearrange -f {0}", ["9" * 5000]),  # a document that is a JSON string of a huge integer
     ],
-    ids=["ragged-rows", "string-entries", "overflowing-spectrum", "empty-vectors",
+    ids=["ragged-rows", "string-entries", "overflowing-spectrum", "empty-vectors", "zero-snap",
          "diffuse-not-a-list", "overlong-ratstr", "huge-integer-in-a-string-document"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, docs):
@@ -326,3 +327,41 @@ def test_finite_huge_entry_has_its_spectrum(tmp_path, capsys):
     code, out = run(capsys, ["matrix-eig", "-f", path])
     assert code == 0
     assert [float(Fraction(s["value"])) for s in out["steps"]] == [1e308, 2.0]
+
+
+FUNCTION_READERS = {"rearrange", "majorise", "submajorise", "extreme", "witness", "oracle",
+                    "enumerate", "sample"}
+FLAG_READERS = {
+    "--normalize": FUNCTION_READERS,
+    "--seed": {"sample", "suite", "selftest"},
+    "--trials": {"suite", "selftest"},
+    "--tol": {"matrix-eig", "matrix-majorise", "matrix-extreme", "birkhoff", "suite"},
+    "--witness": {"extreme"},
+    "--snap": {"matrix-eig"},
+    "--dim": {"suite"},
+}
+# arguments that parse for each subcommand; --trials 0 keeps suite and
+# selftest quick should a flag be accepted
+REQUIRED = {
+    **{name: "-x x.json -y y.json" for name in (
+        "majorise", "submajorise", "extreme", "witness", "oracle", "matrix-majorise",
+        "matrix-extreme", "ttransform")},
+    **{name: "-f f.json" for name in ("rearrange", "matrix-eig", "birkhoff")},
+    **{name: "-y y.json" for name in ("enumerate", "sample")},
+    "suite": "--trials 0",
+    "selftest": "--trials 0",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for flag, readers in FLAG_READERS.items()
+     for command in REQUIRED if command not in readers],
+)
+def test_unread_flag_exits_2(capsys, command, flag):
+    value = [] if flag in ("--normalize", "--witness") else ["1"]
+    code = cli.main([command, *REQUIRED[command].split(), flag, *value])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["error"] == "SchemaError" and f"unrecognized arguments: {flag}" in doc["detail"]

@@ -140,6 +140,14 @@ def test_roundtrip(f):
 
 
 @given(simple_functions())
+def test_kept_scale_leaves_equality_and_repr(f):
+    fresh = parse_function(serialize_function(f))
+    scale = rearrange(f)
+    assert rearrange(f) is scale
+    assert f == fresh and fresh == f and repr(f) == repr(fresh)
+
+
+@given(simple_functions())
 def test_refine_preserves_rearrangement(f):
     base = rearrange(f)
     for k in range(2, 9):

@@ -7,6 +7,7 @@ breakpoints. The walks must give the same Fractions in the same order.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -20,6 +21,7 @@ from majorbit.measure import ONE, ZERO, SimpleFunction
 from majorbit.orbit import sample_orbit
 from majorbit.prng import SplitMix64
 from majorbit.scales import (
+    StepScale,
     cumulative,
     majorise_check,
     merge_pairs,
@@ -40,7 +42,7 @@ from majorbit.witness import (
     serialize_witness,
 )
 
-from conftest import frac, function_pairs, mkatomic, simple_functions
+from conftest import frac, function_pairs, mkatomic, simple_functions, small_values
 
 
 def union_points(*scales):
@@ -139,7 +141,15 @@ def test_slack_components_read_the_report(f, g):
     assert _slack_components(majorise_check(x, y)) == reference_slack_components(x, y)
 
 
-@given(function_pairs(), simple_functions())
+# half of the draws come from five integers, so levels of x split across
+# several carriers and carriers of one level share coefficients of u
+split_level_values = st.one_of(small_values, st.integers(-2, 2).map(Fraction))
+
+
+@given(
+    function_pairs(max_atoms=8, max_pieces=6, values=split_level_values),
+    simple_functions(max_atoms=8, max_pieces=6),
+)
 def test_admissible_delta_walk_matches_per_breakpoint_bound(pair, y):
     x, u = pair
     assert outcome(admissible_delta, x, y, u) == outcome(reference_admissible_delta, x, y, u)
@@ -180,6 +190,28 @@ def test_check_extreme_evaluates_once(monkeypatch, x, y):
     verdict = check_extreme(x, y)
     assert not verdict.extreme and len(calls) == 1
     assert serialize_witness(verdict.witness) == serialize_witness(build_witness(x, y))
+
+
+@pytest.mark.parametrize(
+    "make, extreme, scales",
+    [
+        (lambda: (mkatomic([2, 2]), mkatomic([3, 1])), False, 4),  # x, y, x+, x-
+        (lambda: (mkatomic([3, 1]), mkatomic([3, 1])), True, 2),  # x, y
+    ],
+    ids=["not-extreme", "extreme"],
+)
+def test_check_extreme_builds_each_scale_once(monkeypatch, make, extreme, scales):
+    built = []
+    from_pairs = StepScale.from_pairs
+
+    def counting(cls, pairs):
+        built.append(pairs)
+        return from_pairs(pairs)
+
+    x, y = make()
+    monkeypatch.setattr(StepScale, "from_pairs", classmethod(counting))
+    assert check_extreme(x, y).extreme is extreme
+    assert len(built) == scales
 
 
 def corpus_digest(instances: int = 300) -> str:
