@@ -57,8 +57,7 @@ from .prng import SplitMix64
 # The polytope oracle and the numpy-based matrix side load on first access
 # (PEP 562), so that the exact core imports neither.
 _LAZY = {
-    "orbit": ("OrbitPolytope", "TightSet", "enumerate_extreme", "oracle_extreme",
-              "partial_average", "sample_orbit"),
+    "orbit": ("enumerate_extreme", "oracle_extreme", "partial_average", "sample_orbit"),
     "hermitian": ("BirkhoffDecomposition", "DoublyStochastic", "HermitianOperator",
                   "birkhoff_decompose", "check_extreme_diag", "diag_expectation",
                   "eig_scale", "identity_suite", "matrix_majorise", "schur_horn_check",
@@ -112,8 +111,6 @@ __all__ = [
     "admissible_delta",
     "build_witness",
     "verify_witness",
-    "OrbitPolytope",
-    "TightSet",
     "enumerate_extreme",
     "oracle_extreme",
     "partial_average",

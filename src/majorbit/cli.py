@@ -201,7 +201,7 @@ _FLAGS = {
     "-y": dict(dest="y", required=True),
     "--normalize": dict(action="store_true", help="rescale input masses to total 1 before use"),
     "--seed": dict(type=int, default=1, help="PRNG seed (u64)"),
-    "--trials": dict(type=_at_least(0), default=None),
+    "--trials": dict(type=_at_least(1), default=None),
     "--tol": dict(type=float, default=None),
     "--witness": dict(action="store_true"),
     "--snap": dict(type=_at_least(1), default=None, help="snap eigenvalues to denominators up to N"),

@@ -6,19 +6,22 @@ inequality per nonempty atom subset S,
     sum_{i in S} w_i x_i  <=  cumulative_y(w(S)),
 
 together with equality at the full set. x is a vertex iff the normals of
-the constraints tight at x span n dimensions; the rank is computed by
-fraction-free (Bareiss) elimination over the integers, so this module
-contains no floating point at all and shares no logic with the
-per-interval criterion it cross-checks.
+the constraints tight at x span n dimensions; scaling column i by
+w_i > 0 is invertible, so their 0/1 indicators span as well. The oracle
+scales every quantity to integers, walks the subsets in reflected Gray
+order (one atom enters or leaves per step, so the subset's mass and
+weighted sum each change by one add), and lets every tight indicator
+shrink an integer null-space basis; x is a vertex iff the basis empties.
+This module contains no floating point at all and shares no logic with
+the per-interval criterion it cross-checks.
 """
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from math import floor, gcd, lcm
 
 from .errors import InternalError, NotAtomic, NotInOrbit, SchemaError, SizeLimit, UnknownAtomError
-from .measure import ZERO, MeasureSpace, SimpleFunction
+from .measure import ZERO, SimpleFunction
 from .prng import SplitMix64
 from .scales import StepScale, cumulative, majorise_check, rearrange, scale_constant_on
 
@@ -26,89 +29,9 @@ MAX_ORACLE_ATOMS = 20
 MAX_ENUMERATE_ATOMS = 6
 
 
-def fraction_free_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a rational matrix: clear denominators per row, then Bareiss
-    elimination (all intermediate divisions are exact integer divisions)."""
-    if not rows:
-        return 0
-    matrix = []
-    for row in rows:
-        scale = lcm(*(Fraction(entry).denominator for entry in row)) if row else 1
-        matrix.append([int(Fraction(entry) * scale) for entry in row])
-    n_rows, n_cols = len(matrix), len(matrix[0])
-    rank, pivot_row, prev = 0, 0, 1
-    for col in range(n_cols):
-        pivot = next(
-            (r for r in range(pivot_row, n_rows) if matrix[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        matrix[pivot_row], matrix[pivot] = matrix[pivot], matrix[pivot_row]
-        lead = matrix[pivot_row][col]
-        for r in range(pivot_row + 1, n_rows):
-            factor = matrix[r][col]
-            for c in range(col, n_cols):
-                matrix[r][c] = (lead * matrix[r][c] - factor * matrix[pivot_row][c]) // prev
-        prev = lead
-        pivot_row += 1
-        rank += 1
-        if pivot_row == n_rows:
-            break
-    return rank
-
-
-@dataclass(frozen=True)
-class OrbitPolytope:
-    """Subset description of {x : x majorised by y} on an atomic space."""
-
-    space: MeasureSpace
-    y_scale: StepScale
-
-    def __post_init__(self):
-        if not self.space.purely_atomic:
-            raise NotAtomic("orbit polytope requires a purely atomic space")
-        if len(self.space.atoms) > MAX_ORACLE_ATOMS:
-            raise SizeLimit(f"more than {MAX_ORACLE_ATOMS} atoms")
-
-    @property
-    def n(self) -> int:
-        return len(self.space.atoms)
-
-    def subsets(self):
-        for size in range(1, self.n + 1):
-            yield from (frozenset(c) for c in combinations(range(self.n), size))
-
-    def bound(self, subset: frozenset) -> Fraction:
-        mass = sum((self.space.atoms[i][1] for i in subset), ZERO)
-        return cumulative(self.y_scale, mass)
-
-    def weighted_sum(self, x: SimpleFunction, subset: frozenset) -> Fraction:
-        return sum(
-            (self.space.atoms[i][1] * x.atom_values[self.space.atoms[i][0]] for i in subset),
-            ZERO,
-        )
-
-    def contains(self, x: SimpleFunction) -> bool:
-        """Brute-force membership: every subset inequality plus total equality."""
-        full = frozenset(range(self.n))
-        if self.weighted_sum(x, full) != self.bound(full):
-            return False
-        return all(self.weighted_sum(x, s) <= self.bound(s) for s in self.subsets())
-
-    def tight(self, x: SimpleFunction) -> "TightSet":
-        return TightSet(
-            tuple(s for s in self.subsets() if self.weighted_sum(x, s) == self.bound(s))
-        )
-
-
-@dataclass(frozen=True)
-class TightSet:
-    subsets: tuple[frozenset, ...]
-
-
 def oracle_extreme(x: SimpleFunction, y: SimpleFunction) -> bool:
-    """Vertex test: x is extreme iff the weighted indicator normals of its
-    tight constraints have full rank. Exact, and independent of the
+    """Vertex test: x is extreme iff the indicators of its tight subset
+    constraints span n dimensions. Exact, and independent of the
     per-interval criterion."""
     if not x.space.purely_atomic:
         raise NotAtomic("oracle requires a purely atomic space")
@@ -118,13 +41,58 @@ def oracle_extreme(x: SimpleFunction, y: SimpleFunction) -> bool:
     y_scale = rearrange(y)
     if not majorise_check(rearrange(x), y_scale).holds:
         raise NotInOrbit("x is not majorised by y")
-    polytope = OrbitPolytope(x.space, y_scale)
-    weights = [w for _, w in x.space.atoms]
-    rows = [
-        [weights[i] if i in subset else ZERO for i in range(n)]
-        for subset in polytope.tight(x).subsets
-    ]
-    return fraction_free_rank(rows) == n
+    return _tight_sets_span(x, y_scale)
+
+
+def _tight_sets_span(x: SimpleFunction, y_scale: StepScale) -> bool:
+    """The Gray-code walk of the module docstring, for x in the orbit."""
+    atoms = x.space.atoms
+    n = len(atoms)
+    # masses become ints over the common weight denominator; on y's step k,
+    # cumulative_y(mass / denominator) = offsets[k] + slopes[k] * mass
+    denominator = lcm(*(w.denominator for _, w in atoms))
+    masses = [int(w * denominator) for _, w in atoms]
+    # an int mass lies at or before a step end iff it lies at or before its floor
+    ends = [floor(end * denominator) for end in y_scale._ends]
+    offsets = [integral - value * (end - length) for integral, end, (value, length)
+               in zip(y_scale._integrals, y_scale._ends, y_scale.steps)]
+    slopes = [value / denominator for value, _ in y_scale.steps]
+    sums = [w * x.atom_values[aid] for aid, w in atoms]
+    common = lcm(*(q.denominator for q in offsets + slopes + sums))
+    offsets, slopes, sums = ([int(q * common) for q in qs] for qs in (offsets, slopes, sums))
+    basis = [{i: 1} for i in range(n)]  # sparse null vectors of the tight indicators
+    live = (1 << n) - 1  # union of their supports
+    subset = mass = total = 0
+    for step in range(1, 1 << n):
+        i = (step & -step).bit_length() - 1
+        subset ^= 1 << i
+        sign = 1 if subset >> i & 1 else -1
+        mass += sign * masses[i]
+        total += sign * sums[i]
+        if not subset & live:
+            continue
+        k = bisect_left(ends, mass)
+        if total != offsets[k] + slopes[k] * mass:
+            continue
+        dots = [sum(c for j, c in z.items() if subset >> j & 1) for z in basis]
+        pivot = next((j for j, d in enumerate(dots) if d), None)
+        if pivot is None:
+            continue
+        z0, d0 = basis.pop(pivot), dots.pop(pivot)
+        if not basis:
+            return True
+        basis = [_eliminate(z, d, z0, d0) if d else z for z, d in zip(basis, dots)]
+        live = sum({1 << j for z in basis for j in z})
+    return False
+
+
+def _eliminate(z: dict, d: int, z0: dict, d0: int) -> dict:
+    """For null vectors z and z0 whose dot products with a tight indicator
+    are d and d0: d0*z - d*z0, which is orthogonal to that indicator,
+    divided by the gcd of its entries, zero entries dropped."""
+    z = {j: d0 * z.get(j, 0) - d * z0.get(j, 0) for j in z.keys() | z0.keys()}
+    g = gcd(*z.values())
+    return {j: c // g for j, c in z.items() if c}
 
 
 def enumerate_extreme(y: SimpleFunction) -> list[SimpleFunction]:
@@ -156,7 +124,7 @@ def enumerate_extreme(y: SimpleFunction) -> list[SimpleFunction]:
             candidate = SimpleFunction(y.space, dict(chosen))
             if not majorise_check(rearrange(candidate), y_scale).holds:
                 raise InternalError("enumeration produced a point outside the orbit")
-            if oracle_extreme(candidate, y):
+            if _tight_sets_span(candidate, y_scale):
                 results.append(candidate)
             return
         for i in sorted(remaining, key=lambda j: atoms[j][0]):
@@ -164,8 +132,7 @@ def enumerate_extreme(y: SimpleFunction) -> list[SimpleFunction]:
             end = cursor + weight
             run = scale_constant_on(y_scale, cursor, end)
             average = (cumulative(y_scale, end) - cumulative(y_scale, cursor)) / weight
-            candidates = {run, average} - {None}
-            for value in candidates:
+            for value in {run, average} - {None}:
                 if prev is None or value <= prev:
                     chosen[aid] = value
                     place(remaining - {i}, end, value, chosen)
@@ -176,21 +143,23 @@ def enumerate_extreme(y: SimpleFunction) -> list[SimpleFunction]:
     return results
 
 
-def partial_average(
-    f: SimpleFunction, atom_ids=(), piece_indices=()
-) -> SimpleFunction:
+def partial_average(f: SimpleFunction, atom_ids=(), piece_indices=()) -> SimpleFunction:
     """Replace the values on the selected carriers by their weighted mean.
 
     This is one partial-averaging step (a doubly stochastic operation), so
-    the output is always majorised by the input.
+    the output is always majorised by the input. Each carrier may be
+    selected once: a repeated one would be weighted twice in the mean.
     """
     atom_ids = list(atom_ids)
     piece_indices = list(piece_indices)
-    unknown = set(atom_ids) - set(f.space.atom_ids)
+    chosen_atoms, chosen = set(atom_ids), set(piece_indices)
+    unknown = chosen_atoms - set(f.space.atom_ids)
     if unknown:
         raise UnknownAtomError(f"unknown atoms {sorted(unknown)}")
     if any(not 0 <= i < len(f.diffuse_pieces) for i in piece_indices):
         raise SchemaError("piece index out of range")
+    if len(chosen_atoms) < len(atom_ids) or len(chosen) < len(piece_indices):
+        raise SchemaError("an atom id or piece index is selected more than once")
     mass = sum((f.space.weight(a) for a in atom_ids), ZERO)
     mass += sum((f.diffuse_pieces[i][1] for i in piece_indices), ZERO)
     if mass == 0:
@@ -200,13 +169,8 @@ def partial_average(
         (f.diffuse_pieces[i][0] * f.diffuse_pieces[i][1] for i in piece_indices), ZERO
     )
     mean = total / mass
-    values = {
-        aid: (mean if aid in set(atom_ids) else v) for aid, v in f.atom_values.items()
-    }
-    chosen = set(piece_indices)
-    pieces = tuple(
-        ((mean if i in chosen else v), m) for i, (v, m) in enumerate(f.diffuse_pieces)
-    )
+    values = {aid: mean if aid in chosen_atoms else v for aid, v in f.atom_values.items()}
+    pieces = tuple((mean if i in chosen else v, m) for i, (v, m) in enumerate(f.diffuse_pieces))
     return SimpleFunction(f.space, values, pieces)
 
 

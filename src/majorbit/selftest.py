@@ -83,10 +83,7 @@ def _dyadic_weights(rng: SplitMix64, n: int) -> tuple[Fraction, ...]:
 def _random_atomic_instance(rng: SplitMix64, n: int):
     weights = _dyadic_weights(rng, n)
     space = MeasureSpace(tuple((f"a{i}", weights[i]) for i in range(n)), Fraction(0))
-    y = SimpleFunction(
-        space, {f"a{i}": Fraction(rng.randint(-4, 8)) for i in range(n)}
-    )
-    return y
+    return SimpleFunction(space, {f"a{i}": Fraction(rng.randint(-4, 8)) for i in range(n)})
 
 
 def _random_diffuse_instance(rng: SplitMix64):
@@ -476,15 +473,9 @@ def run_all(seed: int = 1, trials: int | None = None):
     results = []
     overall_start = time.perf_counter()
     for index, (name, fn, default) in enumerate(CRITERIA, start=1):
-        count = default if trials is None else round(default * trials / 1000)
-        if trials is not None and count == 0:
-            result = CriterionResult(
-                index, name, 0, 0, 0.0, note="0 trials: vacuous pass"
-            )
-        else:
-            result = fn(seed, count)
-        results.append(result)
-        print(result.line(), file=sys.stderr)
+        count = default if trials is None else max(1, round(default * trials / 1000))
+        results.append(fn(seed, count))
+        print(results[-1].line(), file=sys.stderr)
     total = time.perf_counter() - overall_start
     ok = all(r.passed for r in results)
     print(

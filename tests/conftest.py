@@ -38,8 +38,8 @@ small_values = st.fractions(min_value=-5, max_value=8, max_denominator=12)
 
 
 @st.composite
-def simple_functions(draw, max_atoms=3, max_pieces=3, values=small_values):
-    n = draw(st.integers(min_value=0, max_value=max_atoms))
+def simple_functions(draw, max_atoms=3, max_pieces=3, values=small_values, min_atoms=0):
+    n = draw(st.integers(min_value=min_atoms, max_value=max_atoms))
     k = draw(st.integers(min_value=0 if n else 1, max_value=max_pieces))
     parts = [draw(st.integers(min_value=1, max_value=9)) for _ in range(n + k)]
     total = sum(parts)

@@ -171,13 +171,6 @@ def test_suite_command(capsys):
     assert doc["passed"] is True
 
 
-def test_selftest_zero_trials_vacuous(capsys):
-    code, doc = run(capsys, ["selftest", "--trials", "0"])
-    assert code == 0
-    assert doc["passed"] is True
-    assert all("0 trials" in c["note"] for c in doc["criteria"])
-
-
 def test_selftest_small_run(capsys):
     code, doc = run(capsys, ["selftest", "--seed", "1", "--trials", "40"])
     assert code == 0
@@ -249,8 +242,11 @@ def test_zero_tol_is_rejected_not_replaced(tmp_path, capsys):
 
 
 def test_negative_trials_and_empty_dim_exit_2(capsys):
+    """No trials would be a vacuous pass, so --trials 0 is bad input too."""
     for argv in (["selftest", "--trials", "-5"],
+                 ["selftest", "--trials", "0"],
                  ["suite", "--trials", "-3"],
+                 ["suite", "--trials", "0"],
                  ["suite", "--trials", "2", "--dim", "0"]):
         code, out = run(capsys, argv)
         assert code == 2 and out["error"] == "SchemaError"
@@ -340,7 +336,7 @@ FLAG_READERS = {
     "--snap": {"matrix-eig"},
     "--dim": {"suite"},
 }
-# arguments that parse for each subcommand; --trials 0 keeps suite and
+# arguments that parse for each subcommand; --trials 1 keeps suite and
 # selftest quick should a flag be accepted
 REQUIRED = {
     **{name: "-x x.json -y y.json" for name in (
@@ -348,8 +344,8 @@ REQUIRED = {
         "matrix-extreme", "ttransform")},
     **{name: "-f f.json" for name in ("rearrange", "matrix-eig", "birkhoff")},
     **{name: "-y y.json" for name in ("enumerate", "sample")},
-    "suite": "--trials 0",
-    "selftest": "--trials 0",
+    "suite": "--trials 1",
+    "selftest": "--trials 1",
 }
 
 

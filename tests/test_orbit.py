@@ -1,22 +1,99 @@
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
-from majorbit.errors import NotAtomic, NotInOrbit, SizeLimit
+from majorbit.errors import NotAtomic, NotInOrbit, SchemaError, SizeLimit
+from majorbit.extremality import check_extreme
 from majorbit.measure import MeasureSpace, SimpleFunction, scale_function, add_functions
 from majorbit.orbit import (
-    OrbitPolytope,
     enumerate_extreme,
-    fraction_free_rank,
     oracle_extreme,
     partial_average,
     sample_orbit,
 )
 from majorbit.prng import SplitMix64
-from majorbit.scales import majorise_check, rearrange
+from majorbit.scales import cumulative, majorise_check, rearrange
 
-from conftest import frac, mkatomic, mkdiffuse
+from conftest import frac, mkatomic, mkdiffuse, simple_functions
+
+
+# ---------------------------------------------------------------------------
+# reference: the subset description enumerated one frozenset at a time with
+# Fraction bounds, and the rank of the tight normals by Bareiss elimination
+# ---------------------------------------------------------------------------
+
+def fraction_free_rank(rows: list[list[Fraction]]) -> int:
+    """Rank of a rational matrix: clear denominators per row, then Bareiss
+    elimination (all intermediate divisions are exact integer divisions)."""
+    if not rows:
+        return 0
+    matrix = []
+    for row in rows:
+        scale = lcm(*(Fraction(entry).denominator for entry in row)) if row else 1
+        matrix.append([int(Fraction(entry) * scale) for entry in row])
+    n_rows, n_cols = len(matrix), len(matrix[0])
+    rank, pivot_row, prev = 0, 0, 1
+    for col in range(n_cols):
+        pivot = next(
+            (r for r in range(pivot_row, n_rows) if matrix[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        matrix[pivot_row], matrix[pivot] = matrix[pivot], matrix[pivot_row]
+        lead = matrix[pivot_row][col]
+        for r in range(pivot_row + 1, n_rows):
+            factor = matrix[r][col]
+            for c in range(col, n_cols):
+                matrix[r][c] = (lead * matrix[r][c] - factor * matrix[pivot_row][c]) // prev
+        prev = lead
+        pivot_row += 1
+        rank += 1
+        if pivot_row == n_rows:
+            break
+    return rank
+
+
+def subsets(n):
+    for size in range(1, n + 1):
+        yield from (frozenset(c) for c in combinations(range(n), size))
+
+
+def bound(space, y_scale, subset):
+    return cumulative(y_scale, sum((space.atoms[i][1] for i in subset), Fraction(0)))
+
+
+def weighted_sum(x, subset):
+    atoms = x.space.atoms
+    return sum((atoms[i][1] * x.atom_values[atoms[i][0]] for i in subset), Fraction(0))
+
+
+def reference_contains(x, y_scale):
+    """Brute-force membership: every subset inequality plus total equality."""
+    n = len(x.space.atoms)
+    full = frozenset(range(n))
+    if weighted_sum(x, full) != bound(x.space, y_scale, full):
+        return False
+    return all(weighted_sum(x, s) <= bound(x.space, y_scale, s) for s in subsets(n))
+
+
+def reference_tight(x, y):
+    y_scale = rearrange(y)
+    return [s for s in subsets(len(x.space.atoms))
+            if weighted_sum(x, s) == bound(x.space, y_scale, s)]
+
+
+def reference_oracle(x, y):
+    """x is a vertex iff the weighted indicator normals of its tight
+    constraints have full rank."""
+    n = len(x.space.atoms)
+    weights = [w for _, w in x.space.atoms]
+    rows = [[weights[i] if i in s else Fraction(0) for i in range(n)]
+            for s in reference_tight(x, y)]
+    return fraction_free_rank(rows) == n
 
 
 def test_fraction_free_rank():
@@ -46,9 +123,117 @@ def test_oracle_extreme_examples():
     x3 = SimpleFunction(space, {"a": 3, "b": 4, "c": 0})
     assert oracle_extreme(x3, y3) is True
     # hand enumeration of the tight sets: {b}, {a,b}, {a,b,c}
-    polytope = OrbitPolytope(space, rearrange(y3))
-    tight = {frozenset(s) for s in polytope.tight(x3).subsets}
+    tight = set(reference_tight(x3, y3))
     assert tight == {frozenset({1}), frozenset({0, 1}), frozenset({0, 1, 2})}
+    assert reference_oracle(x3, y3) is True
+
+
+def _random_atomic(rng, n, denominators=(1, 2, 3)):
+    parts = [rng.randint(1, 6) for _ in range(n)]
+    total = sum(parts)
+    values = [Fraction(rng.randint(-4, 6), denominators[rng.randint(0, len(denominators) - 1)])
+              for _ in range(n)]
+    return mkatomic(values, weights=[Fraction(p, total) for p in parts])
+
+
+def _orbit_points(rng, y):
+    """y itself (a vertex), a seeded orbit sample and a two-atom average."""
+    ids = y.space.atom_ids
+    i = rng.randint(0, len(ids) - 1)
+    j = (i + rng.randint(1, len(ids) - 1)) % len(ids)
+    return y, sample_orbit(y, rng.next_u64()), partial_average(y, [ids[i], ids[j]])
+
+
+def _coarsen(y, blocks):
+    """y averaged over runs of consecutive atoms, on the space of the runs."""
+    atoms = y.space.atoms
+    cuts = [0, *range(1, blocks), len(atoms)]
+    masses, values = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mass = sum((w for _, w in atoms[lo:hi]), Fraction(0))
+        total = sum((w * y.atom_values[aid] for aid, w in atoms[lo:hi]), Fraction(0))
+        masses.append(mass)
+        values.append(total / mass)
+    return mkatomic(values, weights=masses)
+
+
+def test_oracle_matches_reference_and_criterion():
+    """Differential: the Gray-code oracle against the subset enumeration on
+    n <= 8, and against the interval criterion on n = 14..16, where the
+    reference is too slow."""
+    rng = SplitMix64(2024)
+    verdicts = []
+    while len(verdicts) < 360:
+        y = _random_atomic(rng, rng.randint(2, 8))
+        for x in _orbit_points(rng, y):
+            verdict = oracle_extreme(x, y)
+            assert verdict == reference_oracle(x, y)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    verdicts = []
+    while len(verdicts) < 60:  # y on a finer space: its breakpoints lie off x's mass lattice
+        y = _random_atomic(rng, rng.randint(3, 8))
+        x = _coarsen(y, rng.randint(2, len(y.space.atoms) - 1))
+        for x in (x, sample_orbit(x, rng.next_u64())):
+            verdict = oracle_extreme(x, y)
+            assert verdict == reference_oracle(x, y)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    verdicts = []
+    for n in (14, 15, 16):
+        y = _random_atomic(rng, n)
+        for x in _orbit_points(rng, y):
+            verdict = oracle_extreme(x, y)
+            assert verdict == check_extreme(x, y).extreme
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_oracle_all_subsets_tight_within_budget():
+    """Constant y on equal-weight atoms makes every subset tight; the walk
+    stops once the tight indicators span."""
+    y = mkatomic([1] * 16)
+    start = time.perf_counter()
+    assert oracle_extreme(y, y) is True
+    assert time.perf_counter() - start < 2.0
+
+
+@st.composite
+def atomic_orbit_pairs(draw):
+    y = draw(simple_functions(min_atoms=1, max_atoms=6, max_pieces=0))
+    x = draw(st.sampled_from(("y", "sample", "vertex")))
+    if x == "sample":
+        return sample_orbit(y, draw(st.integers(0, 2**64 - 1))), y
+    if x == "vertex" and len(y.space.atoms) <= 4:
+        return draw(st.sampled_from(enumerate_extreme(y))), y
+    return y, y
+
+
+def _relabel(f, order):
+    atoms = f.space.atoms
+    space = MeasureSpace(tuple((f"b{k}", atoms[i][1]) for k, i in enumerate(order)), Fraction(0))
+    return SimpleFunction(space, {f"b{k}": f.atom_values[atoms[i][0]] for k, i in enumerate(order)})
+
+
+@given(
+    atomic_orbit_pairs(),
+    st.randoms(use_true_random=False),
+    st.fractions(min_value=frac("1/7"), max_value=5, max_denominator=7),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+def test_verdicts_invariant_under_relabelling_and_affine_maps(pair, random, a, b):
+    x, y = pair
+    order = list(range(len(y.space.atoms)))
+    random.shuffle(order)
+    expected = oracle_extreme(x, y)
+    assert check_extreme(x, y).extreme == expected
+    images = [
+        (_relabel(x, order), _relabel(y, order)),
+        (x.map_values(lambda v: a * v + b), y.map_values(lambda v: a * v + b)),
+    ]
+    for x_image, y_image in images:
+        assert oracle_extreme(x_image, y_image) == expected
+        assert check_extreme(x_image, y_image).extreme == expected
 
 
 def test_oracle_errors():
@@ -70,12 +255,11 @@ def test_subset_description_matches_majorisation():
         (("a", frac("1/2")), ("b", frac("1/4")), ("c", frac("1/4"))), Fraction(0)
     )
     y = SimpleFunction(space, {"a": 2, "b": 1, "c": 0})
-    polytope = OrbitPolytope(space, rearrange(y))
     grid = [Fraction(v, 2) for v in range(-2, 7)]
     for values in product(grid, repeat=3):
         x = SimpleFunction(space, dict(zip(("a", "b", "c"), values)))
         direct = majorise_check(rearrange(x), rearrange(y)).holds
-        assert polytope.contains(x) == direct
+        assert reference_contains(x, rearrange(y)) == direct
 
 
 def test_enumerate_examples():
@@ -140,26 +324,23 @@ def brute_force_vertices(y):
     """All vertices of the orbit polytope by solving every (n-1)-subset of
     inequalities as equalities together with the total-equality constraint,
     then filtering for feasibility. Completeness oracle for enumerate."""
-    from itertools import combinations
-
     space = y.space
     n = len(space.atoms)
     weights = [w for _, w in space.atoms]
-    polytope = OrbitPolytope(space, rearrange(y))
-    subsets = list(polytope.subsets())
+    y_scale = rearrange(y)
     full = frozenset(range(n))
     vertices = set()
-    for chosen in combinations([s for s in subsets if s != full], n - 1):
+    for chosen in combinations([s for s in subsets(n) if s != full], n - 1):
         rows = [[weights[i] if i in s else Fraction(0) for i in range(n)] for s in chosen]
         rows.append(list(weights))
-        rhs = [polytope.bound(s) for s in chosen] + [polytope.bound(full)]
+        rhs = [bound(space, y_scale, s) for s in chosen + (full,)]
         solution = _solve_exact(rows, rhs)
         if solution is None:
             continue
         candidate = SimpleFunction(
             space, {space.atoms[i][0]: solution[i] for i in range(n)}
         )
-        if polytope.contains(candidate):
+        if reference_contains(candidate, y_scale):
             vertices.add(tuple(solution))
     return vertices
 
@@ -188,6 +369,21 @@ def test_partial_average_examples():
     averaged = partial_average(y, atom_ids=["a0", "a1"])
     assert dict(averaged.atom_values) == {"a0": Fraction(2), "a1": Fraction(2)}
     assert partial_average(y) is y
+
+
+def test_partial_average_rejects_repeated_carriers():
+    """A repeated carrier would be weighted twice: on weights 1/2, 1/2 and
+    values 4, 0 the 'mean' over a, a, b is 8/3 on both atoms, which f does
+    not majorise."""
+    f = mkatomic([4, 0], ids=["a", "b"])
+    with pytest.raises(SchemaError):
+        partial_average(f, ["a", "a", "b"])
+    space = MeasureSpace((("a", frac("1/2")),), frac("1/2"))
+    g = SimpleFunction(space, {"a": 4}, ((Fraction(0), frac("1/4")), (Fraction(2), frac("1/4"))))
+    with pytest.raises(SchemaError):
+        partial_average(g, ["a"], [1, 1])
+    averaged = partial_average(g, ["a"], [0, 1])
+    assert majorise_check(rearrange(averaged), rearrange(g)).holds
 
 
 def test_sample_orbit_examples():
