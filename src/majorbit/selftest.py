@@ -16,6 +16,7 @@ from .errors import MajorbitError
 from .extremality import check_extreme
 from .hermitian import (
     HermitianOperator,
+    _equal_weight_model,
     birkhoff_decompose,
     check_extreme_diag,
     diag_operator,
@@ -80,23 +81,9 @@ def _dyadic_weights(rng: SplitMix64, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(b - a, denom) for a, b in zip(bounds, bounds[1:]))
 
 
-def _random_atomic_instance(rng: SplitMix64, n: int):
-    weights = _dyadic_weights(rng, n)
-    space = MeasureSpace(tuple((f"a{i}", weights[i]) for i in range(n)), Fraction(0))
-    return SimpleFunction(space, {f"a{i}": Fraction(rng.randint(-4, 8)) for i in range(n)})
-
-
-def _random_diffuse_instance(rng: SplitMix64):
-    k = rng.randint(2, 5)
-    masses = _dyadic_weights(rng, k)
-    values = [Fraction(rng.randint(-4, 8)) for _ in range(k)]
-    space = MeasureSpace((), Fraction(1))
-    return SimpleFunction(space, {}, tuple(zip(values, masses)))
-
-
-def _random_mixed_instance(rng: SplitMix64):
-    n = rng.randint(1, 3)
-    k = rng.randint(1, 3)
+def _random_instance(rng: SplitMix64, n: int, k: int):
+    """n atoms and k diffuse pieces on dyadic masses summing to 1, with
+    integer values in [-4, 8]; k = 0 is atomic and n = 0 atomless."""
     parts = _dyadic_weights(rng, n + k)
     space = MeasureSpace(
         tuple((f"a{i}", parts[i]) for i in range(n)),
@@ -119,7 +106,7 @@ def criterion_agreement(seed: int, trials: int = 1000) -> CriterionResult:
     for case in range(trials):
         n = rng.randint(2, 5)
         use_enumerate = case % 2 == 1 and n <= 4
-        y = _random_atomic_instance(rng, n)
+        y = _random_instance(rng, n, 0)
         if use_enumerate:
             points = enumerate_extreme(y)
             x = points[rng.randint(0, len(points) - 1)]
@@ -155,10 +142,7 @@ def criterion_hlp(seed: int, trials: int = len(_HLP_CASES)) -> CriterionResult:
     cases = _HLP_CASES[: max(0, trials)] if trials < len(_HLP_CASES) else _HLP_CASES
     for values in cases:
         n = len(values)
-        space = MeasureSpace(
-            tuple((f"e{i}", Fraction(1, n)) for i in range(n)), Fraction(0)
-        )
-        y = SimpleFunction(space, {f"e{i}": Fraction(v) for i, v in enumerate(values)})
+        y = _equal_weight_model([Fraction(v) for v in values])
         found = {
             tuple(f.atom_values[f"e{i}"] for i in range(n))
             for f in enumerate_extreme(y)
@@ -177,7 +161,7 @@ def criterion_ryff(seed: int, trials: int = 500) -> CriterionResult:
     failures = 0
     start = time.perf_counter()
     for case in range(trials):
-        y = _random_diffuse_instance(rng)
+        y = _random_instance(rng, 0, rng.randint(2, 5))
         if case % 2 == 0:
             x = sample_orbit(y, rng.next_u64())
         else:
@@ -204,9 +188,9 @@ def criterion_witnesses(seed: int, trials: int = 1000) -> CriterionResult:
     failures = 0
     start = time.perf_counter()
     makers = [
-        lambda: _random_atomic_instance(rng, rng.randint(2, 5)),
-        lambda: _random_diffuse_instance(rng),
-        lambda: _random_mixed_instance(rng),
+        lambda: _random_instance(rng, rng.randint(2, 5), 0),
+        lambda: _random_instance(rng, 0, rng.randint(2, 5)),
+        lambda: _random_instance(rng, rng.randint(1, 3), rng.randint(1, 3)),
     ]
     guard = 0
     while checked < trials and guard < 20 * max(trials, 1):
@@ -381,12 +365,7 @@ def criterion_matrix(seed: int, trials: int = 200) -> CriterionResult:
         y_op = HermitianOperator(
             u @ np.diag([float(v) for v in spectrum]) @ u.conj().T
         )
-        model_space = MeasureSpace(
-            tuple((f"e{i}", Fraction(1, n)) for i in range(n)), Fraction(0)
-        )
-        y_model = SimpleFunction(
-            model_space, {f"e{i}": spectrum[i] for i in range(n)}
-        )
+        y_model = _equal_weight_model(spectrum)
         if rng.next_u64() & 1:
             ordering = list(range(n))
             rng.shuffle(ordering)
@@ -394,10 +373,7 @@ def criterion_matrix(seed: int, trials: int = 200) -> CriterionResult:
         else:
             x_model = sample_orbit(y_model, rng.next_u64())
             x_values = [x_model.atom_values[f"e{i}"] for i in range(n)]
-        x_model = SimpleFunction(
-            model_space, {f"e{i}": x_values[i] for i in range(n)}
-        )
-        expected = check_extreme(x_model, y_model).extreme
+        expected = check_extreme(_equal_weight_model(x_values), y_model).extreme
         try:
             got = check_extreme_diag(diag_operator(x_values), y_op)
         except MajorbitError:

@@ -264,6 +264,7 @@ def test_selftest_stdout_is_deterministic(capsys):
 
 
 ONE_ATOM = {"atoms": [{"id": "a", "weight": "1"}], "diffuse_mass": "0"}
+OVER_RANGE = int("9" * 400)
 
 
 @pytest.mark.parametrize(
@@ -277,9 +278,18 @@ ONE_ATOM = {"atoms": [{"id": "a", "weight": "1"}], "diffuse_mass": "0"}
         ("rearrange -f {0}", [{"space": CONST5["space"], "diffuse": 5}]),
         ("rearrange -f {0}", [{"space": ONE_ATOM, "atoms": {"a": "1" * 5000}}]),  # > 4300 digits
         ("rearrange -f {0}", ["9" * 5000]),  # a document that is a JSON string of a huge integer
+        # 400 digits: under the int-string limit, outside the float range
+        ("matrix-eig -f {0}", [{"re": [[OVER_RANGE]]}]),
+        ("matrix-majorise -x {0} -y {1}", [{"re": [[OVER_RANGE]]}, {"re": [[1.0]]}]),
+        ("matrix-extreme -x {0} -y {1}", [{"re": [[1.0]]}, {"re": [[1.0]], "im": [[OVER_RANGE]]}]),
+        ("birkhoff -f {0}", [{"re": [[OVER_RANGE]]}]),
+        ("ttransform -x {0} -y {1}", [[OVER_RANGE], [1]]),
+        ("ttransform -x {0} -y {1}", [["1"], [str(OVER_RANGE)]]),
     ],
     ids=["ragged-rows", "string-entries", "overflowing-spectrum", "empty-vectors", "zero-snap",
-         "diffuse-not-a-list", "overlong-ratstr", "huge-integer-in-a-string-document"],
+         "diffuse-not-a-list", "overlong-ratstr", "huge-integer-in-a-string-document",
+         "over-range-eig", "over-range-majorise", "over-range-extreme", "over-range-birkhoff",
+         "over-range-ttransform", "over-range-ratstr-ttransform"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, docs):
     paths = [write(tmp_path, f"d{i}.json", doc) for i, doc in enumerate(docs)]

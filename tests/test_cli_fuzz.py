@@ -56,6 +56,7 @@ REPLACEMENTS = st.sampled_from([
     None, True, 0, -1, 7, "x", "", [], {}, [[]],
     float("nan"), float("inf"), float("-inf"), 1e308, -1e308,
     "1/0", "0", "-1", "1/3", "0.5", "1" * 5000, HUGE_INT,
+    int("9" * 400), "9" * 400,  # within the digit limit, outside the float range
 ])
 
 

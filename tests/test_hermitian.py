@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+import majorbit.hermitian as hermitian
 from majorbit.errors import (
     DimensionMismatch,
     NotDiagonal,
@@ -15,8 +17,11 @@ from majorbit.errors import (
 )
 from majorbit.extremality import check_extreme
 from majorbit.hermitian import (
+    BirkhoffDecomposition,
     DoublyStochastic,
     HermitianOperator,
+    _caratheodory_prune,
+    _perfect_matching,
     birkhoff_decompose,
     check_extreme_diag,
     diag_expectation,
@@ -33,7 +38,7 @@ from majorbit.hermitian import (
 from majorbit.measure import MeasureSpace, SimpleFunction
 from majorbit.orbit import sample_orbit
 from majorbit.prng import SplitMix64
-from majorbit.scales import rearrange
+from majorbit.scales import StepScale, rearrange
 
 from conftest import frac, mkatomic
 
@@ -146,6 +151,21 @@ def test_check_extreme_diag_examples():
         check_extreme_diag(diag_operator([4, 0]), b)
 
 
+def test_check_extreme_diag_builds_each_scale_once(monkeypatch):
+    built = []
+
+    def counting(a, *args):
+        built.append(a)
+        return eig_scale(a, *args)
+
+    monkeypatch.setattr(hermitian, "eig_scale", counting)
+    b = HermitianOperator([[2.0, 1.0], [1.0, 2.0]])
+    for x, extreme in ((diag_operator([1, 3]), True), (diag_operator([2, 2]), False)):
+        built.clear()
+        assert check_extreme_diag(x, b) is extreme
+        assert built == [x, b]
+
+
 def test_check_extreme_diag_matches_atomic_model():
     rng = SplitMix64(21)
     space = None
@@ -201,10 +221,6 @@ def test_birkhoff_examples():
 def test_caratheodory_prune_keeps_the_matrix():
     """Greedy extraction rarely exceeds the (n-1)^2 + 1 bound, so the prune
     is driven directly: all six 3x3 permutations are affinely dependent."""
-    from itertools import permutations
-
-    from majorbit.hermitian import BirkhoffDecomposition, _caratheodory_prune
-
     perms = list(permutations(range(3)))
     coeffs = [1.0 / 6] * 6
     before = BirkhoffDecomposition(tuple(zip(coeffs, perms))).matrix(3)
@@ -244,3 +260,151 @@ def test_identity_suite_examples():
     report = identity_suite(7, n=5, trials=200)
     assert report.passed
     assert sum(report.trials.values()) == 800
+
+
+# ---------------------------------------------------------------------------
+# the element-by-element loops that the numpy index operations replaced,
+# kept as references: each rewrite must reproduce them bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_eig_scale(a: HermitianOperator) -> StepScale:
+    w, _ = a.eigensystem()
+    clusters: list[list[float]] = []
+    for value in w:
+        if clusters and abs(clusters[-1][-1] - value) <= a.tol:
+            clusters[-1].append(float(value))
+        else:
+            clusters.append([float(value)])
+    return StepScale.from_pairs(
+        [(Fraction(sum(c) / len(c)), Fraction(len(c), a.n)) for c in clusters]
+    )
+
+
+def reference_prune(coeffs, perms, n, bound):
+    while len(coeffs) > bound:
+        columns = []
+        for perm in perms:
+            flat = np.zeros(n * n + 1)
+            for row, col in enumerate(perm):
+                flat[row * n + col] = 1.0
+            flat[-1] = 1.0
+            columns.append(flat)
+        terms = np.array(columns).T
+        alpha = np.linalg.svd(terms)[2][-1]
+        positive = [(coeffs[i] / alpha[i], i) for i in range(len(coeffs)) if alpha[i] > 1e-12]
+        if not positive:
+            alpha = -alpha
+            positive = [
+                (coeffs[i] / alpha[i], i) for i in range(len(coeffs)) if alpha[i] > 1e-12
+            ]
+        theta, drop = min(positive)
+        coeffs = [c - theta * a for c, a in zip(coeffs, alpha)]
+        coeffs[drop] = 0.0
+        keep = [i for i, c in enumerate(coeffs) if c > 1e-15]
+        coeffs = [coeffs[i] for i in keep]
+        perms = [perms[i] for i in keep]
+    return coeffs, perms
+
+
+def reference_birkhoff_terms(s: DoublyStochastic):
+    n = s.n
+    work = s.entries.copy()
+    threshold = 1e-14 * (1.0 + float(np.max(np.abs(work))))
+    coeffs, perms = [], []
+    for _ in range(n * n + 1):
+        if float(np.max(np.abs(work))) <= threshold:
+            break
+        perm = _perfect_matching(work, threshold)
+        coeff = float(min(work[row, perm[row]] for row in range(n)))
+        coeffs.append(coeff)
+        perms.append(tuple(perm))
+        for row in range(n):
+            work[row, perm[row]] -= coeff
+        work[work < 0] = 0.0
+    total = sum(coeffs)
+    coeffs, perms = _caratheodory_prune([c / total for c in coeffs], perms, n, (n - 1) ** 2 + 1)
+    total = sum(coeffs)
+    return [c / total for c in coeffs], perms
+
+
+def reference_t_transform(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The chain on the sorted vectors, then conjugated by the products
+    with the two sorting permutation matrices."""
+    n = x.size
+    close = 1e-12 * (1.0 + max(float(np.max(np.abs(x))), float(np.max(np.abs(y)))))
+    order_x, order_y = np.argsort(-x, kind="stable"), np.argsort(-y, kind="stable")
+    xs, work = x[order_x], y[order_y]
+    s_sorted = np.eye(n)
+    for _ in range(n - 1):
+        below = [j for j in range(n) if xs[j] < work[j] - close]
+        if not below:
+            break
+        j = max(below)
+        k = next(i for i in range(j + 1, n) if xs[i] > work[i] + close)
+        lam = 1.0 - min(work[j] - xs[j], xs[k] - work[k]) / (work[j] - work[k])
+        t = np.eye(n)
+        t[j, j] = t[k, k] = lam
+        t[j, k] = t[k, j] = 1.0 - lam
+        work = t @ work
+        s_sorted = t @ s_sorted
+    p_x, p_y = np.zeros((n, n)), np.zeros((n, n))
+    p_x[range(n), order_x] = 1.0
+    p_y[range(n), order_y] = 1.0
+    return p_x.T @ s_sorted @ p_y
+
+
+def near_degenerate(rng: SplitMix64, n: int) -> HermitianOperator:
+    """Integer levels, some split by gaps around the default tolerance and
+    some chained by gaps each under it, conjugated by a random unitary."""
+    spectrum = []
+    for _ in range(n):
+        if spectrum and rng.random() < 0.5:
+            spectrum.append(spectrum[-1] + (rng.random() + 0.25) * 10.0 ** -rng.randint(8, 15))
+        else:
+            spectrum.append(float(rng.randint(-3, 5)))
+    u = random_unitary(rng, n)
+    return HermitianOperator(u @ np.diag(spectrum) @ u.conj().T)
+
+
+def test_cluster_split_matches_the_loop():
+    rng = SplitMix64(31)
+    for _ in range(300):
+        op = near_degenerate(rng, rng.randint(1, 10))
+        assert eig_scale(op) == reference_eig_scale(op)
+
+
+def test_caratheodory_columns_match_the_loop():
+    cases = [(list(permutations(range(3))), 3, 5)]
+    rng = SplitMix64(32)
+    for _ in range(40):
+        perms = list(permutations(range(4)))
+        rng.shuffle(perms)
+        cases.append((perms[:16], 4, 10))
+    for perms, n, bound in cases:
+        weights = [rng.random() + 1e-3 for _ in perms]
+        coeffs = [w / sum(weights) for w in weights]
+        kept, kept_perms = _caratheodory_prune(coeffs, perms, n, bound)
+        ref, ref_perms = reference_prune(coeffs, perms, n, bound)
+        assert np.array(kept).tobytes() == np.array(ref).tobytes()
+        assert kept_perms == ref_perms and len(kept) <= bound
+
+
+def test_birkhoff_extraction_matches_the_loop():
+    rng = SplitMix64(33)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        ds = random_doubly_stochastic(rng, n)
+        coeffs, perms = reference_birkhoff_terms(ds)
+        terms = birkhoff_decompose(ds).terms
+        assert np.array([c for c, _ in terms]).tobytes() == np.array(coeffs).tobytes()
+        assert [p for _, p in terms] == perms
+
+
+def test_t_transform_conjugation_matches_permutation_products():
+    rng = SplitMix64(34)
+    for n in range(1, 13):
+        for _ in range(20):
+            y = np.array([rng.randint(-4, 8) for _ in range(n)], dtype=float)
+            x = random_doubly_stochastic(rng, n).entries @ y if n > 1 else y.copy()
+            expected = reference_t_transform(x, y).tobytes()
+            assert t_transform_chain(x, y).entries.tobytes() == expected

@@ -1,14 +1,16 @@
 """Dead-code guards: every module-level function or class in the package is
 either public API (listed in ``__all__``) or used somewhere in the package
-outside its own definition, and every module-level import outside
-``__init__.py`` is used by its module. Methods are out of scope, and so are
-module-level dunders such as a PEP 562 ``__getattr__``, which the
-interpreter calls."""
+outside its own definition, every module-level import outside
+``__init__.py`` is used by its module, and every default-valued parameter
+is passed by some call in ``src/`` or ``tests/``. The first guard leaves
+out methods, and module-level dunders such as a PEP 562 ``__getattr__``,
+which the interpreter calls."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "majorbit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "majorbit"
 
 
 def dead_names(package: Path) -> list[str]:
@@ -105,3 +107,87 @@ def test_import_guard_flags_an_unused_import(tmp_path):
         "def api(x):\n    import sys\n    return os.path.join(str(floor(x)), sys.argv[0])\n"
     )
     assert unused_imports(tmp_path) == ["a.json", "a.np", "a.ceil"]
+
+
+def _callee(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def unused_knobs(package: Path, callers: list[Path]) -> list[str]:
+    """``module.function.parameter`` for each default-valued parameter of a
+    function in the package that no call in ``callers`` passes, by keyword
+    or by position. Calls are matched by name (a class name for
+    ``__init__``), so same-named functions share their calls, and a call
+    with ``*args`` or ``**kwargs`` passes everything. A function whose name
+    is also used other than as a callee (a table entry, a callback) is
+    skipped: its calls cannot be read off the source."""
+    calls: dict[str, list[ast.Call]] = {}
+    other_uses = set()
+    for path in callers:
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        # a callee, or the namespace of an attribute, is not a use as a value
+        not_values = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+        not_values |= {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node.func), []).append(node)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in not_values:
+                other_uses.add(_callee(node))
+
+    def passes(call: ast.Call, name: str, index: int | None) -> bool:
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return True
+        if index is not None and index < len(call.args):
+            return True
+        return any(keyword.arg in (name, None) for keyword in call.keywords)
+
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(item): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for item in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = owner[id(node)] if node.name == "__init__" else node.name
+            if name in other_uses:
+                continue
+            static = any(_callee(d) == "staticmethod" for d in node.decorator_list)
+            offset = 1 if id(node) in owner and not static else 0
+            params = node.args.posonlyargs + node.args.args
+            first = len(params) - len(node.args.defaults)
+            knobs = [(p.arg, i - offset) for i, p in enumerate(params) if i >= first]
+            knobs += [(p.arg, None) for p, default in
+                      zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
+            for param, index in knobs:
+                if not any(passes(call, param, index) for call in calls.get(name, [])):
+                    unused.append(f"{path.stem}.{node.name}.{param}")
+    return unused
+
+
+def test_every_default_valued_parameter_is_passed():
+    callers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert unused_knobs(PACKAGE, callers) == []
+
+
+def test_knob_guard_flags_a_never_passed_parameter(tmp_path):
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "a.py").write_text(
+        "def api(x, used=1, spare=2, *, flag=False):\n    return helper(x, 3)\n\n"
+        "def helper(x, step=1, spare=None):\n    return x + step\n\n"
+        "def spread(x, a=1, b=2):\n    return x\n\n"
+        "def tabled(x, option=0):\n    return x\n\n"
+        "TABLE = [tabled]\n\n"
+        "class Thing:\n"
+        "    def __init__(self, size=1, mode=None):\n        self.size = size\n\n"
+        "    def grow(self, by=1):\n        return Thing(by)\n\n"
+        "    @staticmethod\n    def make(size=2):\n        return spread(**{'x': size})\n"
+    )
+    caller = tmp_path / "test_a.py"
+    caller.write_text("from a import api\n\napi(1, used=2)\nThing.make(3)\n")
+    callers = [tmp_path / "a.py", caller]
+    assert unused_knobs(tmp_path, callers) == [
+        "a.api.spare", "a.api.flag", "a.helper.spare", "a.__init__.mode", "a.grow.by"
+    ]

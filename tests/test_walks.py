@@ -29,11 +29,7 @@ from majorbit.scales import (
     singular_scale,
     submajorise_check,
 )
-from majorbit.selftest import (
-    _random_atomic_instance,
-    _random_diffuse_instance,
-    _random_mixed_instance,
-)
+from majorbit.selftest import _random_instance
 from majorbit.witness import (
     _carriers,
     _slack_components,
@@ -220,9 +216,9 @@ def corpus_digest(instances: int = 300) -> str:
     also decided with its adjacent equal-valued pieces merged."""
     rng = SplitMix64(8)
     makers = [
-        lambda: _random_atomic_instance(rng, rng.randint(2, 6)),
-        lambda: _random_diffuse_instance(rng),
-        lambda: _random_mixed_instance(rng),
+        lambda: _random_instance(rng, rng.randint(2, 6), 0),
+        lambda: _random_instance(rng, 0, rng.randint(2, 5)),
+        lambda: _random_instance(rng, rng.randint(1, 3), rng.randint(1, 3)),
     ]
     digest = hashlib.sha256()
     for i in range(instances):
