@@ -14,13 +14,15 @@ equivalent to the pointwise one. The interval containing t=0 is treated
 like any other (its interior meets (0,1)).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import NotInOrbit, ValueNotAttained
-from .measure import ZERO, SimpleFunction
+from .measure import ZERO, SimpleFunction, _carrier_table
 from .rationals import format_ratstr
-from .scales import MajorisationReport, cumulative, majorise_check, rearrange, scale_constant_on
+from .scales import MajorisationReport, _report, _slack_walk, rearrange
 
 SINGLE_ATOM = "single_atom"
 MULTIPLE_ATOMS = "multiple_atoms"
@@ -82,13 +84,12 @@ class ExtremalityVerdict:
         return doc
 
 
-def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
-    """How the level set {x = v} sits in the space: one atom, several atoms,
-    diffuse pieces only, or a mixture."""
-    atom_ids, pieces = x.level_set(Fraction(v))
-    if not atom_ids and not pieces:
-        raise ValueNotAttained(f"{v} is not a value of the function")
-    if atom_ids and pieces:
+def _level_kind(x: SimpleFunction, level) -> LevelKind:
+    """How a level of x's carrier table sits in the space: one atom,
+    several atoms, diffuse pieces only, or a mixture."""
+    atoms = x.space.atoms
+    atom_ids = tuple(atoms[i][0] for i in level[2] if i < len(atoms))
+    if atom_ids and len(level[2]) > len(atom_ids):
         return LevelKind(MIXED, atom_ids)
     if not atom_ids:
         return LevelKind(DIFFUSE)
@@ -97,14 +98,27 @@ def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
     return LevelKind(MULTIPLE_ATOMS, atom_ids)
 
 
+def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
+    """How the level set {x = v} sits in the space: one atom, several atoms,
+    diffuse pieces only, or a mixture."""
+    v = Fraction(v)
+    level = next((lv for lv in _carrier_table(x).levels if lv[3][0] == v), None)
+    if level is None:
+        raise ValueNotAttained(f"{v} is not a value of the function")
+    return _level_kind(x, level)
+
+
+def _intervals(x: SimpleFunction, points) -> tuple[ConstancyInterval, ...]:
+    """The constancy intervals of x, given its scale's step ends from 0 on."""
+    return tuple(
+        ConstancyInterval(t1, t2, level[3][0], _level_kind(x, level))
+        for t1, t2, level in zip(points, points[1:], _carrier_table(x).levels)
+    )
+
+
 def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
     """Maximal constancy intervals of the scale of x; they partition [0,1)."""
-    out = []
-    acc = ZERO
-    for value, length in rearrange(x).steps:
-        out.append(ConstancyInterval(acc, acc + length, value, classify_level(x, value)))
-        acc += length
-    return tuple(out)
+    return _intervals(x, (ZERO, *rearrange(x).breakpoints))
 
 
 def evaluate_conditions(
@@ -113,23 +127,29 @@ def evaluate_conditions(
     """Per-interval condition tags (1, 2, or None if both fail), with the
     report of the majorisation check of x's scale against y's.
 
+    One integer walk over the two scales gives the report, and its slack
+    decides condition 2: on a level of x, y's scale integrates to
+    value * length exactly when the slack is equal at both ends.
+
     Raises NotInOrbit when x is not majorised by y: orbit membership is a
     precondition of the criterion, not a verdict.
     """
-    y_scale = rearrange(y)
-    report = majorise_check(rearrange(x), y_scale)
+    den, vden, x_ints, y_ints, walk = _slack_walk(rearrange(x), rearrange(y))
+    report = _report(den, vden, walk)
     if not report.holds:
         raise NotInOrbit("x is not majorised by y")
-    intervals = constancy_intervals(x)
+    # the slack and the Fraction point at each end of the refinement, and at 0
+    at = {0: (0, ZERO)}
+    at.update((t, (s, point)) for (t, s), (point, _) in zip(walk, report.breakpoint_slacks))
+    y_ends = list(accumulate(length for _, length in y_ints))
+    ends = [0, *accumulate(length for _, length in x_ints)]
+    intervals = _intervals(x, [at[t][1] for t in ends])
     conditions: list[int | None] = []
-    for iv in intervals:
-        if scale_constant_on(y_scale, iv.t1, iv.t2) == iv.value:
+    for iv, (value, _), t1, t2 in zip(intervals, x_ints, ends, ends[1:]):
+        k = bisect_right(y_ends, t1)
+        if t2 <= y_ends[k] and y_ints[k][0] == value:
             conditions.append(1)
-        elif (
-            iv.kind.is_single_atom
-            and cumulative(y_scale, iv.t2) - cumulative(y_scale, iv.t1)
-            == iv.value * iv.length
-        ):
+        elif iv.kind.is_single_atom and at[t2][0] == at[t1][0]:
             conditions.append(2)
         else:
             conditions.append(None)

@@ -47,8 +47,8 @@ def _square_finite(entries, dtype, tol: float) -> np.ndarray:
     tolerance outside [0, inf) are rejected: comparisons against NaN are
     silently False, so no later check would."""
     a = np.asarray(entries, dtype=dtype)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise SchemaError("entries must be finite numbers")
     if not 0 <= tol < math.inf:
@@ -523,6 +523,8 @@ def identity_suite(seed: int, n: int, trials: int, tol: float = 1e-8) -> SuiteRe
     (d) midpoint rigidity: if x1 != x2 share a spectrum, the midpoint's
         scale differs from it.
     """
+    if trials < 1:
+        raise SchemaError(f"trials must be >= 1, got {trials}")
     rng = SplitMix64(seed)
     names = ("pairing_bound", "projection_supremum", "projection_sandwich", "midpoint_rigidity")
     bad = dict.fromkeys(names, 0)
@@ -568,7 +570,7 @@ def identity_suite(seed: int, n: int, trials: int, tol: float = 1e-8) -> SuiteRe
                 bad["midpoint_rigidity"] += 1
 
     # every check runs once per trial
-    return SuiteReport(dict.fromkeys(names, max(trials, 0)), bad)
+    return SuiteReport(dict.fromkeys(names, trials), bad)
 
 
 def _degenerate_equality_case(rng: SplitMix64, x: HermitianOperator, k: int):

@@ -5,14 +5,16 @@ part of total mass ``diffuse_mass``; weights and masses are exact
 rationals summing to 1. A simple function assigns one rational value per
 atom and carries an ordered list of (value, mass) pieces partitioning the
 diffuse part. Everything is immutable after construction and safe to
-share across threads; a function keeps its rearrangement once it is
-computed.
+share across threads; a function keeps its integer carrier table and its
+rearrangement once they are computed.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from itertools import groupby
+from math import lcm
+from typing import Mapping, NamedTuple
 
 from .errors import (
     DuplicateAtomError,
@@ -72,6 +74,8 @@ class SimpleFunction:
     diffuse_pieces: tuple[tuple[Fraction, Fraction], ...] = ()
     # the decreasing rearrangement, filled by scales.rearrange on first use
     _scale: object = field(default=None, init=False, repr=False, compare=False)
+    # the integer carrier table, filled by _carrier_table on first use
+    _table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -105,14 +109,6 @@ class SimpleFunction:
         pairs.extend(self.diffuse_pieces)
         return pairs
 
-    def level_set(self, value: Fraction) -> tuple[tuple, tuple[int, ...]]:
-        """The atom ids (in space order) and the diffuse piece indices
-        where the function equals ``value``."""
-        return (
-            tuple(aid for aid in self.space.atom_ids if self.atom_values[aid] == value),
-            tuple(i for i, (v, _) in enumerate(self.diffuse_pieces) if v == value),
-        )
-
     def integral(self) -> Fraction:
         return sum((v * m for v, m in self.weighted_values()), ZERO)
 
@@ -122,6 +118,42 @@ class SimpleFunction:
             {aid: fn(v) for aid, v in self.atom_values.items()},
             tuple((fn(v), m) for v, m in self.diffuse_pieces),
         )
+
+
+class _Table(NamedTuple):
+    """A simple function in integers. Each carrier (atoms in space order,
+    then pieces) is a (value, mass) pair of numerators over the lcm of the
+    value denominators and the lcm of the mass denominators. One stable
+    sort by value groups the carriers into levels, by value descending:
+    (value, mass, member indices, (value, length) as Fractions)."""
+
+    den: int
+    vden: int
+    cells: tuple[tuple[int, int], ...]
+    levels: tuple[tuple[int, int, tuple[int, ...], tuple[Fraction, Fraction]], ...]
+
+
+def _over_lcm(qs) -> tuple[int, list[int]]:
+    """The lcm of the denominators of the rationals qs, and each numerator over it."""
+    den = lcm(*{q.denominator for q in qs})
+    return den, [q.numerator * (den // q.denominator) for q in qs]
+
+
+def _carrier_table(f: SimpleFunction) -> _Table:
+    """The carrier table of f, built on first use and kept by f."""
+    if f._table is None:
+        pairs = f.weighted_values()
+        (vden, values), (den, masses) = (_over_lcm([p[k] for p in pairs]) for k in (0, 1))
+        cells = tuple(zip(values, masses))
+        levels = []
+        order = sorted(range(len(cells)), key=lambda i: -values[i])
+        for value, group in groupby(order, key=values.__getitem__):
+            members = tuple(group)
+            mass = sum(masses[i] for i in members)
+            v, m = pairs[members[0]]
+            levels.append((value, mass, members, (v, Fraction(mass, den) if members[1:] else m)))
+        object.__setattr__(f, "_table", _Table(den, vden, cells, tuple(levels)))
+    return f._table
 
 
 @dataclass(frozen=True)

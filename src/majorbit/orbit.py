@@ -18,7 +18,8 @@ the per-interval criterion it cross-checks.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import floor, gcd, lcm
+from itertools import accumulate
+from math import gcd, lcm
 
 from .errors import InternalError, NotAtomic, NotInOrbit, SchemaError, SizeLimit, UnknownAtomError
 from .measure import ZERO, SimpleFunction
@@ -53,10 +54,12 @@ def _tight_sets_span(x: SimpleFunction, y_scale: StepScale) -> bool:
     denominator = lcm(*(w.denominator for _, w in atoms))
     masses = [int(w * denominator) for _, w in atoms]
     # an int mass lies at or before a step end iff it lies at or before its floor
-    ends = [floor(end * denominator) for end in y_scale._ends]
-    offsets = [integral - value * (end - length) for integral, end, (value, length)
-               in zip(y_scale._integrals, y_scale._ends, y_scale.steps)]
-    slopes = [value / denominator for value, _ in y_scale.steps]
+    y_den, y_vden, y_ints = y_scale._profile
+    ends = [end * denominator // y_den for end in y_scale._ends]
+    integrals = accumulate((value * length for value, length in y_ints), initial=0)
+    offsets = [Fraction(integral - value * (end - length), y_den * y_vden)
+               for integral, end, (value, length) in zip(integrals, y_scale._ends, y_ints)]
+    slopes = [Fraction(value, y_vden * denominator) for value, _ in y_ints]
     sums = [w * x.atom_values[aid] for aid, w in atoms]
     common = lcm(*(q.denominator for q in offsets + slopes + sums))
     offsets, slopes, sums = ([int(q * common) for q in qs] for qs in (offsets, slopes, sums))

@@ -3,15 +3,18 @@
 The scale of a function is its right-continuous decreasing rearrangement,
 represented as a step function on [0,1) by (value, length) steps with
 adjacent equal values merged. All breakpoints and values are exact
-rationals; every comparison below is exact.
+rationals; every query below computes on integer numerators over a common
+denominator and is exact.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .errors import DomainError, InternalError
-from .measure import ZERO, SimpleFunction, abs_function, common_refinement
+from .measure import ZERO, SimpleFunction, _carrier_table, _over_lcm, abs_function, common_refinement
 from .rationals import format_ratstr
 
 
@@ -29,36 +32,41 @@ def merge_pairs(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((v, l) for v, l in merged)
 
 
+def _rescaled(pairs, value_factor: int, length_factor: int) -> list[tuple[int, int]]:
+    """(value, length) numerators brought to denominators larger by the
+    given factors: one multiply per entry."""
+    return [(v * value_factor, l * length_factor) for v, l in pairs]
+
+
 @dataclass(frozen=True)
 class StepScale:
     """Decreasing right-continuous step function on [0,1), total length 1.
 
-    Construction also records the step profile every query reads: the
-    right end of each step and the integral over [0, start of each step).
+    Construction also records the integer profile every query reads:
+    ``_profile`` = (D, V, (value, length) numerators over V and D), passed
+    by rearrange or derived from ``steps``, and ``_ends``, each step's end over D.
     """
 
     steps: tuple[tuple[Fraction, Fraction], ...]
-    _ends: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _integrals: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _profile: tuple = field(default=None, repr=False, compare=False)
+    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.steps:
             raise InternalError("a scale is never empty")
-        total = integral = ZERO
-        ends, integrals = [], []
-        for i, (value, length) in enumerate(self.steps):
+        if self._profile is None:
+            (vden, values), (den, lengths) = (_over_lcm([s[k] for s in self.steps]) for k in (0, 1))
+            object.__setattr__(self, "_profile", (den, vden, tuple(zip(values, lengths))))
+        den, _, ints = self._profile
+        for i, (value, length) in enumerate(ints):
             if length <= 0:
                 raise InternalError("step lengths must be > 0")
-            if i and self.steps[i - 1][0] <= value:
+            if i and ints[i - 1][0] <= value:
                 raise InternalError("step values must be strictly decreasing")
-            integrals.append(integral)
-            integral += value * length
-            total += length
-            ends.append(total)
-        if total != 1:
-            raise InternalError(f"step lengths sum to {total}, expected 1")
-        object.__setattr__(self, "_ends", tuple(ends))
-        object.__setattr__(self, "_integrals", tuple(integrals))
+        ends = tuple(accumulate(length for _, length in ints))
+        if ends[-1] != den:
+            raise InternalError(f"step lengths sum to {Fraction(ends[-1], den)}, expected 1")
+        object.__setattr__(self, "_ends", ends)
 
     @classmethod
     def from_pairs(cls, pairs) -> "StepScale":
@@ -68,13 +76,15 @@ class StepScale:
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Cumulative right endpoints of the steps; the last one is 1."""
-        return self._ends
+        den = self._profile[0]
+        return tuple(Fraction(end, den) for end in self._ends)
 
     def value_at(self, t: Fraction) -> Fraction:
         t = Fraction(t)
         if not 0 <= t < 1:
             raise DomainError(f"scale evaluated outside [0,1): {t}")
-        return self.steps[bisect_right(self._ends, t)][0]
+        k = bisect_right(self._ends, t.numerator * self._profile[0] // t.denominator)
+        return self.steps[k][0]
 
     def serialize(self) -> dict:
         return {
@@ -128,9 +138,13 @@ def rearrange(f: SimpleFunction) -> StepScale:
     """The decreasing rearrangement: all (value, mass) carriers sorted by
     value descending, equal values merged. Equimeasurable with f.
 
-    f keeps its scale once computed, so later calls return the same object."""
+    The steps are the levels of f's carrier table, and f keeps its scale
+    once computed, so later calls return the same object."""
     if f._scale is None:
-        object.__setattr__(f, "_scale", StepScale.from_pairs(f.weighted_values()))
+        table = _carrier_table(f)
+        steps = tuple(level[3] for level in table.levels)
+        ints = tuple((value, mass) for value, mass, *_ in table.levels)
+        object.__setattr__(f, "_scale", StepScale(steps, (table.den, table.vden, ints)))
     return f._scale
 
 
@@ -155,10 +169,12 @@ def cumulative(scale: StepScale, s: Fraction) -> Fraction:
     s = Fraction(s)
     if not 0 <= s <= 1:
         raise DomainError(f"cumulative argument outside [0,1]: {s}")
-    k = bisect_left(scale._ends, s)
-    value, length = scale.steps[k]
-    start = scale._ends[k] - length
-    return scale._integrals[k] + value * (s - start)
+    den, vden, ints = scale._profile
+    p, q = s.numerator, s.denominator
+    k = bisect_left(scale._ends, -(-p * den // q))  # the first end at or after s
+    integral = sum(value * length for value, length in ints[:k])
+    start = scale._ends[k] - ints[k][1]
+    return Fraction(q * integral + ints[k][0] * (p * den - q * start), q * den * vden)
 
 
 def add_scales(a: StepScale, b: StepScale) -> StepScale:
@@ -169,33 +185,45 @@ def add_scales(a: StepScale, b: StepScale) -> StepScale:
     )
 
 
-def steps_on_interval(
-    scale: StepScale, lo: Fraction, hi: Fraction
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The (value, length) profile of the scale restricted to [lo, hi)."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    out = []
-    for k in range(bisect_right(scale._ends, lo), len(scale.steps)):
-        value, length = scale.steps[k]
-        end = scale._ends[k]
-        cut_lo, cut_hi = max(end - length, lo), min(end, hi)
-        if cut_lo >= cut_hi:
-            break
-        out.append((value, cut_hi - cut_lo))
-    return tuple(out)
-
-
 def scale_constant_on(scale: StepScale, t1: Fraction, t2: Fraction) -> Fraction | None:
     """The single value the scale takes on all of [t1, t2), or None."""
+    t1, t2 = Fraction(t1), Fraction(t2)
     if not 0 <= t1 < 1:
         return None
-    k = bisect_right(scale._ends, t1)
-    return scale.steps[k][0] if t2 <= scale._ends[k] else None
+    den = scale._profile[0]
+    k = bisect_right(scale._ends, t1.numerator * den // t1.denominator)
+    return scale.steps[k][0] if t2.numerator * den <= scale._ends[k] * t2.denominator else None
 
 
 # ---------------------------------------------------------------------------
 # orders
 # ---------------------------------------------------------------------------
+
+def _slack_walk(x: StepScale, y: StepScale):
+    """majorise_check's walk in integers: (D, V, x steps, y steps, walk) with
+    both step lists over common denominators D and V, and the walk's
+    (end, integral_0^end (y - x)) numerators over D and D*V."""
+    (dx, vx, x_ints), (dy, vy, y_ints) = x._profile, y._profile
+    den, vden = lcm(dx, dy), lcm(vx, vy)
+    x_ints = _rescaled(x_ints, vden // vx, den // dx)
+    y_ints = _rescaled(y_ints, vden // vy, den // dy)
+    walk = []
+    t = slack = 0
+    for x_value, y_value, length in common_refinement(x_ints, y_ints):
+        t += length
+        slack += (y_value - x_value) * length
+        walk.append((t, slack))
+    return den, vden, x_ints, y_ints, walk
+
+
+def _holds(walk) -> bool:
+    return walk[-1][1] == 0 and all(s >= 0 for _, s in walk)
+
+
+def _report(den: int, vden: int, walk) -> MajorisationReport:
+    slacks = tuple((Fraction(t, den), Fraction(s, den * vden)) for t, s in walk)
+    return MajorisationReport(_holds(walk), slacks, slacks[-1][1])
+
 
 def majorise_check(x: StepScale, y: StepScale) -> MajorisationReport:
     """Hardy-Littlewood-Polya order: cumulative of x never exceeds that of y,
@@ -203,18 +231,11 @@ def majorise_check(x: StepScale, y: StepScale) -> MajorisationReport:
     lists carries the running slack; both cumulatives are linear on each
     refinement step, whose ends are the union of breakpoints, so checking
     the slack at those ends is exact and sufficient."""
-    slacks = []
-    t = slack = ZERO
-    for x_value, y_value, length in common_refinement(x.steps, y.steps):
-        t += length
-        slack += (y_value - x_value) * length
-        slacks.append((t, slack))
-    holds = slack == 0 and all(s >= 0 for _, s in slacks)
-    return MajorisationReport(holds, tuple(slacks), slack)
+    den, vden, _, _, walk = _slack_walk(x, y)
+    return _report(den, vden, walk)
 
 
 def submajorise_check(x: SimpleFunction, y: SimpleFunction) -> bool:
     """Weak (sub)majorisation of the singular value scales: partial integrals
     of |x|'s rearrangement never exceed |y|'s; no total-equality requirement."""
-    report = majorise_check(singular_scale(x), singular_scale(y))
-    return all(s >= 0 for _, s in report.breakpoint_slacks)
+    return all(s >= 0 for _, s in _slack_walk(singular_scale(x), singular_scale(y))[4])

@@ -10,6 +10,8 @@ delta* is computed exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .errors import CriterionSatisfied, DegenerateDirection, InternalError
 from .measure import (
@@ -17,15 +19,14 @@ from .measure import (
     ZERO,
     Refinement,
     SimpleFunction,
-    add_functions,
+    _carrier_table,
+    _require_same_space,
     common_refinement,
-    equal_ae,
-    scale_function,
     serialize_function,
 )
 from .extremality import evaluate_conditions
 from .rationals import format_ratstr
-from .scales import MajorisationReport, StepScale, majorise_check, rearrange, steps_on_interval
+from .scales import MajorisationReport, _holds, _rescaled, _slack_walk, rearrange
 
 THREE_VALUES = "three_values"
 TWO_VALUES = "two_values"
@@ -55,14 +56,22 @@ def serialize_witness(w: WitnessPair) -> dict:
     }
 
 
-def _carriers(x: SimpleFunction, u: SimpleFunction) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """(x value, u coefficient, mass) triples: atoms in space order, then
-    the common refinement of the two piece lists."""
-    out = [
-        (x.atom_values[aid], u.atom_values[aid], w) for aid, w in x.space.atoms
-    ]
-    out.extend(common_refinement(x.diffuse_pieces, u.diffuse_pieces))
-    return out
+def _cells(*fs: SimpleFunction) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """Functions on one space cut into common carriers: (D, cells), a cell
+    being the functions' value numerators (each over its own value
+    denominator) and a mass numerator over D. Atoms in space order come
+    first, then the common refinement of the piece lists."""
+    for f in fs[1:]:
+        _require_same_space(fs[0], f)
+    tables = [_carrier_table(f) for f in fs]
+    den = lcm(*(table.den for table in tables))
+    n = len(fs[0].space.atoms)
+    ints = [_rescaled(table.cells, 1, den // table.den) for table in tables]
+    cells = [(tuple(c[i][0] for c in ints), ints[0][i][1]) for i in range(n)]
+    pieces = [((v,), m) for v, m in ints[0][n:]]
+    for c in ints[1:]:
+        pieces = [(vs + (v,), m) for vs, v, m in common_refinement(pieces, c[n:])]
+    return den, cells + pieces
 
 
 def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) -> Fraction:
@@ -78,38 +87,53 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
     one level only move apart, and the first two blocks to meet are
     adjacent in that order, so the ordering bound is read off adjacent
     blocks that close in.
+
+    The walk is in integers (x's and y's values over a common W, u's over
+    its own V), so each bound is an integer ratio times V/W: the bounds are
+    compared by cross-multiplication and one Fraction is built at the end.
     """
-    carriers = _carriers(x, u)
-    if all(coeff == 0 for _, coeff, _ in carriers):
+    den, cells = _cells(x, u)
+    if all(vs[1] == 0 for vs, _ in cells):
         raise DegenerateDirection("u vanishes almost everywhere")
-    y_scale = rearrange(y)
-    bounds: list[Fraction] = []
+    y_den, y_vden, y_ints = rearrange(y)._profile
+    x_vden, u_vden = _carrier_table(x).vden, _carrier_table(u).vden
+    common, vden = lcm(den, y_den), lcm(x_vden, y_vden)
+    y_ints = _rescaled(y_ints, vden // y_vden, common // y_den)
+    scale_x, scale_m = vden // x_vden, common // den
+    carriers = [(vs[0] * scale_x, vs[1], m * scale_m) for vs, m in cells]
+    best = None  # (numerator, positive denominator) of the least bound
+
+    def bound(num: int, div: int) -> None:
+        nonlocal best
+        if best is None or num * best[1] < best[0] * div:
+            best = (num, div)
 
     for sign in (1, -1):
-        blocks: dict[tuple[Fraction, Fraction], Fraction] = {}
+        blocks: dict[tuple[int, int], int] = {}
         for v, coeff, mass in carriers:
             key = (v, sign * coeff)
-            blocks[key] = blocks.get(key, ZERO) + mass
-        ordered = sorted(blocks.items(), key=lambda kv: kv[0], reverse=True)
+            blocks[key] = blocks.get(key, 0) + mass
+        ordered = sorted(blocks.items(), reverse=True)
 
         for ((upper, c_up), _), ((lower, c_low), _) in zip(ordered, ordered[1:]):
             if c_low > c_up:
-                bounds.append((upper - lower) / (c_low - c_up))
+                bound(upper - lower, c_low - c_up)
 
-        base = drift = rhs = ZERO
-        for (v, signed_coeff), y_value, length in common_refinement(ordered, y_scale.steps):
+        base = drift = rhs = 0
+        for (v, signed_coeff), y_value, length in common_refinement(ordered, y_ints):
             base += v * length
             drift += signed_coeff * length
             rhs += y_value * length
             if drift > 0:
-                bounds.append((rhs - base) / drift)
+                bound(rhs - base, drift)
             elif base > rhs:
                 # x itself violates the bound here: no positive step exists
-                bounds.append(ZERO)
+                bound(0, 1)
 
-    if not bounds:
+    if best is None:
         raise InternalError("direction admits no binding constraint")
-    return max(min(bounds), ZERO)
+    num, div = best
+    return Fraction(num * u_vden, div * vden) if num > 0 else ZERO
 
 
 def _slack_components(report: MajorisationReport) -> list[tuple[Fraction, Fraction]]:
@@ -135,46 +159,42 @@ def _slack_components(report: MajorisationReport) -> list[tuple[Fraction, Fracti
     return components
 
 
-def _indicator(x: SimpleFunction, plus: tuple, minus: tuple, ratio: Fraction) -> SimpleFunction:
-    """Direction u = 1_plus - ratio * 1_minus on x's space. Each set is a
-    pair (atom ids, piece indices), as SimpleFunction.level_set returns."""
-
-    def coefficient(key, plus_keys, minus_keys) -> Fraction:
-        if key in plus_keys:
-            return ONE
-        return -ratio if key in minus_keys else ZERO
-
-    values = {aid: coefficient(aid, plus[0], minus[0]) for aid in x.space.atom_ids}
-    pieces = tuple(
-        (coefficient(index, plus[1], minus[1]), mass)
-        for index, (_, mass) in enumerate(x.diffuse_pieces)
-    )
-    return SimpleFunction(x.space, values, pieces)
+def _indicator(x: SimpleFunction, plus, minus, ratio: Fraction) -> SimpleFunction:
+    """Direction u = 1_plus - ratio * 1_minus on x's space, for sets of
+    carrier indices (atoms in space order, then pieces)."""
+    n = len(x.space.atoms)
+    coeffs = [ONE if i in plus else -ratio if i in minus else ZERO
+              for i in range(n + len(x.diffuse_pieces))]
+    pieces = tuple((c, mass) for c, (_, mass) in zip(coeffs[n:], x.diffuse_pieces))
+    return SimpleFunction(x.space, dict(zip(x.space.atom_ids, coeffs)), pieces)
 
 
-def _split_direction(x: SimpleFunction, value: Fraction) -> SimpleFunction:
-    """Split the level set {x = value} into two parts p1, p2 and return
+def _split_direction(x: SimpleFunction, level) -> SimpleFunction:
+    """Split a level of x into two parts p1, p2 and return
     1_p1 - (mass(p1)/mass(p2)) 1_p2. p1 is the first atom in space order if
     the level holds any atom, else the first piece; a level consisting of a
     single diffuse piece is split into two equal-mass halves."""
-    atoms, pieces = x.level_set(value)
-    carriers = len(atoms) + len(pieces)
-    if carriers == 0:
-        raise InternalError("level set is empty")
-    if carriers == 1:
-        if not pieces:
+    _, mass, (first, *rest), _ = level
+    if not rest:
+        index = first - len(x.space.atoms)
+        if index < 0:
             raise InternalError("a single-atom level cannot be split")
-        index = pieces[0]
         half = x.diffuse_pieces[index][1] / 2
         halved = Refinement(x, {index: (half, half)}).apply()
-        return _indicator(halved, ((), (index,)), ((), (index + 1,)), ONE)
-    weights = dict(x.space.atoms)
-    masses = [weights[aid] for aid in atoms] + [x.diffuse_pieces[i][1] for i in pieces]
-    if atoms:
-        plus, minus = (atoms[:1], ()), (atoms[1:], pieces)
-    else:
-        plus, minus = ((), pieces[:1]), ((), pieces[1:])
-    return _indicator(x, plus, minus, masses[0] / sum(masses[1:], ZERO))
+        return _indicator(halved, {first}, {first + 1}, ONE)
+    first_mass = _carrier_table(x).cells[first][1]
+    return _indicator(x, {first}, set(rest), Fraction(first_mass, mass - first_mass))
+
+
+def _shifted(x: SimpleFunction, u: SimpleFunction, delta: Fraction) -> SimpleFunction:
+    """x + delta*u on the common refinement of their pieces; carriers where
+    u vanishes keep x's value."""
+    def shift(v: Fraction, c: Fraction) -> Fraction:
+        return v + delta * c if c else v
+    values = {aid: shift(x.atom_values[aid], u.atom_values[aid]) for aid in x.space.atom_ids}
+    pieces = tuple((shift(v, c), m)
+                   for v, c, m in common_refinement(x.diffuse_pieces, u.diffuse_pieces))
+    return SimpleFunction(x.space, values, pieces)
 
 
 def build_witness(x: SimpleFunction, y: SimpleFunction) -> WitnessPair:
@@ -191,13 +211,14 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
     balancing two adjacent levels of the strict-slack component around it.
     """
     intervals, conditions, report = evaluation
-    violating = [iv for iv, c in zip(intervals, conditions) if c is None]
+    violating = [i for i, c in enumerate(conditions) if c is None]
     if not violating:
         raise CriterionSatisfied("x satisfies the extremality criterion")
-    target = violating[0]
+    target = intervals[violating[0]]
+    levels = _carrier_table(x).levels  # one level per constancy interval
 
     if not target.kind.is_single_atom:
-        u = _split_direction(x, target.value)
+        u = _split_direction(x, levels[violating[0]])
         tag = SPLIT_LEVEL
     else:
         components = _slack_components(report)
@@ -207,75 +228,65 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
         if not home:
             raise InternalError("violating interval has no strict-slack component")
         a, b = home[0]
-        inside = [iv for iv in intervals if a <= iv.t1 and iv.t2 <= b]
+        inside = [i for i, iv in enumerate(intervals) if a <= iv.t1 and iv.t2 <= b]
         if len(inside) < 2:
             raise InternalError(
                 "single-atom violation with a one-level slack component"
             )
         if len(inside) == 2:
-            upper, lower = inside[0], inside[1]
+            upper, lower = levels[inside[0]], levels[inside[1]]
             tag = TWO_VALUES
         else:
-            upper, lower = inside[1], inside[2]
+            upper, lower = levels[inside[1]], levels[inside[2]]
             tag = THREE_VALUES
-        ratio = upper.length / lower.length
-        u = _indicator(x, x.level_set(upper.value), x.level_set(lower.value), ratio)
+        ratio = Fraction(upper[1], lower[1])
+        u = _indicator(x, set(upper[2]), set(lower[2]), ratio)
 
     delta_sup = admissible_delta(x, y, u)
     if delta_sup <= 0:
         raise InternalError("admissible step collapsed to zero on a violation")
     delta = delta_sup / 2
-    pair = WitnessPair(
-        add_functions(x, scale_function(u, delta)),
-        add_functions(x, scale_function(u, -delta)),
-        Perturbation(u, delta, tag),
-    )
+    pair = WitnessPair(_shifted(x, u, delta), _shifted(x, u, -delta), Perturbation(u, delta, tag))
     if not verify_witness(x, y, pair):
         raise InternalError("constructed witness failed verification")
     return pair
 
 
-def _perturbed_region(x_scale: StepScale, touched: set) -> tuple[Fraction, Fraction]:
-    """[s1, s4): union of the constancy intervals of the touched levels."""
-    lo, hi, acc = None, None, ZERO
-    for value, length in x_scale.steps:
-        if value in touched:
-            if lo is None:
-                lo = acc
-            hi = acc + length
-        acc += length
-    if lo is None:
-        raise InternalError("direction touches no level of x")
-    return lo, hi
-
-
 def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool:
     """Exact verification: midpoint identity, distinctness, both
     majorisations, direction structure (integral zero, at most two levels),
-    and locality of the scale change to the perturbed region."""
+    and locality of the scale change to the perturbed region [s1, s4), the
+    union of the constancy intervals of the levels u touches. The pointwise
+    checks are integer identities on the common carriers of x, u, x+, x-."""
     u, delta = w.perturbation.u, w.perturbation.delta
     if delta <= 0:
         return False
-    if not equal_ae(w.x_plus, add_functions(x, scale_function(u, delta))):
+    fs = (x, u, w.x_plus, w.x_minus)
+    vdens = [_carrier_table(f).vden for f in fs]
+    vdens[1] *= delta.denominator
+    kx, ku, kp, km = (lcm(*vdens) // v for v in vdens)
+    cells = _cells(*fs)[1]
+    rows = [(xv * kx, c * ku * delta.numerator, p * kp, m * km) for (xv, c, p, m), _ in cells]
+    if not all(p == xv + shift and m == xv - shift and p + m == 2 * xv for xv, shift, p, m in rows):
         return False
-    if not equal_ae(w.x_minus, add_functions(x, scale_function(u, -delta))):
+    if all(p == m for _, _, p, m in rows):
         return False
-    mid = scale_function(add_functions(w.x_plus, w.x_minus), Fraction(1, 2))
-    if not equal_ae(mid, x) or equal_ae(w.x_plus, w.x_minus):
+    touched = {vs[0] for vs, _ in cells if vs[1]}
+    if sum(vs[1] * mass for vs, mass in cells) != 0 or not 1 <= len(touched) <= 2:
         return False
-    if u.integral() != 0:
-        return False
-    touched = {v for v, coeff, _ in _carriers(x, u) if coeff != 0}
-    if not 1 <= len(touched) <= 2:
-        return False
+    levels = _carrier_table(x).levels
+    ends = [0, *accumulate(level[1] for level in levels)]
+    region = [(t1, t2) for level, t1, t2 in zip(levels, ends, ends[1:]) if level[0] in touched]
     x_scale, y_scale = rearrange(x), rearrange(y)
-    s1, s4 = _perturbed_region(x_scale, touched)
     for perturbed in (w.x_plus, w.x_minus):
         p_scale = rearrange(perturbed)
-        if not majorise_check(p_scale, y_scale).holds:
+        if not _holds(_slack_walk(p_scale, y_scale)[4]):
             return False
-        if steps_on_interval(p_scale, ZERO, s1) != steps_on_interval(x_scale, ZERO, s1):
-            return False
-        if steps_on_interval(p_scale, s4, ONE) != steps_on_interval(x_scale, s4, ONE):
-            return False
+        den, _, p_ints, x_ints, _ = _slack_walk(p_scale, x_scale)
+        s1, s4 = (t * (den // ends[-1]) for t in (region[0][0], region[-1][1]))
+        t = 0
+        for p_value, x_value, length in common_refinement(p_ints, x_ints):
+            if p_value != x_value and (t < s1 or t + length > s4):
+                return False
+            t += length
     return True

@@ -1,0 +1,338 @@
+"""The Fraction formulations of the exact core, kept as the differential
+reference for the integer carrier table.
+
+Each function below is the Fraction-arithmetic version of the library
+function of the same name (for a scale, its ends and prefix integrals
+are summed here from its steps). The library computes on integer
+numerators over common denominators; on every input both must give the
+same Fractions, verdicts, reports and witnesses.
+"""
+
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+
+from majorbit.errors import (
+    CriterionSatisfied,
+    DegenerateDirection,
+    InternalError,
+    NotInOrbit,
+    ValueNotAttained,
+)
+from majorbit.extremality import (
+    DIFFUSE,
+    MIXED,
+    MULTIPLE_ATOMS,
+    SINGLE_ATOM,
+    ConstancyInterval,
+    ExtremalityVerdict,
+    LevelKind,
+)
+from majorbit.measure import (
+    ONE,
+    ZERO,
+    Refinement,
+    SimpleFunction,
+    add_functions,
+    common_refinement,
+    equal_ae,
+    scale_function,
+)
+from majorbit.scales import MajorisationReport, StepScale
+from majorbit.witness import (
+    SPLIT_LEVEL,
+    THREE_VALUES,
+    TWO_VALUES,
+    Perturbation,
+    WitnessPair,
+    _slack_components,
+)
+
+# ---------------------------------------------------------------------------
+# scales
+# ---------------------------------------------------------------------------
+
+
+def rearrange(f: SimpleFunction) -> StepScale:
+    return StepScale.from_pairs(f.weighted_values())
+
+
+def profile(scale: StepScale) -> tuple[list[Fraction], list[Fraction]]:
+    """The right end of each step and the integral over [0, start of each step)."""
+    ends, integrals, total, integral = [], [], ZERO, ZERO
+    for value, length in scale.steps:
+        integrals.append(integral)
+        integral += value * length
+        total += length
+        ends.append(total)
+    return ends, integrals
+
+
+def value_at(scale: StepScale, t: Fraction) -> Fraction:
+    return scale.steps[bisect_right(profile(scale)[0], Fraction(t))][0]
+
+
+def cumulative(scale: StepScale, s: Fraction) -> Fraction:
+    s = Fraction(s)
+    ends, integrals = profile(scale)
+    k = bisect_left(ends, s)
+    value, length = scale.steps[k]
+    return integrals[k] + value * (s - (ends[k] - length))
+
+
+def steps_on_interval(scale: StepScale, lo: Fraction, hi: Fraction):
+    """The (value, length) profile of the scale restricted to [lo, hi)."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    ends = profile(scale)[0]
+    out = []
+    for k in range(bisect_right(ends, lo), len(scale.steps)):
+        value, length = scale.steps[k]
+        cut_lo, cut_hi = max(ends[k] - length, lo), min(ends[k], hi)
+        if cut_lo >= cut_hi:
+            break
+        out.append((value, cut_hi - cut_lo))
+    return tuple(out)
+
+
+def scale_constant_on(scale: StepScale, t1: Fraction, t2: Fraction) -> Fraction | None:
+    if not 0 <= t1 < 1:
+        return None
+    ends = profile(scale)[0]
+    k = bisect_right(ends, t1)
+    return scale.steps[k][0] if t2 <= ends[k] else None
+
+
+def majorise_check(x: StepScale, y: StepScale) -> MajorisationReport:
+    slacks = []
+    t = slack = ZERO
+    for x_value, y_value, length in common_refinement(x.steps, y.steps):
+        t += length
+        slack += (y_value - x_value) * length
+        slacks.append((t, slack))
+    holds = slack == 0 and all(s >= 0 for _, s in slacks)
+    return MajorisationReport(holds, tuple(slacks), slack)
+
+
+# ---------------------------------------------------------------------------
+# the criterion
+# ---------------------------------------------------------------------------
+
+
+def level_set(x: SimpleFunction, value: Fraction) -> tuple[tuple, tuple[int, ...]]:
+    """The atom ids (in space order) and the diffuse piece indices where x
+    equals ``value``."""
+    return (
+        tuple(aid for aid in x.space.atom_ids if x.atom_values[aid] == value),
+        tuple(i for i, (v, _) in enumerate(x.diffuse_pieces) if v == value),
+    )
+
+
+def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
+    atom_ids, pieces = level_set(x, Fraction(v))
+    if not atom_ids and not pieces:
+        raise ValueNotAttained(f"{v} is not a value of the function")
+    if atom_ids and pieces:
+        return LevelKind(MIXED, atom_ids)
+    if not atom_ids:
+        return LevelKind(DIFFUSE)
+    if len(atom_ids) == 1:
+        return LevelKind(SINGLE_ATOM, atom_ids)
+    return LevelKind(MULTIPLE_ATOMS, atom_ids)
+
+
+def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
+    out = []
+    acc = ZERO
+    for value, length in rearrange(x).steps:
+        out.append(ConstancyInterval(acc, acc + length, value, classify_level(x, value)))
+        acc += length
+    return tuple(out)
+
+
+def evaluate_conditions(x: SimpleFunction, y: SimpleFunction):
+    y_scale = rearrange(y)
+    report = majorise_check(rearrange(x), y_scale)
+    if not report.holds:
+        raise NotInOrbit("x is not majorised by y")
+    intervals = constancy_intervals(x)
+    conditions = []
+    for iv in intervals:
+        if scale_constant_on(y_scale, iv.t1, iv.t2) == iv.value:
+            conditions.append(1)
+        elif (
+            iv.kind.is_single_atom
+            and cumulative(y_scale, iv.t2) - cumulative(y_scale, iv.t1)
+            == iv.value * iv.length
+        ):
+            conditions.append(2)
+        else:
+            conditions.append(None)
+    return intervals, tuple(conditions), report
+
+
+def check_extreme(x: SimpleFunction, y: SimpleFunction) -> ExtremalityVerdict:
+    evaluation = evaluate_conditions(x, y)
+    intervals, conditions, _ = evaluation
+    if all(c is not None for c in conditions):
+        return ExtremalityVerdict(True, intervals, conditions)
+    return ExtremalityVerdict(False, intervals, conditions, _witness_from(x, y, evaluation))
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+# ---------------------------------------------------------------------------
+
+
+def carriers(x: SimpleFunction, u: SimpleFunction):
+    """(x value, u coefficient, mass) triples: atoms in space order, then
+    the common refinement of the two piece lists."""
+    out = [(x.atom_values[aid], u.atom_values[aid], w) for aid, w in x.space.atoms]
+    out.extend(common_refinement(x.diffuse_pieces, u.diffuse_pieces))
+    return out
+
+
+def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) -> Fraction:
+    cells = carriers(x, u)
+    if all(coeff == 0 for _, coeff, _ in cells):
+        raise DegenerateDirection("u vanishes almost everywhere")
+    y_scale = rearrange(y)
+    bounds = []
+    for sign in (1, -1):
+        blocks = {}
+        for v, coeff, mass in cells:
+            key = (v, sign * coeff)
+            blocks[key] = blocks.get(key, ZERO) + mass
+        ordered = sorted(blocks.items(), key=lambda kv: kv[0], reverse=True)
+        for ((upper, c_up), _), ((lower, c_low), _) in zip(ordered, ordered[1:]):
+            if c_low > c_up:
+                bounds.append((upper - lower) / (c_low - c_up))
+        base = drift = rhs = ZERO
+        for (v, signed_coeff), y_value, length in common_refinement(ordered, y_scale.steps):
+            base += v * length
+            drift += signed_coeff * length
+            rhs += y_value * length
+            if drift > 0:
+                bounds.append((rhs - base) / drift)
+            elif base > rhs:
+                bounds.append(ZERO)
+    if not bounds:
+        raise InternalError("direction admits no binding constraint")
+    return max(min(bounds), ZERO)
+
+
+def _indicator(x, plus, minus, ratio):
+    def coefficient(key, plus_keys, minus_keys):
+        if key in plus_keys:
+            return ONE
+        return -ratio if key in minus_keys else ZERO
+
+    values = {aid: coefficient(aid, plus[0], minus[0]) for aid in x.space.atom_ids}
+    pieces = tuple(
+        (coefficient(index, plus[1], minus[1]), mass)
+        for index, (_, mass) in enumerate(x.diffuse_pieces)
+    )
+    return SimpleFunction(x.space, values, pieces)
+
+
+def _split_direction(x, value):
+    atoms, pieces = level_set(x, value)
+    if len(atoms) + len(pieces) == 1:
+        if not pieces:
+            raise InternalError("a single-atom level cannot be split")
+        index = pieces[0]
+        half = x.diffuse_pieces[index][1] / 2
+        halved = Refinement(x, {index: (half, half)}).apply()
+        return _indicator(halved, ((), (index,)), ((), (index + 1,)), ONE)
+    weights = dict(x.space.atoms)
+    masses = [weights[aid] for aid in atoms] + [x.diffuse_pieces[i][1] for i in pieces]
+    if atoms:
+        plus, minus = (atoms[:1], ()), (atoms[1:], pieces)
+    else:
+        plus, minus = ((), pieces[:1]), ((), pieces[1:])
+    return _indicator(x, plus, minus, masses[0] / sum(masses[1:], ZERO))
+
+
+def build_witness(x: SimpleFunction, y: SimpleFunction) -> WitnessPair:
+    return _witness_from(x, y, evaluate_conditions(x, y))
+
+
+def _witness_from(x, y, evaluation) -> WitnessPair:
+    intervals, conditions, report = evaluation
+    violating = [iv for iv, c in zip(intervals, conditions) if c is None]
+    if not violating:
+        raise CriterionSatisfied("x satisfies the extremality criterion")
+    target = violating[0]
+    if not target.kind.is_single_atom:
+        u = _split_direction(x, target.value)
+        tag = SPLIT_LEVEL
+    else:
+        home = [(a, b) for a, b in _slack_components(report)
+                if a <= target.t1 and target.t2 <= b]
+        if not home:
+            raise InternalError("violating interval has no strict-slack component")
+        a, b = home[0]
+        inside = [iv for iv in intervals if a <= iv.t1 and iv.t2 <= b]
+        if len(inside) < 2:
+            raise InternalError("single-atom violation with a one-level slack component")
+        if len(inside) == 2:
+            upper, lower = inside[0], inside[1]
+            tag = TWO_VALUES
+        else:
+            upper, lower = inside[1], inside[2]
+            tag = THREE_VALUES
+        ratio = upper.length / lower.length
+        u = _indicator(x, level_set(x, upper.value), level_set(x, lower.value), ratio)
+    delta_sup = admissible_delta(x, y, u)
+    if delta_sup <= 0:
+        raise InternalError("admissible step collapsed to zero on a violation")
+    delta = delta_sup / 2
+    pair = WitnessPair(
+        add_functions(x, scale_function(u, delta)),
+        add_functions(x, scale_function(u, -delta)),
+        Perturbation(u, delta, tag),
+    )
+    if not verify_witness(x, y, pair):
+        raise InternalError("constructed witness failed verification")
+    return pair
+
+
+def perturbed_region(x_scale: StepScale, touched: set) -> tuple[Fraction, Fraction]:
+    """[s1, s4): union of the constancy intervals of the touched levels."""
+    lo, hi, acc = None, None, ZERO
+    for value, length in x_scale.steps:
+        if value in touched:
+            if lo is None:
+                lo = acc
+            hi = acc + length
+        acc += length
+    if lo is None:
+        raise InternalError("direction touches no level of x")
+    return lo, hi
+
+
+def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool:
+    u, delta = w.perturbation.u, w.perturbation.delta
+    if delta <= 0:
+        return False
+    if not equal_ae(w.x_plus, add_functions(x, scale_function(u, delta))):
+        return False
+    if not equal_ae(w.x_minus, add_functions(x, scale_function(u, -delta))):
+        return False
+    mid = scale_function(add_functions(w.x_plus, w.x_minus), Fraction(1, 2))
+    if not equal_ae(mid, x) or equal_ae(w.x_plus, w.x_minus):
+        return False
+    if u.integral() != 0:
+        return False
+    touched = {v for v, coeff, _ in carriers(x, u) if coeff != 0}
+    if not 1 <= len(touched) <= 2:
+        return False
+    x_scale, y_scale = rearrange(x), rearrange(y)
+    s1, s4 = perturbed_region(x_scale, touched)
+    for perturbed in (w.x_plus, w.x_minus):
+        p_scale = rearrange(perturbed)
+        if not majorise_check(p_scale, y_scale).holds:
+            return False
+        if steps_on_interval(p_scale, ZERO, s1) != steps_on_interval(x_scale, ZERO, s1):
+            return False
+        if steps_on_interval(p_scale, s4, ONE) != steps_on_interval(x_scale, s4, ONE):
+            return False
+    return True

@@ -1,0 +1,147 @@
+"""The integer carrier table against the Fraction formulation it replaced.
+
+``reference_core`` keeps the Fraction versions of the scale queries, the
+criterion and the witness stages. On atomic, diffuse and mixed spaces,
+with repeated values and with y on another space, both must agree on
+verdicts, intervals, conditions, reports, delta* and serialized witnesses,
+Fraction for Fraction.
+"""
+
+import json
+from fractions import Fraction
+
+import hypothesis.strategies as st
+from hypothesis import given
+
+import reference_core as ref
+from majorbit.errors import MajorbitError
+from majorbit.extremality import (
+    check_extreme,
+    classify_level,
+    constancy_intervals,
+    evaluate_conditions,
+)
+from majorbit.measure import MeasureSpace, SimpleFunction, add_functions, scale_function
+from majorbit.orbit import sample_orbit
+from majorbit.scales import cumulative, majorise_check, rearrange, scale_constant_on
+from majorbit.witness import WitnessPair, admissible_delta, build_witness, verify_witness
+
+from conftest import function_pairs, simple_functions, small_values
+
+# half of the draws come from five integers, so levels repeat across carriers
+values = st.one_of(small_values, st.integers(-2, 2).map(Fraction))
+spaces = st.sampled_from([
+    dict(max_atoms=5, max_pieces=0, min_atoms=1),  # atomic
+    dict(max_atoms=0, max_pieces=5),  # diffuse
+    dict(max_atoms=3, max_pieces=3, min_atoms=1),  # mixed
+])
+
+
+@st.composite
+def functions(draw):
+    return draw(simple_functions(values=values, **draw(spaces)))
+
+
+def on_diffuse_space(f: SimpleFunction) -> SimpleFunction:
+    """A function on [0, 1) without atoms, equimeasurable with f."""
+    return SimpleFunction(MeasureSpace((), Fraction(1)), {}, rearrange(f).steps)
+
+
+@st.composite
+def orbit_pairs(draw):
+    """(x, y) with x in the orbit of y; in a third of the draws x lives on
+    another space than y."""
+    y = draw(functions())
+    seed = draw(st.integers(0, 2**64 - 1))
+    if draw(st.integers(0, 2)):
+        return sample_orbit(y, seed), y
+    return sample_orbit(on_diffuse_space(y), seed), y
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MajorbitError as exc:
+        return type(exc)
+
+
+def document(verdict) -> str:
+    return json.dumps(verdict.serialize(include_witness=True))
+
+
+@given(orbit_pairs())
+def test_check_extreme_matches_the_fraction_reference(pair):
+    x, y = pair
+    verdict, expected = check_extreme(x, y), ref.check_extreme(x, y)
+    assert verdict.intervals == expected.intervals
+    assert verdict.conditions == expected.conditions
+    assert document(verdict) == document(expected)
+    if not verdict.extreme:
+        u = verdict.witness.perturbation.u
+        assert admissible_delta(x, y, u) == ref.admissible_delta(x, y, u)
+
+
+@given(functions(), functions())
+def test_evaluation_and_report_match_on_any_pair(f, g):
+    """Pairs on unrelated spaces, most of them outside the orbit."""
+    assert outcome(evaluate_conditions, f, g) == outcome(ref.evaluate_conditions, f, g)
+    rf, rg = rearrange(f), rearrange(g)
+    assert majorise_check(rf, rg) == ref.majorise_check(rf, rg)
+
+
+probes = st.lists(st.fractions(min_value=0, max_value=1, max_denominator=30), max_size=6)
+
+
+@given(functions(), probes)
+def test_scale_queries_match(f, points):
+    scale = rearrange(f)
+    assert scale.steps == ref.rearrange(f).steps
+    assert constancy_intervals(f) == ref.constancy_intervals(f)
+    for value, _ in scale.steps:
+        assert classify_level(f, value) == ref.classify_level(f, value)
+    ends = list(scale.breakpoints)
+    assert ends == ref.profile(scale)[0]
+    for t in sorted(set(points) | set(ends)):
+        assert cumulative(scale, t) == ref.cumulative(scale, t)
+        if t < 1:
+            assert scale.value_at(t) == ref.value_at(scale, t)
+        for t2 in points:
+            assert scale_constant_on(scale, t, t2) == ref.scale_constant_on(scale, t, t2)
+
+
+@given(orbit_pairs(), st.sampled_from([Fraction(1, 2), 2, 4, Fraction(-1)]))
+def test_verify_witness_matches_on_scaled_steps(pair, factor):
+    """Witnesses whose step is rescaled: 1/2 and 2 may stay valid or break
+    majorisation, 4 overshoots, -1 swaps x+ and x-."""
+    x, y = pair
+    verdict = check_extreme(x, y)
+    if verdict.extreme:
+        return
+    w = verdict.witness
+    assert verify_witness(x, y, w) and ref.verify_witness(x, y, w)
+    delta = w.perturbation.delta * factor
+    scaled = WitnessPair(
+        add_functions(x, scale_function(w.perturbation.u, delta)),
+        add_functions(x, scale_function(w.perturbation.u, -delta)),
+        type(w.perturbation)(w.perturbation.u, delta, w.perturbation.case_tag),
+    )
+    assert verify_witness(x, y, scaled) == ref.verify_witness(x, y, scaled)
+    swapped = WitnessPair(w.x_minus, w.x_plus, w.perturbation)
+    assert verify_witness(x, y, swapped) == ref.verify_witness(x, y, swapped)
+
+
+@given(orbit_pairs())
+def test_build_witness_matches(pair):
+    x, y = pair
+    got, expected = outcome(build_witness, x, y), outcome(ref.build_witness, x, y)
+    if isinstance(got, WitnessPair):
+        assert got == expected
+    else:
+        assert got is expected
+
+
+@given(function_pairs(max_atoms=5, max_pieces=4, values=values), functions())
+def test_admissible_delta_matches_on_any_direction(pair, y):
+    """Directions that are not witnesses, and x outside the orbit of y."""
+    x, u = pair
+    assert outcome(admissible_delta, x, y, u) == outcome(ref.admissible_delta, x, y, u)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -371,3 +373,38 @@ def test_unread_flag_exits_2(capsys, command, flag):
     assert code == 2 and out.count("\n") == 1
     doc = json.loads(out)
     assert doc["error"] == "SchemaError" and f"unrecognized arguments: {flag}" in doc["detail"]
+
+
+def hostile_denominators_doc() -> dict:
+    """24 atom pairs, pair i weighing (q-1)/(48q) and (q+1)/(48q) for the
+    4000-digit odd q = 10^3999 + 2i + 1, so each pair sums to 1/24 and the
+    lcm of the weights' denominators has about 96 000 digits. Values fall
+    pair by pair, so the rearrangement keeps each pair together."""
+    atoms, values = [], {}
+    for i in range(24):
+        q = 10**3999 + 2 * i + 1
+        for name, mass, value in (("a", Fraction(q - 1, 48 * q), 96 - 4 * i),
+                                  ("b", Fraction(q + 1, 48 * q), 95 - 4 * i)):
+            atoms.append({"id": f"{name}{i}", "weight": f"{mass.numerator}/{mass.denominator}"})
+            values[f"{name}{i}"] = str(value)
+    return {"space": {"atoms": atoms, "diffuse_mass": "0"}, "atoms": values, "diffuse": []}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["extreme", "-x", "{0}", "-y", "{0}"],
+     "f1c88d08dc23a646090c110d6c50bcf9f93a128e8ed7c09c965384aa9dabe438"),
+    (["rearrange", "-f", "{0}"],
+     "b77639691d0a2b442fc0a9d36f402ac19354207d151f8bacba77779a31114b35"),
+], ids=["extreme", "rearrange"])
+def test_hostile_common_denominator(tmp_path, capsys, argv, digest):
+    """Every literal stays under the 4300-digit limit, but a common
+    denominator of all masses has about 96 000 digits. The output is
+    pinned to the one the Fraction implementation printed."""
+    path = write(tmp_path, "f.json", hostile_denominators_doc())
+    start = time.perf_counter()
+    code = cli.main([arg.format(path) for arg in argv])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert elapsed < 5.0

@@ -198,3 +198,36 @@ def test_verdict_serialization():
     assert check_extreme(mkatomic([1, 3]), mkatomic([3, 1])).serialize()[
         "intervals"
     ][0]["condition"] == 1
+
+
+def test_no_state_outlives_a_request():
+    """Tables and scales live on the functions of a request, so a second
+    batch of the same 300 decisions leaves no traced memory behind."""
+    import gc
+    import tracemalloc
+
+    from majorbit.selftest import _random_instance
+
+    def batch():
+        rng = SplitMix64(21)
+        makers = [
+            lambda: _random_instance(rng, rng.randint(2, 6), 0),
+            lambda: _random_instance(rng, 0, rng.randint(2, 5)),
+            lambda: _random_instance(rng, rng.randint(1, 3), rng.randint(1, 3)),
+        ]
+        for i in range(300):
+            y = makers[i % 3]()
+            check_extreme(sample_orbit(y, rng.next_u64()), y).serialize()
+
+    batch()  # first use fills interpreter caches
+    tracemalloc.start()
+    try:
+        batch()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        batch()
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 64 * 1024

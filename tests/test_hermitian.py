@@ -52,6 +52,25 @@ def test_hermitian_validation():
     assert op.n == 2 and abs(op.tau() - 2.0) < 1e-12
 
 
+def test_empty_matrix_is_rejected():
+    """A 0x0 matrix once built an operator whose eig_scale raised
+    InternalError and whose tau() divided by zero."""
+    with pytest.raises(DimensionMismatch):
+        HermitianOperator(np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch):
+        DoublyStochastic(np.zeros((0, 0)))
+
+
+def test_identity_suite_rejects_vacuous_trial_counts():
+    """trials = 0 used to return passed: true with every count 0."""
+    for trials in (0, -3):
+        with pytest.raises(SchemaError):
+            identity_suite(1, n=3, trials=trials)
+    assert identity_suite(1, n=3, trials=1).trials == dict.fromkeys(
+        ("pairing_bound", "projection_supremum", "projection_sandwich", "midpoint_rigidity"), 1
+    )
+
+
 def test_non_finite_input_is_rejected():
     nan, inf = float("nan"), float("inf")
     for bad in ([[1.0, nan], [nan, 1.0]], [[inf, 0.0], [0.0, 1.0]]):

@@ -78,3 +78,40 @@ def test_every_public_name_resolves():
     assert namespace["oracle_extreme"] is majorbit.orbit.oracle_extreme
     with pytest.raises(AttributeError, match="no_such_name"):
         majorbit.no_such_name
+
+
+# Top-level modules that ``extreme --witness`` loads beyond a bare
+# interpreter, captured when the carrier table replaced the Fraction walks;
+# the set was the same before it. An addition must update this pin and say why.
+EXTREME_IMPORTS = [
+    "_ast", "_decimal", "_json", "_locale", "_opcode", "argparse", "ast", "copy",
+    "dataclasses", "decimal", "dis", "fractions", "gettext", "inspect", "json", "linecache",
+    "locale", "majorbit", "numbers", "opcode", "token", "tokenize",
+]
+
+# stdout is swapped for a buffer by hand, so the probe itself imports nothing
+TOP_LEVEL = "import sys\nprint(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+EXTREME = """
+import io, sys
+import majorbit.cli
+sys.stdout, out = io.StringIO(), sys.stdout
+code = majorbit.cli.main(["extreme", "-x", sys.argv[1], "-y", sys.argv[2], "--witness"])
+sys.stdout = out
+print(code, ' '.join(sorted({m.split('.')[0] for m in sys.modules})))
+"""
+
+
+def test_extreme_import_set_is_pinned(tmp_path):
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
+    x.write_text(json.dumps(FLAT))
+    y.write_text(json.dumps(PEAK))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", *argv], env=env, capture_output=True,
+                              text=True, timeout=60, check=True).stdout.split()
+
+    bare = set(run(TOP_LEVEL))
+    code, *loaded = run(EXTREME, str(x), str(y))
+    assert code == "0"
+    assert sorted(set(loaded) - bare) == EXTREME_IMPORTS

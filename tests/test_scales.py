@@ -16,11 +16,11 @@ from majorbit.scales import (
     rearrange,
     scale_constant_on,
     singular_scale,
-    steps_on_interval,
     submajorise_check,
 )
 
 from conftest import frac, mkatomic, function_pairs, simple_functions
+from reference_core import steps_on_interval
 
 
 def scale(*pairs):

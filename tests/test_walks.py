@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 
 import majorbit.extremality as extremality
+import majorbit.scales as scales_module
 import majorbit.witness as witness
 from majorbit.errors import DegenerateDirection, InternalError, MajorbitError
 from majorbit.extremality import check_extreme
@@ -31,7 +32,6 @@ from majorbit.scales import (
 )
 from majorbit.selftest import _random_instance
 from majorbit.witness import (
-    _carriers,
     _slack_components,
     admissible_delta,
     build_witness,
@@ -39,6 +39,7 @@ from majorbit.witness import (
 )
 
 from conftest import frac, function_pairs, mkatomic, simple_functions, small_values
+from reference_core import carriers
 
 
 def union_points(*scales):
@@ -57,18 +58,18 @@ def reference_submajorise(x, y):
 
 
 def reference_admissible_delta(x, y, u):
-    carriers = _carriers(x, u)
-    if all(coeff == 0 for _, coeff, _ in carriers):
+    cells = carriers(x, u)
+    if all(coeff == 0 for _, coeff, _ in cells):
         raise DegenerateDirection("u vanishes almost everywhere")
     y_scale = rearrange(y)
     bounds = []
-    for i, (vi, ui, _) in enumerate(carriers):
-        for vj, uj, _ in carriers[i + 1 :]:
+    for i, (vi, ui, _) in enumerate(cells):
+        for vj, uj, _ in cells[i + 1 :]:
             if vi != vj and ui != uj:
                 bounds.append(abs(vi - vj) / abs(ui - uj))
     for sign in (1, -1):
         blocks = {}
-        for v, coeff, mass in carriers:
+        for v, coeff, mass in cells:
             blocks[(v, sign * coeff)] = blocks.get((v, sign * coeff), ZERO) + mass
         ordered = sorted(blocks.items(), key=lambda kv: kv[0], reverse=True)
         points, acc = {ONE}, ZERO
@@ -198,14 +199,13 @@ def test_check_extreme_evaluates_once(monkeypatch, x, y):
 )
 def test_check_extreme_builds_each_scale_once(monkeypatch, make, extreme, scales):
     built = []
-    from_pairs = StepScale.from_pairs
 
-    def counting(cls, pairs):
-        built.append(pairs)
-        return from_pairs(pairs)
+    def counting(*args):
+        built.append(args)
+        return StepScale(*args)
 
     x, y = make()
-    monkeypatch.setattr(StepScale, "from_pairs", classmethod(counting))
+    monkeypatch.setattr(scales_module, "StepScale", counting)
     assert check_extreme(x, y).extreme is extreme
     assert len(built) == scales
 

@@ -12,11 +12,12 @@ from majorbit.measure import (
 )
 from majorbit.orbit import sample_orbit
 from majorbit.prng import SplitMix64
-from majorbit.scales import majorise_check, rearrange, steps_on_interval
+from majorbit.scales import cumulative, majorise_check, rearrange
 from majorbit.witness import (
     SPLIT_LEVEL,
     THREE_VALUES,
     TWO_VALUES,
+    Perturbation,
     WitnessPair,
     admissible_delta,
     build_witness,
@@ -25,6 +26,7 @@ from majorbit.witness import (
 )
 
 from conftest import frac, mkatomic, mkdiffuse
+from reference_core import carriers, perturbed_region, steps_on_interval
 
 
 def test_admissible_delta_basic():
@@ -53,6 +55,12 @@ def test_admissible_delta_zero_slack():
     x = mkatomic([3, 1])
     u = mkatomic([1, -1])
     assert admissible_delta(x, x, u) == 0
+
+
+def test_admissible_delta_zero_when_x_leaves_the_orbit():
+    """x = (0, 1) has integral 1/2 against y's 0: at the end of the walk the
+    drift of u = (1, -1) is 0 and x exceeds y, so no positive step exists."""
+    assert admissible_delta(mkatomic([0, 1]), mkatomic([-2, 2]), mkatomic([1, -1])) == 0
 
 
 def test_admissible_delta_degenerate():
@@ -131,6 +139,20 @@ def test_verify_witness_rejects_tampering():
     assert not verify_witness(x, y, overshoot)
 
 
+def test_verify_witness_rejects_a_change_outside_the_region():
+    """x+- = x +- 3/2 (1_b - 1_c) stay in the orbit and pass every pointwise
+    check, but x+ takes 7/2 above x's top level 3: the scale changes on
+    [0, 1/4), outside the region [1/4, 3/4) of the level u touches."""
+    x, y = mkatomic([3, 2, 2, 1]), mkatomic([6, 2, 2, -2])
+    u = mkatomic([0, 1, -1, 0])
+    delta = frac("3/2")
+    plus = add_functions(x, scale_function(u, delta))
+    minus = add_functions(x, scale_function(u, -delta))
+    assert majorise_check(rearrange(plus), rearrange(y)).holds
+    assert majorise_check(rearrange(minus), rearrange(y)).holds
+    assert not verify_witness(x, y, WitnessPair(plus, minus, Perturbation(u, delta, SPLIT_LEVEL)))
+
+
 def test_split_level_on_single_diffuse_piece():
     y = mkdiffuse([(3, "1/2"), (1, "1/2")])
     x = mkdiffuse([(2, "1")])
@@ -152,8 +174,6 @@ def test_split_level_prefers_first_atom_in_mixed_level():
 
 
 def test_tau_preservation_and_locality():
-    from majorbit.witness import _carriers, _perturbed_region
-
     rng = SplitMix64(31)
     y = mkatomic([6, 3, 1, 0], weights=[frac("1/8"), frac("3/8"), frac("1/4"), frac("1/4")])
     found = 0
@@ -167,8 +187,8 @@ def test_tau_preservation_and_locality():
         assert w.x_plus.integral() == x.integral() == y.integral()
         assert w.x_minus.integral() == x.integral()
         xs = rearrange(x)
-        touched = {v for v, coeff, _ in _carriers(x, w.perturbation.u) if coeff != 0}
-        lo, hi = _perturbed_region(xs, touched)
+        touched = {v for v, coeff, _ in carriers(x, w.perturbation.u) if coeff != 0}
+        lo, hi = perturbed_region(xs, touched)
         for perturbed in (w.x_plus, w.x_minus):
             ps = rearrange(perturbed)
             assert steps_on_interval(ps, 0, lo) == steps_on_interval(xs, 0, lo)
@@ -212,3 +232,46 @@ def test_serialize_witness_shape():
     assert set(doc) == {"x_plus", "x_minus", "delta", "case"}
     assert doc["delta"] == "1/2"
     assert doc["case"] == "split_level"
+
+
+def test_admissible_delta_is_a_supremum():
+    """At delta* = admissible_delta(x, y, u), for the directions check_extreme
+    builds, x +- delta* u are still in the orbit and some constraint is
+    exactly tight: two carriers of different levels of x meet, or a slack
+    that was positive at delta = 0 reaches 0. A step that is merely safe
+    (delta*/2, say) leaves every constraint slack."""
+    from majorbit.selftest import _random_instance
+
+    rng = SplitMix64(15)
+    makers = [
+        lambda: _random_instance(rng, rng.randint(2, 6), 0),
+        lambda: _random_instance(rng, 0, rng.randint(2, 5)),
+        lambda: _random_instance(rng, rng.randint(1, 3), rng.randint(1, 3)),
+    ]
+    seen = set()
+    for i in range(240):
+        y = makers[i % 3]()
+        x = sample_orbit(y, rng.next_u64())
+        verdict = check_extreme(x, y)
+        if verdict.extreme:
+            continue
+        seen.add(i % 3)
+        u = verdict.witness.perturbation.u
+        delta = admissible_delta(x, y, u)
+        ys, xs = rearrange(y), rearrange(x)
+        cells = carriers(x, u)
+        tight = False
+        for sign in (1, -1):
+            moved = add_functions(x, scale_function(u, sign * delta))
+            report = majorise_check(rearrange(moved), ys)
+            assert report.holds
+            tight = tight or any(
+                slack == 0 and cumulative(ys, t) > cumulative(xs, t)
+                for t, slack in report.breakpoint_slacks
+            )
+            tight = tight or any(
+                v != w and v + sign * delta * c == w + sign * delta * d
+                for v, c, _ in cells for w, d, _ in cells
+            )
+        assert tight, (x, y, delta)
+    assert seen == {0, 1, 2}
