@@ -88,8 +88,8 @@ def _level_kind(x: SimpleFunction, level) -> LevelKind:
     """How a level of x's carrier table sits in the space: one atom,
     several atoms, diffuse pieces only, or a mixture."""
     atoms = x.space.atoms
-    atom_ids = tuple(atoms[i][0] for i in level[2] if i < len(atoms))
-    if atom_ids and len(level[2]) > len(atom_ids):
+    atom_ids = tuple(atoms[i][0] for i in level[1] if i < len(atoms))
+    if atom_ids and len(level[1]) > len(atom_ids):
         return LevelKind(MIXED, atom_ids)
     if not atom_ids:
         return LevelKind(DIFFUSE)
@@ -102,7 +102,7 @@ def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
     """How the level set {x = v} sits in the space: one atom, several atoms,
     diffuse pieces only, or a mixture."""
     v = Fraction(v)
-    level = next((lv for lv in _carrier_table(x).levels if lv[3][0] == v), None)
+    level = next((lv for lv in _carrier_table(x).levels if lv[2][0] == v), None)
     if level is None:
         raise ValueNotAttained(f"{v} is not a value of the function")
     return _level_kind(x, level)
@@ -111,7 +111,7 @@ def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
 def _intervals(x: SimpleFunction, points) -> tuple[ConstancyInterval, ...]:
     """The constancy intervals of x, given its scale's step ends from 0 on."""
     return tuple(
-        ConstancyInterval(t1, t2, level[3][0], _level_kind(x, level))
+        ConstancyInterval(t1, t2, level[2][0], _level_kind(x, level))
         for t1, t2, level in zip(points, points[1:], _carrier_table(x).levels)
     )
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import lcm
+from math import gcd
 from typing import Mapping, NamedTuple
 
 from .errors import (
@@ -121,38 +121,42 @@ class SimpleFunction:
 
 
 class _Table(NamedTuple):
-    """A simple function in integers. Each carrier (atoms in space order,
-    then pieces) is a (value, mass) pair of numerators over the lcm of the
-    value denominators and the lcm of the mass denominators. One stable
-    sort by value groups the carriers into levels, by value descending:
-    (value, mass, member indices, (value, length) as Fractions)."""
+    """A simple function's carriers (atoms in space order, then pieces) with
+    their values as integer numerators over the lcm of the value
+    denominators. One stable sort by value groups the carriers into levels,
+    by value descending: (value, member indices, (value, length) as
+    Fractions)."""
 
-    den: int
     vden: int
-    cells: tuple[tuple[int, int], ...]
-    levels: tuple[tuple[int, int, tuple[int, ...], tuple[Fraction, Fraction]], ...]
+    values: tuple[int, ...]
+    levels: tuple[tuple[int, tuple[int, ...], tuple[Fraction, Fraction]], ...]
 
 
 def _over_lcm(qs) -> tuple[int, list[int]]:
-    """The lcm of the denominators of the rationals qs, and each numerator over it."""
-    den = lcm(*{q.denominator for q in qs})
-    return den, [q.numerator * (den // q.denominator) for q in qs]
+    """The lcm of the denominators of the rationals qs, and each numerator
+    over it. Each distinct denominator d costs one gcd of d with the running
+    lcm reduced mod d, and one division of the lcm by d."""
+    cofactors = dict.fromkeys(q.denominator for q in qs)
+    den = 1
+    for d in cofactors:
+        den *= d // gcd(d, den % d)
+    for d in cofactors:
+        cofactors[d] = den // d
+    return den, [q.numerator * cofactors[q.denominator] for q in qs]
 
 
 def _carrier_table(f: SimpleFunction) -> _Table:
     """The carrier table of f, built on first use and kept by f."""
     if f._table is None:
         pairs = f.weighted_values()
-        (vden, values), (den, masses) = (_over_lcm([p[k] for p in pairs]) for k in (0, 1))
-        cells = tuple(zip(values, masses))
+        vden, values = _over_lcm([v for v, _ in pairs])
         levels = []
-        order = sorted(range(len(cells)), key=lambda i: -values[i])
+        order = sorted(range(len(values)), key=lambda i: -values[i])
         for value, group in groupby(order, key=values.__getitem__):
-            members = tuple(group)
-            mass = sum(masses[i] for i in members)
-            v, m = pairs[members[0]]
-            levels.append((value, mass, members, (v, Fraction(mass, den) if members[1:] else m)))
-        object.__setattr__(f, "_table", _Table(den, vden, cells, tuple(levels)))
+            first, *rest = group
+            v, length = pairs[first]
+            levels.append((value, (first, *rest), (v, sum((pairs[i][1] for i in rest), length))))
+        object.__setattr__(f, "_table", _Table(vden, tuple(values), tuple(levels)))
     return f._table
 
 
@@ -333,14 +337,15 @@ def _require_same_space(f: SimpleFunction, g: SimpleFunction):
 
 def add_functions(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
     _require_same_space(f, g)
-    values = {aid: f.atom_values[aid] + g.atom_values[aid] for aid in f.space.atom_ids}
+    plus = lambda a, b: a + b if b else a  # where g vanishes, f's value is kept as is
+    values = {aid: plus(f.atom_values[aid], g.atom_values[aid]) for aid in f.space.atom_ids}
     pieces = common_refinement(f.diffuse_pieces, g.diffuse_pieces)
-    return SimpleFunction(f.space, values, tuple((a + b, m) for a, b, m in pieces))
+    return SimpleFunction(f.space, values, tuple((plus(a, b), m) for a, b, m in pieces))
 
 
 def scale_function(f: SimpleFunction, c: Fraction) -> SimpleFunction:
     c = Fraction(c)
-    return f.map_values(lambda v: v * c)
+    return f.map_values(lambda v: v * c if v else v)
 
 
 def abs_function(f: SimpleFunction) -> SimpleFunction:

@@ -10,7 +10,6 @@ delta* is computed exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 
 from .errors import CriterionSatisfied, DegenerateDirection, InternalError
@@ -20,8 +19,11 @@ from .measure import (
     Refinement,
     SimpleFunction,
     _carrier_table,
+    _over_lcm,
     _require_same_space,
+    add_functions,
     common_refinement,
+    scale_function,
     serialize_function,
 )
 from .extremality import evaluate_conditions
@@ -59,18 +61,21 @@ def serialize_witness(w: WitnessPair) -> dict:
 def _cells(*fs: SimpleFunction) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """Functions on one space cut into common carriers: (D, cells), a cell
     being the functions' value numerators (each over its own value
-    denominator) and a mass numerator over D. Atoms in space order come
-    first, then the common refinement of the piece lists."""
+    denominator) and a mass numerator over D, the lcm of every mass
+    denominator. Atoms in space order come first, then the common
+    refinement of the piece lists."""
     for f in fs[1:]:
         _require_same_space(fs[0], f)
-    tables = [_carrier_table(f) for f in fs]
-    den = lcm(*(table.den for table in tables))
     n = len(fs[0].space.atoms)
-    ints = [_rescaled(table.cells, 1, den // table.den) for table in tables]
-    cells = [(tuple(c[i][0] for c in ints), ints[0][i][1]) for i in range(n)]
-    pieces = [((v,), m) for v, m in ints[0][n:]]
-    for c in ints[1:]:
-        pieces = [(vs + (v,), m) for vs, v, m in common_refinement(pieces, c[n:])]
+    den, masses = _over_lcm([w for _, w in fs[0].space.atoms]
+                            + [m for f in fs for _, m in f.diffuse_pieces])
+    values = [_carrier_table(f).values for f in fs]
+    cells = [(tuple(v[i] for v in values), masses[i]) for i in range(n)]
+    rest = iter(masses[n:])
+    piece_lists = [[(value, next(rest)) for value in v[n:]] for v in values]
+    pieces = [((v,), m) for v, m in piece_lists[0]]
+    for c in piece_lists[1:]:
+        pieces = [(vs + (v,), m) for vs, v, m in common_refinement(pieces, c)]
     return den, cells + pieces
 
 
@@ -174,7 +179,7 @@ def _split_direction(x: SimpleFunction, level) -> SimpleFunction:
     1_p1 - (mass(p1)/mass(p2)) 1_p2. p1 is the first atom in space order if
     the level holds any atom, else the first piece; a level consisting of a
     single diffuse piece is split into two equal-mass halves."""
-    _, mass, (first, *rest), _ = level
+    _, (first, *rest), (_, length) = level
     if not rest:
         index = first - len(x.space.atoms)
         if index < 0:
@@ -182,19 +187,8 @@ def _split_direction(x: SimpleFunction, level) -> SimpleFunction:
         half = x.diffuse_pieces[index][1] / 2
         halved = Refinement(x, {index: (half, half)}).apply()
         return _indicator(halved, {first}, {first + 1}, ONE)
-    first_mass = _carrier_table(x).cells[first][1]
-    return _indicator(x, {first}, set(rest), Fraction(first_mass, mass - first_mass))
-
-
-def _shifted(x: SimpleFunction, u: SimpleFunction, delta: Fraction) -> SimpleFunction:
-    """x + delta*u on the common refinement of their pieces; carriers where
-    u vanishes keep x's value."""
-    def shift(v: Fraction, c: Fraction) -> Fraction:
-        return v + delta * c if c else v
-    values = {aid: shift(x.atom_values[aid], u.atom_values[aid]) for aid in x.space.atom_ids}
-    pieces = tuple((shift(v, c), m)
-                   for v, c, m in common_refinement(x.diffuse_pieces, u.diffuse_pieces))
-    return SimpleFunction(x.space, values, pieces)
+    first_mass = x.weighted_values()[first][1]
+    return _indicator(x, {first}, set(rest), first_mass / (length - first_mass))
 
 
 def build_witness(x: SimpleFunction, y: SimpleFunction) -> WitnessPair:
@@ -239,14 +233,18 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
         else:
             upper, lower = levels[inside[1]], levels[inside[2]]
             tag = THREE_VALUES
-        ratio = Fraction(upper[1], lower[1])
-        u = _indicator(x, set(upper[2]), set(lower[2]), ratio)
+        ratio = upper[2][1] / lower[2][1]
+        u = _indicator(x, set(upper[1]), set(lower[1]), ratio)
 
     delta_sup = admissible_delta(x, y, u)
     if delta_sup <= 0:
         raise InternalError("admissible step collapsed to zero on a violation")
     delta = delta_sup / 2
-    pair = WitnessPair(_shifted(x, u, delta), _shifted(x, u, -delta), Perturbation(u, delta, tag))
+    pair = WitnessPair(
+        add_functions(x, scale_function(u, delta)),
+        add_functions(x, scale_function(u, -delta)),
+        Perturbation(u, delta, tag),
+    )
     if not verify_witness(x, y, pair):
         raise InternalError("constructed witness failed verification")
     return pair
@@ -274,16 +272,15 @@ def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool
     touched = {vs[0] for vs, _ in cells if vs[1]}
     if sum(vs[1] * mass for vs, mass in cells) != 0 or not 1 <= len(touched) <= 2:
         return False
-    levels = _carrier_table(x).levels
-    ends = [0, *accumulate(level[1] for level in levels)]
-    region = [(t1, t2) for level, t1, t2 in zip(levels, ends, ends[1:]) if level[0] in touched]
     x_scale, y_scale = rearrange(x), rearrange(y)
+    (x_den, _, x_steps), ends = x_scale._profile, x_scale._ends
+    region = [(t2 - length, t2) for (value, length), t2 in zip(x_steps, ends) if value in touched]
     for perturbed in (w.x_plus, w.x_minus):
         p_scale = rearrange(perturbed)
         if not _holds(_slack_walk(p_scale, y_scale)[4]):
             return False
         den, _, p_ints, x_ints, _ = _slack_walk(p_scale, x_scale)
-        s1, s4 = (t * (den // ends[-1]) for t in (region[0][0], region[-1][1]))
+        s1, s4 = (t * (den // x_den) for t in (region[0][0], region[-1][1]))
         t = 0
         for p_value, x_value, length in common_refinement(p_ints, x_ints):
             if p_value != x_value and (t < s1 or t + length > s4):

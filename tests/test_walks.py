@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given
 
 import majorbit.extremality as extremality
-import majorbit.scales as scales_module
 import majorbit.witness as witness
 from majorbit.errors import DegenerateDirection, InternalError, MajorbitError
 from majorbit.extremality import check_extreme
@@ -199,13 +198,14 @@ def test_check_extreme_evaluates_once(monkeypatch, x, y):
 )
 def test_check_extreme_builds_each_scale_once(monkeypatch, make, extreme, scales):
     built = []
+    post_init = StepScale.__post_init__
 
-    def counting(*args):
-        built.append(args)
-        return StepScale(*args)
+    def counting(scale):
+        built.append(scale)
+        post_init(scale)
 
     x, y = make()
-    monkeypatch.setattr(scales_module, "StepScale", counting)
+    monkeypatch.setattr(StepScale, "__post_init__", counting)
     assert check_extreme(x, y).extreme is extreme
     assert len(built) == scales
 
