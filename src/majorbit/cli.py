@@ -235,7 +235,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.add_argument("--json-indent", type=int, default=None)
+        # a bounded indent: json.dumps builds the indentation string eagerly
+        p.add_argument("--json-indent", type=int, choices=range(17), default=None, metavar="0..16")
         p.set_defaults(handler=handler)
     return parser
 

@@ -14,15 +14,13 @@ equivalent to the pointwise one. The interval containing t=0 is treated
 like any other (its interior meets (0,1)).
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import NotInOrbit, ValueNotAttained
 from .measure import ZERO, SimpleFunction, _carrier_table
 from .rationals import format_ratstr
-from .scales import MajorisationReport, _report, _slack_walk, rearrange
+from .scales import _holds, _slack_walk, rearrange
 
 SINGLE_ATOM = "single_atom"
 MULTIPLE_ATOMS = "multiple_atoms"
@@ -108,52 +106,47 @@ def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
     return _level_kind(x, level)
 
 
-def _intervals(x: SimpleFunction, points) -> tuple[ConstancyInterval, ...]:
-    """The constancy intervals of x, given its scale's step ends from 0 on."""
+def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
+    """Maximal constancy intervals of the scale of x; they partition [0,1)."""
+    points = (ZERO, *rearrange(x).breakpoints)
     return tuple(
         ConstancyInterval(t1, t2, level[2][0], _level_kind(x, level))
         for t1, t2, level in zip(points, points[1:], _carrier_table(x).levels)
     )
 
 
-def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
-    """Maximal constancy intervals of the scale of x; they partition [0,1)."""
-    return _intervals(x, (ZERO, *rearrange(x).breakpoints))
-
-
 def evaluate_conditions(
     x: SimpleFunction, y: SimpleFunction
-) -> tuple[tuple[ConstancyInterval, ...], tuple[int | None, ...], MajorisationReport]:
+) -> tuple[tuple[ConstancyInterval, ...], tuple[int | None, ...], tuple[int, ...]]:
     """Per-interval condition tags (1, 2, or None if both fail), with the
-    report of the majorisation check of x's scale against y's.
+    slack s -> integral_0^s (scale of y - scale of x) at each interval end
+    from 0 on, as integers over one positive denominator.
 
-    One integer walk over the two scales gives the report, and its slack
-    decides condition 2: on a level of x, y's scale integrates to
-    value * length exactly when the slack is equal at both ends.
+    One integer walk over the two scales gives the slack, linear between
+    walk points. On a level of x it is flat exactly when condition 1 holds,
+    and equal at both ends exactly when y's scale integrates to value *
+    length there (condition 2 on a single atom).
 
     Raises NotInOrbit when x is not majorised by y: orbit membership is a
     precondition of the criterion, not a verdict.
     """
-    den, vden, x_ints, y_ints, walk = _slack_walk(rearrange(x), rearrange(y))
-    report = _report(den, vden, walk)
-    if not report.holds:
+    _, _, x_ints, _, walk = _slack_walk(rearrange(x), rearrange(y))
+    if not _holds(walk):
         raise NotInOrbit("x is not majorised by y")
-    # the slack and the Fraction point at each end of the refinement, and at 0
-    at = {0: (0, ZERO)}
-    at.update((t, (s, point)) for (t, s), (point, _) in zip(walk, report.breakpoint_slacks))
-    y_ends = list(accumulate(length for _, length in y_ints))
-    ends = [0, *accumulate(length for _, length in x_ints)]
-    intervals = _intervals(x, [at[t][1] for t in ends])
+    intervals = constancy_intervals(x)
     conditions: list[int | None] = []
-    for iv, (value, _), t1, t2 in zip(intervals, x_ints, ends, ends[1:]):
-        k = bisect_right(y_ends, t1)
-        if t2 <= y_ends[k] and y_ints[k][0] == value:
-            conditions.append(1)
-        elif iv.kind.is_single_atom and at[t2][0] == at[t1][0]:
-            conditions.append(2)
-        else:
-            conditions.append(None)
-    return intervals, tuple(conditions), report
+    slacks = [0]
+    points, end = iter(walk), 0
+    for iv, (_, length) in zip(intervals, x_ints):
+        end += length
+        start, flat = slacks[-1], True
+        for t, slack in points:
+            flat = flat and slack == start
+            if t == end:
+                break
+        slacks.append(slack)
+        conditions.append(1 if flat else 2 if iv.kind.is_single_atom and slack == start else None)
+    return intervals, tuple(conditions), tuple(slacks)
 
 
 def check_extreme(x: SimpleFunction, y: SimpleFunction) -> ExtremalityVerdict:

@@ -75,8 +75,7 @@ class StepScale:
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Cumulative right endpoints of the steps; the last one is 1."""
-        den = self._profile[0]
-        return tuple(Fraction(end, den) for end in self._ends)
+        return tuple(accumulate(length for _, length in self.steps))
 
     def value_at(self, t: Fraction) -> Fraction:
         t = Fraction(t)
@@ -217,11 +216,6 @@ def _holds(walk) -> bool:
     return walk[-1][1] == 0 and all(s >= 0 for _, s in walk)
 
 
-def _report(den: int, vden: int, walk) -> MajorisationReport:
-    slacks = tuple((Fraction(t, den), Fraction(s, den * vden)) for t, s in walk)
-    return MajorisationReport(_holds(walk), slacks, slacks[-1][1])
-
-
 def majorise_check(x: StepScale, y: StepScale) -> MajorisationReport:
     """Hardy-Littlewood-Polya order: cumulative of x never exceeds that of y,
     with equal totals. One walk over the common refinement of the two step
@@ -229,7 +223,8 @@ def majorise_check(x: StepScale, y: StepScale) -> MajorisationReport:
     refinement step, whose ends are the union of breakpoints, so checking
     the slack at those ends is exact and sufficient."""
     den, vden, _, _, walk = _slack_walk(x, y)
-    return _report(den, vden, walk)
+    slacks = tuple((Fraction(t, den), Fraction(s, den * vden)) for t, s in walk)
+    return MajorisationReport(_holds(walk), slacks, slacks[-1][1])
 
 
 def submajorise_check(x: SimpleFunction, y: SimpleFunction) -> bool:

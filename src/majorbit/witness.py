@@ -28,7 +28,7 @@ from .measure import (
 )
 from .extremality import evaluate_conditions
 from .rationals import format_ratstr
-from .scales import MajorisationReport, _holds, _rescaled, _slack_walk, rearrange
+from .scales import _holds, _rescaled, _slack_walk, rearrange
 
 THREE_VALUES = "three_values"
 TWO_VALUES = "two_values"
@@ -141,27 +141,17 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
     return Fraction(num * u_vden, div * vden) if num > 0 else ZERO
 
 
-def _slack_components(report: MajorisationReport) -> list[tuple[Fraction, Fraction]]:
-    """Maximal open intervals on which the running slack
-    s -> integral_0^s (scale of y - scale of x) is strictly positive, read
-    off the report of majorise_check(scale of x, scale of y)."""
-    points = [(ZERO, ZERO), *report.breakpoint_slacks]
-    components: list[tuple[Fraction, Fraction]] = []
-    open_start = None
-    for (left, left_slack), (_, right_slack) in zip(points, points[1:]):
-        segment_positive = left_slack > 0 or right_slack > 0
-        if segment_positive:
-            if open_start is None or left_slack == 0:
-                if open_start is not None:
-                    components.append((open_start, left))
-                open_start = left
-        else:
-            if open_start is not None:
-                components.append((open_start, left))
-                open_start = None
-    if open_start is not None:
-        components.append((open_start, points[-1][0]))
-    return components
+def _positive_run(slacks, k: int) -> tuple[int, int]:
+    """The levels lo..hi-1 of x on which the slack is strictly positive
+    around level k, read off evaluate_conditions' level-end slacks. The
+    slack is concave on each level (y's scale decreases, x's is constant),
+    so a positive stretch is a run of whole levels between zero ends."""
+    lo, hi = k, k + 1
+    while slacks[lo] > 0:
+        lo -= 1
+    while slacks[hi] > 0:
+        hi += 1
+    return lo, hi
 
 
 def _indicator(x: SimpleFunction, plus, minus, ratio: Fraction) -> SimpleFunction:
@@ -204,34 +194,24 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
     non-atomic level is split in place; a single-atom level is handled by
     balancing two adjacent levels of the strict-slack component around it.
     """
-    intervals, conditions, report = evaluation
-    violating = [i for i, c in enumerate(conditions) if c is None]
-    if not violating:
+    intervals, conditions, slacks = evaluation
+    if None not in conditions:
         raise CriterionSatisfied("x satisfies the extremality criterion")
-    target = intervals[violating[0]]
+    k = conditions.index(None)
     levels = _carrier_table(x).levels  # one level per constancy interval
 
-    if not target.kind.is_single_atom:
-        u = _split_direction(x, levels[violating[0]])
+    if not intervals[k].kind.is_single_atom:
+        u = _split_direction(x, levels[k])
         tag = SPLIT_LEVEL
     else:
-        components = _slack_components(report)
-        home = [
-            (a, b) for a, b in components if a <= target.t1 and target.t2 <= b
-        ]
-        if not home:
-            raise InternalError("violating interval has no strict-slack component")
-        a, b = home[0]
-        inside = [i for i, iv in enumerate(intervals) if a <= iv.t1 and iv.t2 <= b]
-        if len(inside) < 2:
-            raise InternalError(
-                "single-atom violation with a one-level slack component"
-            )
-        if len(inside) == 2:
-            upper, lower = levels[inside[0]], levels[inside[1]]
+        lo, hi = _positive_run(slacks, k)
+        if hi - lo < 2:
+            raise InternalError("single-atom violation with a one-level slack component")
+        if hi - lo == 2:
+            upper, lower = levels[lo], levels[lo + 1]
             tag = TWO_VALUES
         else:
-            upper, lower = levels[inside[1]], levels[inside[2]]
+            upper, lower = levels[lo + 1], levels[lo + 2]
             tag = THREE_VALUES
         ratio = upper[2][1] / lower[2][1]
         u = _indicator(x, set(upper[1]), set(lower[1]), ratio)

@@ -5,7 +5,10 @@ Each function below is the Fraction-arithmetic version of the library
 function of the same name (for a scale, its ends and prefix integrals
 are summed here from its steps). The library computes on integer
 numerators over common denominators; on every input both must give the
-same Fractions, verdicts, reports and witnesses.
+same Fractions, verdicts, reports and witnesses. ``_slack_components``
+reads the strictly positive stretches of the slack off the Fraction
+report, where the library reads them as runs of levels between zero
+level-end slacks (``witness._positive_run``).
 """
 
 from bisect import bisect_left, bisect_right
@@ -44,7 +47,6 @@ from majorbit.witness import (
     TWO_VALUES,
     Perturbation,
     WitnessPair,
-    _slack_components,
 )
 
 # ---------------------------------------------------------------------------
@@ -217,6 +219,27 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
     if not bounds:
         raise InternalError("direction admits no binding constraint")
     return max(min(bounds), ZERO)
+
+
+def _slack_components(report: MajorisationReport) -> list[tuple[Fraction, Fraction]]:
+    """Maximal open intervals on which the running slack
+    s -> integral_0^s (scale of y - scale of x) is strictly positive, read
+    off the report of majorise_check(scale of x, scale of y)."""
+    points = [(ZERO, ZERO), *report.breakpoint_slacks]
+    components: list[tuple[Fraction, Fraction]] = []
+    open_start = None
+    for (left, left_slack), (_, right_slack) in zip(points, points[1:]):
+        if left_slack > 0 or right_slack > 0:
+            if open_start is None or left_slack == 0:
+                if open_start is not None:
+                    components.append((open_start, left))
+                open_start = left
+        elif open_start is not None:
+            components.append((open_start, left))
+            open_start = None
+    if open_start is not None:
+        components.append((open_start, points[-1][0]))
+    return components
 
 
 def _indicator(x, plus, minus, ratio):

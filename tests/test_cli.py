@@ -211,6 +211,24 @@ def test_json_indent(tmp_path, capsys):
     assert code == 0 and out.startswith("{\n  ")
 
 
+@pytest.mark.parametrize("indent", ["-1", "17", "99999999999999"])
+def test_json_indent_out_of_range_exits_2(tmp_path, capsys, monkeypatch, indent):
+    """Rejected while parsing the arguments, before json.dumps would build
+    an indentation string of that length."""
+    dumps = json.dumps
+
+    def bounded(doc, indent=None):
+        assert indent is None or 0 <= indent <= 16
+        return dumps(doc, indent=indent)
+
+    monkeypatch.setattr(cli.json, "dumps", bounded)
+    path = write(tmp_path, "f.json", CONST5)
+    code = cli.main(["rearrange", "-f", path, "--json-indent", indent])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1 and json.loads(out)["error"] == "SchemaError"
+
+
 def test_non_finite_matrix_exits_2(tmp_path, capsys):
     """NaN passes a `> tol` check silently, and 1e308 entries overflow the
     default tolerance to inf; both are bad input."""

@@ -21,6 +21,7 @@ from majorbit.measure import ONE, ZERO, SimpleFunction
 from majorbit.orbit import sample_orbit
 from majorbit.prng import SplitMix64
 from majorbit.scales import (
+    MajorisationReport,
     StepScale,
     cumulative,
     majorise_check,
@@ -31,7 +32,7 @@ from majorbit.scales import (
 )
 from majorbit.selftest import _random_instance
 from majorbit.witness import (
-    _slack_components,
+    _positive_run,
     admissible_delta,
     build_witness,
     serialize_witness,
@@ -131,10 +132,24 @@ def test_submajorise_walk_matches_bisection(f, g):
     assert submajorise_check(f, g) == reference_submajorise(f, g)
 
 
-@given(simple_functions(), simple_functions())
-def test_slack_components_read_the_report(f, g):
-    x, y = rearrange(f), rearrange(g)
-    assert _slack_components(majorise_check(x, y)) == reference_slack_components(x, y)
+@given(simple_functions(), st.integers(0, 2**64 - 1))
+def test_slack_components_read_the_report(y, seed):
+    """The run of levels found from any level inside a strictly positive
+    stretch of the slack is that stretch, every stretch is found, and a
+    level in no stretch has zero slack at both ends."""
+    x = sample_orbit(y, seed)
+    intervals, _, slacks = extremality.evaluate_conditions(x, y)
+    components = reference_slack_components(rearrange(x), rearrange(y))
+    runs = set()
+    for k, iv in enumerate(intervals):
+        home = [(a, b) for a, b in components if a <= iv.t1 and iv.t2 <= b]
+        if home:
+            lo, hi = _positive_run(slacks, k)
+            assert home == [(intervals[lo].t1, intervals[hi - 1].t2)]
+            runs.update(home)
+        else:
+            assert slacks[k] == slacks[k + 1] == 0
+    assert sorted(runs) == components
 
 
 # half of the draws come from five integers, so levels of x split across
@@ -208,6 +223,31 @@ def test_check_extreme_builds_each_scale_once(monkeypatch, make, extreme, scales
     monkeypatch.setattr(StepScale, "__post_init__", counting)
     assert check_extreme(x, y).extreme is extreme
     assert len(built) == scales
+
+
+def test_check_extreme_builds_no_fraction_report(monkeypatch):
+    """The criterion and the witness read the integer slack walk; only
+    majorise_check, at the boundary, builds a MajorisationReport."""
+    built = []
+    init = MajorisationReport.__init__
+
+    def counting(report, *args):
+        built.append(report)
+        init(report, *args)
+
+    monkeypatch.setattr(MajorisationReport, "__init__", counting)
+    for x, y in [
+        (mkatomic([2, 2]), mkatomic([3, 1])),  # split level
+        (
+            mkatomic([4, 2, frac("1/2"), frac("-1/2")], weights=[frac("1/4")] * 4),
+            mkatomic([4, 2, 1, -1], weights=[frac("1/4")] * 4),
+        ),  # single-atom level: two values
+        (mkatomic([3, 1]), mkatomic([3, 1])),  # extreme
+    ]:
+        check_extreme(x, y)
+    assert built == []
+    majorise_check(rearrange(x), rearrange(y))
+    assert len(built) == 1
 
 
 def corpus_digest(instances: int = 300) -> str:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from majorbit.errors import CriterionSatisfied, DegenerateDirection
-from majorbit.extremality import check_extreme
+from majorbit.extremality import check_extreme, evaluate_conditions
 from majorbit.measure import (
     MeasureSpace,
     SimpleFunction,
@@ -19,6 +19,7 @@ from majorbit.witness import (
     TWO_VALUES,
     Perturbation,
     WitnessPair,
+    _positive_run,
     admissible_delta,
     build_witness,
     serialize_witness,
@@ -26,7 +27,7 @@ from majorbit.witness import (
 )
 
 from conftest import frac, mkatomic, mkdiffuse
-from reference_core import carriers, perturbed_region, steps_on_interval
+from reference_core import _slack_components, carriers, perturbed_region, steps_on_interval
 
 
 def test_admissible_delta_basic():
@@ -198,12 +199,14 @@ def test_tau_preservation_and_locality():
 
 
 def test_slack_components_split_at_interior_zero():
-    from majorbit.witness import _slack_components
-
     y = mkatomic([4, 2, 1, -1], weights=[frac("1/4")] * 4)
     x = mkatomic([3, 3, 0, 0], weights=[frac("1/4")] * 4)
     components = _slack_components(majorise_check(rearrange(x), rearrange(y)))
     assert components == [(0, frac("1/2")), (frac("1/2"), 1)]
+    intervals, _, slacks = evaluate_conditions(x, y)
+    assert [(iv.t1, iv.t2) for iv in intervals] == components
+    assert slacks == (0, 0, 0)
+    assert [_positive_run(slacks, k) for k in range(2)] == [(0, 1), (1, 2)]
 
 
 def test_two_values_in_later_component():
