@@ -33,13 +33,15 @@ def _read_json(path):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _at_least(minimum):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _at_least(minimum, maximum=math.inf):
+    """argparse type: an integer from ``minimum`` to ``maximum``."""
 
     def integer(text):
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return integer
@@ -200,7 +202,7 @@ _FLAGS = {
     "-x": dict(dest="x", required=True),
     "-y": dict(dest="y", required=True),
     "--normalize": dict(action="store_true", help="rescale input masses to total 1 before use"),
-    "--seed": dict(type=int, default=1, help="PRNG seed (u64)"),
+    "--seed": dict(type=_at_least(0, 2**64 - 1), default=1, help="PRNG seed (u64)"),
     "--trials": dict(type=_at_least(1), default=None),
     "--tol": dict(type=float, default=None),
     "--witness": dict(action="store_true"),

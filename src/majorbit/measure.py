@@ -40,9 +40,9 @@ class MeasureSpace:
         if len(set(ids)) != len(ids):
             raise DuplicateAtomError(f"duplicate atom ids in {ids}")
         for atom_id, weight in self.atoms:
-            if weight <= 0:
+            if weight.numerator <= 0:
                 raise SchemaError(f"atom {atom_id!r} has non-positive weight")
-        if self.diffuse_mass < 0:
+        if self.diffuse_mass.numerator < 0:
             raise SchemaError("diffuse_mass must be >= 0")
         total = sum((w for _, w in self.atoms), self.diffuse_mass)
         if total != 1:
@@ -78,16 +78,12 @@ class SimpleFunction:
     _table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "atom_values",
-            {aid: Fraction(v) for aid, v in self.atom_values.items()},
-        )
-        object.__setattr__(
-            self,
-            "diffuse_pieces",
-            tuple((Fraction(v), Fraction(m)) for v, m in self.diffuse_pieces),
-        )
+        # a Fraction is kept as given: Fraction(q) would build a copy of it
+        exact = lambda q: q if type(q) is Fraction else Fraction(q)
+        values = {aid: exact(v) for aid, v in self.atom_values.items()}
+        pieces = tuple((exact(v), exact(m)) for v, m in self.diffuse_pieces)
+        object.__setattr__(self, "atom_values", values)
+        object.__setattr__(self, "diffuse_pieces", pieces)
         missing = set(self.space.atom_ids) - set(self.atom_values)
         extra = set(self.atom_values) - set(self.space.atom_ids)
         if extra:
@@ -95,7 +91,7 @@ class SimpleFunction:
         if missing:
             raise SchemaError(f"missing values for atoms {sorted(missing)}")
         for _, mass in self.diffuse_pieces:
-            if mass <= 0:
+            if mass.numerator <= 0:
                 raise SchemaError("piece masses must be > 0")
         total = sum((m for _, m in self.diffuse_pieces), ZERO)
         if total != self.space.diffuse_mass:

@@ -26,7 +26,7 @@ def parse_ratstr(text) -> Fraction:
 
 
 def format_ratstr(value: Fraction) -> str:
-    value = Fraction(value)
+    value = value if type(value) is Fraction else Fraction(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)

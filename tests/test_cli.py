@@ -272,6 +272,18 @@ def test_negative_trials_and_empty_dim_exit_2(capsys):
         assert code == 2 and out["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_2(tmp_path, capsys, seed):
+    """A seed outside the u64 range would alias one inside it."""
+    y = write(tmp_path, "y.json", PEAK)
+    for argv in (["sample", "-y", y], ["suite", "--trials", "1", "--dim", "2"], ["selftest", "--trials", "1"]):
+        code, out = run(capsys, [*argv, "--seed", seed])
+        assert code == 2 and out["error"] == "SchemaError"
+        assert "--seed" in out["detail"] and seed in out["detail"]
+    code, _ = run(capsys, ["sample", "-y", y, "--seed", str(2**64 - 1)])
+    assert code == 0
+
+
 def test_selftest_stdout_is_deterministic(capsys):
     outputs = []
     for _ in range(2):

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from majorbit.errors import (
     DuplicateAtomError,
+    MajorbitError,
     MassMismatchError,
     NormalizationError,
     SchemaError,
@@ -12,7 +14,9 @@ from majorbit.errors import (
     UnknownAtomError,
 )
 from majorbit.measure import (
+    MeasureSpace,
     Refinement,
+    SimpleFunction,
     add_functions,
     equal_ae,
     parse_function,
@@ -109,6 +113,62 @@ def test_parse_function_examples():
             },
             space,
         )
+
+
+class SubFraction(Fraction):
+    """A Fraction subclass: converted like any number that is not a Fraction."""
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, np.int64, SubFraction],
+                         ids=["int", "Fraction", "numpy-int", "Fraction-subclass"])
+def test_constructors_accept_each_number_type(kind):
+    """A space keeps its weights as given; a function holds every value and
+    mass as a Fraction, equal to the number it was given."""
+    one_atom = MeasureSpace((("a", kind(1)),), kind(0))
+    assert one_atom == MeasureSpace((("a", Fraction(1)),), Fraction(0))
+    assert hash(one_atom) == hash(MeasureSpace((("a", Fraction(1)),), Fraction(0)))
+    assert type(one_atom.atoms[0][1]) is kind and type(one_atom.diffuse_mass) is kind
+    half = MeasureSpace((("a", Fraction(1, 2)),), Fraction(1, 2))
+    for f, expected in [
+        (SimpleFunction(one_atom, {"a": kind(3)}), SimpleFunction(one_atom, {"a": Fraction(3)})),
+        (SimpleFunction(MeasureSpace((), kind(1)), {}, ((kind(-2), kind(1)),)),
+         SimpleFunction(MeasureSpace((), Fraction(1)), {}, ((Fraction(-2), Fraction(1)),))),
+        (SimpleFunction(half, {"a": kind(5)}, ((kind(2), Fraction(1, 4)), (kind(-1), Fraction(1, 4)))),
+         SimpleFunction(half, {"a": Fraction(5)},
+                        ((Fraction(2), Fraction(1, 4)), (Fraction(-1), Fraction(1, 4))))),
+    ]:
+        assert f == expected
+        assert f.atom_values == expected.atom_values and f.diffuse_pieces == expected.diffuse_pieces
+        assert hash(f.diffuse_pieces) == hash(expected.diffuse_pieces)
+        assert hash(tuple(f.atom_values.items())) == hash(tuple(expected.atom_values.items()))
+        fields = [*f.atom_values.values(), *(q for piece in f.diffuse_pieces for q in piece)]
+        assert all(type(q) is Fraction for q in fields)
+        assert serialize_function(f) == serialize_function(expected)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, np.int64, SubFraction],
+                         ids=["int", "Fraction", "numpy-int", "Fraction-subclass"])
+def test_constructors_reject_each_number_type(kind):
+    cases = [
+        (lambda: MeasureSpace((("a", kind(0)), ("b", kind(1))), kind(0)),
+         SchemaError, "atom 'a' has non-positive weight"),
+        (lambda: MeasureSpace((("a", kind(2)), ("b", kind(-1))), kind(0)),
+         SchemaError, "atom 'b' has non-positive weight"),
+        (lambda: MeasureSpace((("a", kind(2)),), kind(-1)),
+         SchemaError, "diffuse_mass must be >= 0"),
+        (lambda: SimpleFunction(MeasureSpace((), kind(1)), {}, ((kind(1), kind(0)), (kind(2), kind(1)))),
+         SchemaError, "piece masses must be > 0"),
+        (lambda: SimpleFunction(MeasureSpace((), kind(1)), {}, ((kind(1), kind(-1)), (kind(2), kind(2)))),
+         SchemaError, "piece masses must be > 0"),
+        (lambda: MeasureSpace((("a", kind(2)),), kind(0)),
+         NormalizationError, "total mass is 2, expected 1"),
+        (lambda: SimpleFunction(MeasureSpace((), kind(1)), {}, ((kind(1), kind(2)),)),
+         MassMismatchError, "piece masses sum to 2, diffuse_mass is 1"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(MajorbitError) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_refine_diffuse_examples():

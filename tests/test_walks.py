@@ -17,7 +17,7 @@ import majorbit.extremality as extremality
 import majorbit.witness as witness
 from majorbit.errors import DegenerateDirection, InternalError, MajorbitError
 from majorbit.extremality import check_extreme
-from majorbit.measure import ONE, ZERO, SimpleFunction
+from majorbit.measure import ONE, ZERO, SimpleFunction, parse_function
 from majorbit.orbit import sample_orbit
 from majorbit.prng import SplitMix64
 from majorbit.scales import (
@@ -223,6 +223,53 @@ def test_check_extreme_builds_each_scale_once(monkeypatch, make, extreme, scales
     monkeypatch.setattr(StepScale, "__post_init__", counting)
     assert check_extreme(x, y).extreme is extreme
     assert len(built) == scales
+
+
+def large_documents() -> tuple[str, str]:
+    """x and y as JSON text on one space of 36 atoms and 12 diffuse pieces
+    with masses on a 2^12 grid; x averages y over three groups of carriers,
+    so it is not extreme."""
+    masses = [Fraction(64 + i * 37 % 41, 4096) for i in range(47)]
+    masses.append(1 - sum(masses))
+    y_values = [Fraction(i * 7919 % 33 - 16) for i in range(48)]
+    x_values = list(y_values)
+    for group in ((0, 1, 2), (10, 11), (40, 41)):
+        mean = sum(y_values[i] * masses[i] for i in group) / sum(masses[i] for i in group)
+        for i in group:
+            x_values[i] = mean
+
+    def document(values):
+        text = lambda q: f"{q.numerator}/{q.denominator}"
+        return json.dumps({
+            "space": {"atoms": [{"id": f"a{i}", "weight": text(masses[i])} for i in range(36)],
+                      "diffuse_mass": text(sum(masses[36:]))},
+            "atoms": {f"a{i}": text(values[i]) for i in range(36)},
+            "diffuse": [{"value": text(values[i]), "mass": text(masses[i])} for i in range(36, 48)],
+        })
+
+    return document(x_values), document(y_values)
+
+
+def test_exact_request_builds_each_fraction_once(monkeypatch):
+    """Parse, decide and serialize one 48-carrier non-extreme request. A
+    Fraction passed to SimpleFunction or format_ratstr is kept as given,
+    not wrapped again: 553 Fractions are built on Python 3.11, where
+    re-wrapping each value and mass and each printed literal built 1276."""
+    x_doc, y_doc = large_documents()
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    verdict = check_extreme(parse_function(x_doc), parse_function(y_doc))
+    json.dumps(verdict.serialize(include_witness=True))
+    monkeypatch.undo()
+    count = len(built)
+    assert not verdict.extreme
+    assert count <= 553
 
 
 def test_check_extreme_builds_no_fraction_report(monkeypatch):
