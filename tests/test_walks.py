@@ -20,6 +20,7 @@ from majorbit.extremality import check_extreme
 from majorbit.measure import ONE, ZERO, SimpleFunction, parse_function
 from majorbit.orbit import sample_orbit
 from majorbit.prng import SplitMix64
+from majorbit.rationals import format_ratstr
 from majorbit.scales import (
     MajorisationReport,
     StepScale,
@@ -239,7 +240,7 @@ def large_documents() -> tuple[str, str]:
             x_values[i] = mean
 
     def document(values):
-        text = lambda q: f"{q.numerator}/{q.denominator}"
+        text = format_ratstr
         return json.dumps({
             "space": {"atoms": [{"id": f"a{i}", "weight": text(masses[i])} for i in range(36)],
                       "diffuse_mass": text(sum(masses[36:]))},
