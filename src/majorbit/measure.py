@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
+from numbers import Rational
 from typing import Mapping, NamedTuple
 
 from .errors import (
@@ -39,6 +40,9 @@ class MeasureSpace:
         ids = [atom_id for atom_id, _ in self.atoms]
         if len(set(ids)) != len(ids):
             raise DuplicateAtomError(f"duplicate atom ids in {ids}")
+        masses = [w for _, w in self.atoms] + [self.diffuse_mass]
+        if not all(isinstance(q, Rational) for q in masses):
+            raise SchemaError("weights and diffuse_mass must be rational numbers")
         for atom_id, weight in self.atoms:
             if weight.numerator <= 0:
                 raise SchemaError(f"atom {atom_id!r} has non-positive weight")
@@ -78,8 +82,11 @@ class SimpleFunction:
     _table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a Fraction is kept as given: Fraction(q) would build a copy of it
-        exact = lambda q: q if type(q) is Fraction else Fraction(q)
+        def exact(q):  # a Fraction is kept as given: Fraction(q) would build a copy of it
+            try:
+                return q if type(q) is Fraction else Fraction(q)
+            except (TypeError, ValueError, OverflowError) as exc:  # None, "x", nan, inf
+                raise SchemaError(f"{q!r} is not a rational number") from exc
         values = {aid: exact(v) for aid, v in self.atom_values.items()}
         pieces = tuple((exact(v), exact(m)) for v, m in self.diffuse_pieces)
         object.__setattr__(self, "atom_values", values)

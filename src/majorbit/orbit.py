@@ -17,14 +17,13 @@ the per-interval criterion it cross-checks.
 """
 
 from bisect import bisect_left
-from fractions import Fraction
-from itertools import accumulate
-from math import gcd, lcm
+from itertools import accumulate, permutations
+from math import gcd
 
 from .errors import InternalError, NotAtomic, NotInOrbit, SchemaError, SizeLimit, UnknownAtomError
-from .measure import ZERO, SimpleFunction
+from .measure import ZERO, SimpleFunction, _carrier_table, _over_lcm
 from .prng import SplitMix64
-from .scales import StepScale, cumulative, majorise_check, rearrange, scale_constant_on
+from .scales import StepScale, _holds, _slack_walk, cumulative, rearrange
 
 MAX_ORACLE_ATOMS = 20
 MAX_ENUMERATE_ATOMS = 6
@@ -40,29 +39,27 @@ def oracle_extreme(x: SimpleFunction, y: SimpleFunction) -> bool:
     if n > MAX_ORACLE_ATOMS:
         raise SizeLimit(f"{n} atoms exceed the 2^n enumeration limit")
     y_scale = rearrange(y)
-    if not majorise_check(rearrange(x), y_scale).holds:
+    if not _holds(_slack_walk(rearrange(x), y_scale)[4]):
         raise NotInOrbit("x is not majorised by y")
     return _tight_sets_span(x, y_scale)
 
 
 def _tight_sets_span(x: SimpleFunction, y_scale: StepScale) -> bool:
     """The Gray-code walk of the module docstring, for x in the orbit."""
-    atoms = x.space.atoms
-    n = len(atoms)
-    # masses become ints over the common weight denominator; on y's step k,
-    # cumulative_y(mass / denominator) = offsets[k] + slopes[k] * mass
-    denominator = lcm(*(w.denominator for _, w in atoms))
-    masses = [int(w * denominator) for _, w in atoms]
-    # an int mass lies at or before a step end iff it lies at or before its floor
+    n = len(x.space.atoms)
+    # masses are ints over den, x's values ints over its table's vden; on
+    # y's step k, with both sides scaled by den * vden * y_den * y_vden,
+    # the bound at a subset's mass is offsets[k] + slopes[k] * mass
+    den, masses = _over_lcm([w for _, w in x.space.atoms])
+    table = _carrier_table(x)
     y_den, y_vden, y_ints = y_scale._profile
-    ends = [end * denominator // y_den for end in y_scale._ends]
+    # an int mass lies at or before a step end iff it lies at or before its floor
+    ends = [end * den // y_den for end in y_scale._ends]
     integrals = accumulate((value * length for value, length in y_ints), initial=0)
-    offsets = [Fraction(integral - value * (end - length), y_den * y_vden)
+    offsets = [table.vden * den * (integral - value * (end - length))
                for integral, end, (value, length) in zip(integrals, y_scale._ends, y_ints)]
-    slopes = [Fraction(value, y_vden * denominator) for value, _ in y_ints]
-    sums = [w * x.atom_values[aid] for aid, w in atoms]
-    common = lcm(*(q.denominator for q in offsets + slopes + sums))
-    offsets, slopes, sums = ([int(q * common) for q in qs] for qs in (offsets, slopes, sums))
+    slopes = [table.vden * y_den * value for value, _ in y_ints]
+    sums = [mass * value * y_den * y_vden for mass, value in zip(masses, table.values)]
     basis = [{i: 1} for i in range(n)]  # sparse null vectors of the tight indicators
     live = (1 << n) - 1  # union of their supports
     subset = mass = total = 0
@@ -101,48 +98,39 @@ def _eliminate(z: dict, d: int, z0: dict, d0: int) -> dict:
 def enumerate_extreme(y: SimpleFunction) -> list[SimpleFunction]:
     """All extreme points of the orbit of y on its (atomic) space.
 
-    Recursive construction over [0,1): at cursor t either place an unused
-    atom whose span tiles a constant run of y's scale (condition 1), or
-    place one unused atom with the average of y's scale over its span
-    (condition 2), keeping values non-increasing. Every move closes the
-    cumulative gap exactly, so candidates are automatically in the orbit;
-    the vertex rank test then filters the extreme ones.
+    With g = cumulative_y, the orbit is the base polytope of the submodular
+    S -> g(w(S)), whose vertices are its greedy vectors (Edmonds 1970): for
+    each ordering of the atoms, the atom placed after the set S takes the
+    average of y's scale over the span it covers, (g(w(S) + w) - g(w(S))) / w.
+    The distinct greedy vectors are returned by atom values in space order;
+    each is checked to lie in the orbit and to pass the vertex test.
     """
     if not y.space.purely_atomic:
         raise NotAtomic("enumeration requires a purely atomic space")
-    atoms = y.space.atoms
-    n = len(atoms)
+    n = len(y.space.atoms)
     if n > MAX_ENUMERATE_ATOMS:
         raise SizeLimit(f"{n} atoms exceed the enumeration limit")
     y_scale = rearrange(y)
-    seen: set[tuple] = set()
-    results: list[SimpleFunction] = []
-
-    def place(remaining: frozenset, cursor: Fraction, prev: Fraction | None, chosen: dict):
-        if not remaining:
-            key = tuple(chosen[aid] for aid, _ in atoms)
-            if key in seen:
-                return
-            seen.add(key)
-            candidate = SimpleFunction(y.space, dict(chosen))
-            if not majorise_check(rearrange(candidate), y_scale).holds:
-                raise InternalError("enumeration produced a point outside the orbit")
-            if _tight_sets_span(candidate, y_scale):
-                results.append(candidate)
-            return
-        for i in sorted(remaining, key=lambda j: atoms[j][0]):
-            aid, weight = atoms[i]
-            end = cursor + weight
-            run = scale_constant_on(y_scale, cursor, end)
-            average = (cumulative(y_scale, end) - cumulative(y_scale, cursor)) / weight
-            for value in {run, average} - {None}:
-                if prev is None or value <= prev:
-                    chosen[aid] = value
-                    place(remaining - {i}, end, value, chosen)
-                    del chosen[aid]
-
-    place(frozenset(range(n)), ZERO, None, {})
-    results.sort(key=lambda f: tuple(f.atom_values[aid] for aid, _ in atoms))
+    masses = [ZERO]  # masses[S] = w(S) for S a bit mask
+    for _, weight in y.space.atoms:
+        masses += [mass + weight for mass in masses]
+    g = [cumulative(y_scale, mass) for mass in masses]
+    # the value of atom i when it is placed after the atoms of the mask
+    share = {(mask, i): (g[mask | 1 << i] - g[mask]) / masses[1 << i]
+             for mask in range(1 << n) for i in range(n) if not mask >> i & 1}
+    points = set()
+    for order in permutations(range(n)):
+        values, mask = [ZERO] * n, 0
+        for i in order:
+            values[i] = share[mask, i]
+            mask |= 1 << i
+        points.add(tuple(values))
+    results = [SimpleFunction(y.space, dict(zip(y.space.atom_ids, p))) for p in sorted(points)]
+    for candidate in results:
+        if not _holds(_slack_walk(rearrange(candidate), y_scale)[4]):
+            raise InternalError("a greedy vector lies outside the orbit")
+        if not _tight_sets_span(candidate, y_scale):
+            raise InternalError("a greedy vector failed the vertex test")
     return results
 
 

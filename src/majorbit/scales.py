@@ -181,16 +181,6 @@ def add_scales(a: StepScale, b: StepScale) -> StepScale:
     )
 
 
-def scale_constant_on(scale: StepScale, t1: Fraction, t2: Fraction) -> Fraction | None:
-    """The single value the scale takes on all of [t1, t2), or None."""
-    t1, t2 = Fraction(t1), Fraction(t2)
-    if not 0 <= t1 < 1:
-        return None
-    den = scale._profile[0]
-    k = bisect_right(scale._ends, t1.numerator * den // t1.denominator)
-    return scale.steps[k][0] if t2.numerator * den <= scale._ends[k] * t2.denominator else None
-
-
 # ---------------------------------------------------------------------------
 # orders
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class CriterionResult:
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0
+        return self.trials > 0 and self.failures == 0  # no trials is no evidence
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -139,7 +139,7 @@ def criterion_hlp(seed: int, trials: int = len(_HLP_CASES)) -> CriterionResult:
     are exactly the multiset permutations of y."""
     start = time.perf_counter()
     failures = 0
-    cases = _HLP_CASES[: max(0, trials)] if trials < len(_HLP_CASES) else _HLP_CASES
+    cases = _HLP_CASES[: max(trials, 0)]
     for values in cases:
         n = len(values)
         y = _equal_weight_model([Fraction(v) for v in values])

@@ -4,7 +4,14 @@ Each test prints the criterion's pass/fail line; `majorbit selftest` runs
 the same functions from the command line.
 """
 
+from types import SimpleNamespace
+
+import pytest
+
+from majorbit import selftest
+from majorbit.errors import SchemaError
 from majorbit.selftest import (
+    _HLP_CASES,
     criterion_agreement,
     criterion_golden,
     criterion_hlp,
@@ -57,3 +64,20 @@ def test_criterion_7_matrix_suite():
 
 def test_criterion_8_identity_suite():
     _check(criterion_identities(SEED, trials=200))
+
+
+def test_no_criterion_passes_without_trials(monkeypatch):
+    """No acceptance gate passes vacuously: a criterion that ran no trial
+    fails, and so does criterion 4 when it meets no non-extreme instance.
+    Criteria 5 and 6 are fixed example sets that the count does not scale."""
+    for criterion in (criterion_agreement, criterion_hlp, criterion_ryff,
+                      criterion_witnesses, criterion_matrix):
+        result = criterion(SEED, 0)
+        assert result.trials == 0 and not result.passed, result.line()
+    with pytest.raises(SchemaError):
+        criterion_identities(SEED, 0)
+    assert [criterion_hlp(SEED, k).trials for k in (-2, 2, 99)] == [0, 2, len(_HLP_CASES)]
+    assert criterion_golden(SEED, 0).trials == 3 and criterion_truncation_family(SEED, 0).trials == 9
+    monkeypatch.setattr(selftest, "check_extreme", lambda x, y: SimpleNamespace(extreme=True))
+    result = criterion_witnesses(SEED, 5)
+    assert result.trials == 0 and not result.passed, result.line()

@@ -24,7 +24,7 @@ from majorbit.extremality import (
 )
 from majorbit.measure import MeasureSpace, SimpleFunction, add_functions, scale_function
 from majorbit.orbit import sample_orbit
-from majorbit.scales import cumulative, majorise_check, rearrange, scale_constant_on
+from majorbit.scales import cumulative, majorise_check, rearrange
 from majorbit.witness import WitnessPair, admissible_delta, build_witness, verify_witness
 
 from conftest import function_pairs, simple_functions, small_values
@@ -122,8 +122,6 @@ def test_scale_queries_match(f, points):
         assert cumulative(scale, t) == ref.cumulative(scale, t)
         if t < 1:
             assert scale.value_at(t) == ref.value_at(scale, t)
-        for t2 in points:
-            assert scale_constant_on(scale, t, t2) == ref.scale_constant_on(scale, t, t2)
 
 
 @given(orbit_pairs(), st.sampled_from([Fraction(1, 2), 2, 4, Fraction(-1)]))

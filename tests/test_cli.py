@@ -174,9 +174,12 @@ def test_suite_command(capsys):
 
 
 def test_selftest_small_run(capsys):
-    code, doc = run(capsys, ["selftest", "--seed", "1", "--trials", "40"])
-    assert code == 0
-    assert doc["passed"] is True
+    """Even --trials 1 runs at least one trial of every criterion."""
+    for trials in ("40", "1"):
+        code, doc = run(capsys, ["selftest", "--seed", "1", "--trials", trials])
+        assert code == 0
+        assert doc["passed"] is True
+        assert all(c["trials"] >= 1 for c in doc["criteria"])
 
 
 def test_selftest_detects_corruption(capsys, monkeypatch):

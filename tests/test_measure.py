@@ -171,6 +171,32 @@ def test_constructors_reject_each_number_type(kind):
         assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "bad, function_takes_it",
+    [(0.5, True), ("1/2", True), (None, False), ("x", False),
+     (float("nan"), False), (float("inf"), False), (float("-inf"), False)],
+    ids=["float", "ratstr", "None", "word", "nan", "inf", "-inf"],
+)
+def test_constructors_reject_non_numbers(bad, function_takes_it):
+    """A space keeps its masses as given, so it takes only numbers.Rational;
+    a function converts with Fraction(), and what that refuses is a
+    SchemaError, not the conversion's own exception."""
+    for build in (lambda: MeasureSpace((("a", bad), ("b", Fraction(1, 2))), Fraction(0)),
+                  lambda: MeasureSpace((("a", Fraction(1)),), bad)):
+        with pytest.raises(SchemaError):
+            build()
+    space = MeasureSpace((("a", Fraction(1, 2)),), Fraction(1, 2))
+    atom = lambda: SimpleFunction(space, {"a": bad}, ((Fraction(1), Fraction(1, 2)),))
+    piece = lambda: SimpleFunction(space, {"a": Fraction(1)}, ((bad, Fraction(1, 2)),))
+    mass = lambda: SimpleFunction(space, {"a": Fraction(1)}, ((Fraction(1), bad),))
+    if function_takes_it:
+        assert atom().atom_values["a"] == piece().diffuse_pieces[0][0] == Fraction(1, 2)
+        return
+    for build in (atom, piece, mass):
+        with pytest.raises(SchemaError):
+            build()
+
+
 def test_refine_diffuse_examples():
     f = mkdiffuse([(4, "1/2"), (2, "1/2")])
     split = refine_diffuse(f, 2)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -6,9 +8,16 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from majorbit.errors import NotAtomic, NotInOrbit, SchemaError, SizeLimit
+from majorbit import orbit
+from majorbit.errors import InternalError, NotAtomic, NotInOrbit, SchemaError, SizeLimit
 from majorbit.extremality import check_extreme
-from majorbit.measure import MeasureSpace, SimpleFunction, scale_function, add_functions
+from majorbit.measure import (
+    MeasureSpace,
+    SimpleFunction,
+    add_functions,
+    scale_function,
+    serialize_function,
+)
 from majorbit.orbit import (
     enumerate_extreme,
     oracle_extreme,
@@ -16,7 +25,7 @@ from majorbit.orbit import (
     sample_orbit,
 )
 from majorbit.prng import SplitMix64
-from majorbit.scales import cumulative, majorise_check, rearrange
+from majorbit.scales import MajorisationReport, cumulative, majorise_check, rearrange
 
 from conftest import frac, mkatomic, mkdiffuse, simple_functions
 
@@ -362,6 +371,67 @@ def test_enumerate_matches_brute_force_vertex_enumeration():
             for f in enumerate_extreme(y)
         }
         assert found == expected
+
+
+def enumerate_digest(instances: int = 48) -> str:
+    """sha256 over the serialised enumerate_extreme output, in order, for
+    seeded atomic y on 1 to 6 atoms. Values come from {-2, ..., 2} over 1
+    or 2, so they repeat; every other y has equal weights, the rest have
+    weights from parts 1 to 3, which also tie."""
+    rng = SplitMix64(18)
+    digest = hashlib.sha256()
+    for case in range(instances):
+        n = case % 6 + 1
+        values = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+        parts = [1] * n if case // 6 % 2 == 0 else [rng.randint(1, 3) for _ in range(n)]
+        y = mkatomic(values, weights=[Fraction(p, sum(parts)) for p in parts])
+        points = [serialize_function(f) for f in enumerate_extreme(y)]
+        digest.update(json.dumps(points).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_enumerate_digest_is_pinned():
+    """Captured from the run/average recursion that the greedy vectors
+    replaced."""
+    assert enumerate_digest() == "7c59ae141a607b0f4e1ddb3f5596a921be46ab300b392e585e8a536a96cf6596"
+
+
+def test_oracle_and_enumerate_build_no_fraction_report(monkeypatch):
+    """Orbit membership is read off the integer slack walk."""
+    built = []
+    init = MajorisationReport.__init__
+
+    def counting(report, *args):
+        built.append(report)
+        init(report, *args)
+
+    monkeypatch.setattr(MajorisationReport, "__init__", counting)
+    y = mkatomic([4, 2, 2, 0], weights=[frac("1/2"), frac("1/4"), frac("1/8"), frac("1/8")])
+    points = enumerate_extreme(y)
+    assert len(points) > 1
+    for x in (*points, partial_average(y, ["a0", "a1"])):
+        oracle_extreme(x, y)
+    assert built == []
+
+
+def test_enumerate_invariant_checks_are_live(monkeypatch):
+    """Each greedy vector must lie in the orbit and be a vertex; a walk or
+    a vertex test that says otherwise is an internal fault."""
+    y = mkatomic([3, 1, 0])
+    monkeypatch.setattr(orbit, "_tight_sets_span", lambda x, y_scale: False)
+    with pytest.raises(InternalError, match="vertex"):
+        enumerate_extreme(y)
+    monkeypatch.undo()
+    walk = orbit._slack_walk
+
+    def gapped(x_scale, y_scale):  # the total gap moved off zero
+        *head, steps = walk(x_scale, y_scale)
+        end, slack = steps[-1]
+        return (*head, [*steps[:-1], (end, slack + 1)])
+
+    monkeypatch.setattr(orbit, "_slack_walk", gapped)
+    with pytest.raises(InternalError, match="orbit"):
+        enumerate_extreme(y)
 
 
 def test_partial_average_examples():

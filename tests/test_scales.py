@@ -14,7 +14,6 @@ from majorbit.scales import (
     distribution,
     majorise_check,
     rearrange,
-    scale_constant_on,
     singular_scale,
     submajorise_check,
 )
@@ -247,15 +246,6 @@ def walk_steps_on_interval(scale, lo, hi):
     return tuple(out)
 
 
-def walk_constant_on(scale, t1, t2):
-    acc = Fraction(0)
-    for value, length in scale.steps:
-        if acc <= t1 < acc + length:
-            return value if t2 <= acc + length else None
-        acc += length
-    return None
-
-
 probe_fractions = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
 
@@ -274,7 +264,6 @@ def test_step_profile_matches_linear_walk(f, extra):
     for lo in points + outside:
         for hi in points + outside:
             assert steps_on_interval(r, lo, hi) == walk_steps_on_interval(r, lo, hi)
-            assert scale_constant_on(r, lo, hi) == walk_constant_on(r, lo, hi)
 
 
 @given(function_pairs())
