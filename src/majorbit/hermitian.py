@@ -296,10 +296,12 @@ class BirkhoffDecomposition:
     terms: tuple[tuple[float, tuple[int, ...]], ...]
 
     def matrix(self, n: int) -> np.ndarray:
-        out = np.zeros((n, n))
-        for coeff, perm in self.terms:
-            out[range(n), perm] += coeff
-        return out
+        out = np.zeros(n * n)
+        if self.terms:  # one unbuffered add per entry, in term order
+            coeffs, perms = zip(*self.terms)
+            flat = np.asarray(perms) + n * np.arange(n)
+            np.add.at(out, flat.ravel(), np.repeat(coeffs, n))
+        return out.reshape(n, n)
 
     def serialize(self) -> dict:
         return {
@@ -311,27 +313,33 @@ class BirkhoffDecomposition:
 
 
 def _perfect_matching(matrix: np.ndarray, threshold: float) -> list[int] | None:
-    """Row -> column perfect matching on entries above threshold
-    (Kuhn's augmenting-path algorithm)."""
+    """Row -> column perfect matching on entries above threshold (Kuhn's
+    augmenting-path algorithm): rows in order, each row's columns in
+    increasing order, the path on an explicit stack rather than recursion."""
     n = matrix.shape[0]
+    support = [[col for col, above in enumerate(row) if above]
+               for row in (matrix > threshold).tolist()]
     owner = [-1] * n  # column -> row
-
-    def augment(row: int, seen: set) -> bool:
-        for col in range(n):
-            if matrix[row, col] > threshold and col not in seen:
-                seen.add(col)
-                if owner[col] == -1 or augment(owner[col], seen):
-                    owner[col] = row
-                    return True
-        return False
-
-    for row in range(n):
-        if not augment(row, set()):
+    match = [-1] * n  # row -> column
+    for root in range(n):
+        seen = set()
+        path = [(root, iter(support[root]))]
+        while path:
+            for col in path[-1][1]:  # the top row resumes its own columns
+                if col not in seen:
+                    seen.add(col)
+                    break
+            else:  # no augmenting path through the top row
+                path.pop()
+                continue
+            if owner[col] == -1:  # free: each row on the path shifts one column
+                for row, _ in reversed(path):
+                    owner[col], match[row], col = row, col, match[row]
+                break
+            path.append((owner[col], iter(support[owner[col]])))
+        else:
             return None
-    perm = [0] * n
-    for col, row in enumerate(owner):
-        perm[row] = col
-    return perm
+    return match
 
 
 def _caratheodory_prune(

@@ -31,6 +31,12 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+def _rational(q) -> bool:
+    """The one number rule of both constructors: a numbers.Rational that is
+    not a bool (bool subclasses int, but True is not a mass or a value)."""
+    return isinstance(q, Rational) and not isinstance(q, bool)
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
     atoms: tuple[tuple[str, Fraction], ...]
@@ -41,7 +47,7 @@ class MeasureSpace:
         if len(set(ids)) != len(ids):
             raise DuplicateAtomError(f"duplicate atom ids in {ids}")
         masses = [w for _, w in self.atoms] + [self.diffuse_mass]
-        if not all(isinstance(q, Rational) for q in masses):
+        if not all(_rational(q) for q in masses):
             raise SchemaError("weights and diffuse_mass must be rational numbers")
         for atom_id, weight in self.atoms:
             if weight.numerator <= 0:
@@ -83,10 +89,11 @@ class SimpleFunction:
 
     def __post_init__(self):
         def exact(q):  # a Fraction is kept as given: Fraction(q) would build a copy of it
-            try:
-                return q if type(q) is Fraction else Fraction(q)
-            except (TypeError, ValueError, OverflowError) as exc:  # None, "x", nan, inf
-                raise SchemaError(f"{q!r} is not a rational number") from exc
+            if type(q) is Fraction:
+                return q
+            if _rational(q):
+                return Fraction(q)
+            raise SchemaError(f"{q!r} is not a rational number")
         values = {aid: exact(v) for aid, v in self.atom_values.items()}
         pieces = tuple((exact(v), exact(m)) for v, m in self.diffuse_pieces)
         object.__setattr__(self, "atom_values", values)

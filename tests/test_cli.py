@@ -441,3 +441,18 @@ def test_hostile_common_denominator(tmp_path, capsys, argv, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert elapsed < 5.0
+
+
+def test_birkhoff_stdout_is_pinned(tmp_path, capsys):
+    """The stdout of one birkhoff call at n = 12, pinned to what the
+    recursive dense-scan matching printed."""
+    from majorbit.hermitian import random_doubly_stochastic
+    from majorbit.prng import SplitMix64
+
+    entries = random_doubly_stochastic(SplitMix64(37), 12).entries
+    path = write(tmp_path, "s.json", {"n": 12, "re": entries.tolist()})
+    assert cli.main(["birkhoff", "-f", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a36469d85adc51faeecc8279786cafebb3aae635371f1d6fee37efffd7fa9f57"
+    )

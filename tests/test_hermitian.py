@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -237,6 +239,61 @@ def test_birkhoff_examples():
         DoublyStochastic([[1.5, -0.5], [-0.5, 1.5]])
 
 
+def test_birkhoff_long_augmenting_path():
+    """(I + cyclic shift) / 2 at n = 1100: matching the last row walks an
+    augmenting path through every other row, which overflowed the
+    recursion limit of a recursive Kuhn search."""
+    n = 1100
+    identity, shift = tuple(range(n)), tuple((i + 1) % n for i in range(n))
+    s = np.zeros((n, n))
+    s[range(n), identity] += 0.5
+    s[range(n), shift] += 0.5
+    terms = birkhoff_decompose(DoublyStochastic(s)).terms
+    assert sorted(terms) == [(0.5, identity), (0.5, shift)]
+
+
+def birkhoff_corpus():
+    """Seeded random doubly stochastic matrices at n = 2-12, then sparse
+    ones and near-degenerate ones whose weights sit near the extraction
+    threshold or differ in the last bits."""
+    rng = SplitMix64(35)
+    for n in range(2, 13):
+        for _ in range(4):
+            yield random_doubly_stochastic(rng, n).entries
+    for n in (1, 5, 9):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield np.eye(n)[perm]
+    for n in (3, 7, 12):
+        yield 0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1))
+    yield np.kron(np.eye(3), np.full((2, 2), 0.5))
+    yield np.full((3, 3), 1.0 / 3.0)
+    for n, tiny in ((4, 1e-13), (6, 5e-15), (8, 3e-16), (10, 1e-9)):
+        perms = []
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            perms.append(perm)
+        out = np.zeros((n, n))
+        for weight, perm in zip((0.5, 0.5 - tiny, tiny), perms):
+            out[range(n), perm] += weight
+        yield out
+
+
+def test_birkhoff_output_is_pinned():
+    """sha256 over the serialised terms and the reconstructed matrix's
+    bytes for every corpus matrix, in order, as the recursive dense-scan
+    matching produced them."""
+    digest = hashlib.sha256()
+    for entries in birkhoff_corpus():
+        decomposition = birkhoff_decompose(DoublyStochastic(entries))
+        digest.update(json.dumps(decomposition.serialize()).encode())
+        digest.update(decomposition.matrix(entries.shape[0]).tobytes())
+    assert digest.hexdigest() == (
+        "cc96c838cc9ad3d05ca44a4798ed6f89f2143f28033ffa48fd64dd9f2cdb4470"
+    )
+
+
 def test_caratheodory_prune_keeps_the_matrix():
     """Greedy extraction rarely exceeds the (n-1)^2 + 1 bound, so the prune
     is driven directly: all six 3x3 permutations are affinely dependent."""
@@ -325,6 +382,30 @@ def reference_prune(coeffs, perms, n, bound):
     return coeffs, perms
 
 
+def reference_perfect_matching(matrix: np.ndarray, threshold: float) -> list[int] | None:
+    """Kuhn's augmenting-path matching as a recursive dense scan, reading
+    one entry at a time: rows in order, columns in increasing order."""
+    n = matrix.shape[0]
+    owner = [-1] * n  # column -> row
+
+    def augment(row: int, seen: set) -> bool:
+        for col in range(n):
+            if matrix[row, col] > threshold and col not in seen:
+                seen.add(col)
+                if owner[col] == -1 or augment(owner[col], seen):
+                    owner[col] = row
+                    return True
+        return False
+
+    for row in range(n):
+        if not augment(row, set()):
+            return None
+    perm = [0] * n
+    for col, row in enumerate(owner):
+        perm[row] = col
+    return perm
+
+
 def reference_birkhoff_terms(s: DoublyStochastic):
     n = s.n
     work = s.entries.copy()
@@ -333,7 +414,7 @@ def reference_birkhoff_terms(s: DoublyStochastic):
     for _ in range(n * n + 1):
         if float(np.max(np.abs(work))) <= threshold:
             break
-        perm = _perfect_matching(work, threshold)
+        perm = reference_perfect_matching(work, threshold)
         coeff = float(min(work[row, perm[row]] for row in range(n)))
         coeffs.append(coeff)
         perms.append(tuple(perm))
@@ -417,6 +498,24 @@ def test_birkhoff_extraction_matches_the_loop():
         terms = birkhoff_decompose(ds).terms
         assert np.array([c for c, _ in terms]).tobytes() == np.array(coeffs).tobytes()
         assert [p for _, p in terms] == perms
+
+
+def test_perfect_matching_matches_the_recursion():
+    """Random supports from sparse to dense, with entries on both sides of
+    the threshold; the sparse ones often have no perfect matching."""
+    rng = SplitMix64(36)
+    found = {True: 0, False: 0}
+    for _ in range(2400):
+        n = rng.randint(1, 13)
+        density = 0.05 + 0.95 * rng.random()
+        matrix = np.array(
+            [[rng.random() if rng.random() < density else 0.0 for _ in range(n)] for _ in range(n)]
+        )
+        threshold = 0.25 * rng.random()
+        perm = _perfect_matching(matrix, threshold)
+        assert perm == reference_perfect_matching(matrix, threshold)
+        found[perm is None] += 1
+    assert min(found.values()) >= 500
 
 
 def test_t_transform_conjugation_matches_permutation_products():
