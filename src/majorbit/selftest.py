@@ -1,11 +1,14 @@
 """Acceptance suite: every criterion as a seeded, deterministic function.
 
-Each criterion returns a CriterionResult; run_all executes all of them,
-prints one pass/fail line per criterion, and reports wall time. The pytest
+Each criterion returns a CriterionResult: criteria 1-7 through the
+_criterion driver, which counts the trial outcomes they yield, criterion 8
+from identity_suite's report. run_all executes all of them, prints one
+pass/fail line per criterion, and reports wall time. The pytest
 acceptance module drives the same functions, so the CLI `selftest` and the
 test suite cannot drift apart.
 """
 
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -96,13 +99,38 @@ def _random_instance(rng: SplitMix64, n: int, k: int):
     return SimpleFunction(space, values, pieces)
 
 
-def criterion_agreement(seed: int, trials: int = 1000) -> CriterionResult:
+def _criterion(index: int, name: str, full_count: int):
+    """Make a generator of trial outcomes, one bool per trial, into the
+    criterion `fn(seed, trials=full_count) -> CriterionResult`. The trials
+    are the outcomes yielded and the failures those that are not true; a
+    MajorbitError ends the criterion with one more failed trial."""
+
+    def wrap(outcomes_of):
+        @functools.wraps(outcomes_of)
+        def criterion(seed: int, trials: int = full_count) -> CriterionResult:
+            start = time.perf_counter()
+            outcomes = []
+            try:
+                for ok in outcomes_of(seed, trials):
+                    outcomes.append(ok)
+            except MajorbitError:
+                outcomes.append(False)
+            failures = sum(not ok for ok in outcomes)
+            return CriterionResult(
+                index, name, len(outcomes), failures, time.perf_counter() - start
+            )
+
+        return criterion
+
+    return wrap
+
+
+@_criterion(1, "criterion-oracle equivalence", 1000)
+def criterion_agreement(seed: int, trials: int):
     """1: check_extreme agrees with the polytope vertex oracle on random
     atomic instances, with x drawn both from orbit sampling and from the
     extreme-point enumerator."""
     rng = SplitMix64(seed)
-    failures = 0
-    start = time.perf_counter()
     for case in range(trials):
         n = rng.randint(2, 5)
         use_enumerate = case % 2 == 1 and n <= 4
@@ -112,17 +140,7 @@ def criterion_agreement(seed: int, trials: int = 1000) -> CriterionResult:
             x = points[rng.randint(0, len(points) - 1)]
         else:
             x = sample_orbit(y, rng.next_u64())
-        try:
-            verdict = check_extreme(x, y).extreme
-            ground = oracle_extreme(x, y)
-        except MajorbitError:
-            failures += 1
-            continue
-        if verdict != ground:
-            failures += 1
-    return CriterionResult(
-        1, "criterion-oracle equivalence", trials, failures, time.perf_counter() - start
-    )
+        yield check_extreme(x, y).extreme == oracle_extreme(x, y)
 
 
 _HLP_CASES = [
@@ -134,32 +152,24 @@ _HLP_CASES = [
 ]
 
 
-def criterion_hlp(seed: int, trials: int = len(_HLP_CASES)) -> CriterionResult:
+@_criterion(2, "classical HLP recovery", len(_HLP_CASES))
+def criterion_hlp(seed: int, trials: int):
     """2: equal weights recover the classical picture: the extreme points
     are exactly the multiset permutations of y."""
-    start = time.perf_counter()
-    failures = 0
-    cases = _HLP_CASES[: max(trials, 0)]
-    for values in cases:
+    for values in _HLP_CASES[: max(trials, 0)]:
         n = len(values)
         y = _equal_weight_model([Fraction(v) for v in values])
         found = {
             tuple(f.atom_values[f"e{i}"] for i in range(n))
             for f in enumerate_extreme(y)
         }
-        expected = {tuple(Fraction(v) for v in p) for p in permutations(values)}
-        if found != expected:
-            failures += 1
-    return CriterionResult(
-        2, "classical HLP recovery", len(cases), failures, time.perf_counter() - start
-    )
+        yield found == {tuple(Fraction(v) for v in p) for p in permutations(values)}
 
 
-def criterion_ryff(seed: int, trials: int = 500) -> CriterionResult:
+@_criterion(3, "Ryff recovery on atomless spaces", 500)
+def criterion_ryff(seed: int, trials: int):
     """3: on purely diffuse spaces, extreme iff equimeasurable."""
     rng = SplitMix64(seed)
-    failures = 0
-    start = time.perf_counter()
     for case in range(trials):
         y = _random_instance(rng, 0, rng.randint(2, 5))
         if case % 2 == 0:
@@ -168,58 +178,35 @@ def criterion_ryff(seed: int, trials: int = 500) -> CriterionResult:
             pieces = list(y.diffuse_pieces)
             rng.shuffle(pieces)
             x = SimpleFunction(y.space, {}, tuple(pieces))
-        try:
-            verdict = check_extreme(x, y).extreme
-        except MajorbitError:
-            failures += 1
-            continue
-        if verdict != (rearrange(x) == rearrange(y)):
-            failures += 1
-    return CriterionResult(
-        3, "Ryff recovery on atomless spaces", trials, failures, time.perf_counter() - start
-    )
+        yield check_extreme(x, y).extreme == (rearrange(x) == rearrange(y))
 
 
-def criterion_witnesses(seed: int, trials: int = 1000) -> CriterionResult:
+@_criterion(4, "witness soundness and completeness", 1000)
+def criterion_witnesses(seed: int, trials: int):
     """4: every NotExtreme verdict carries an exactly verified witness;
     construction never fails on a criterion-violating input."""
     rng = SplitMix64(seed)
-    checked = 0
-    failures = 0
-    start = time.perf_counter()
     makers = [
         lambda: _random_instance(rng, rng.randint(2, 5), 0),
         lambda: _random_instance(rng, 0, rng.randint(2, 5)),
         lambda: _random_instance(rng, rng.randint(1, 3), rng.randint(1, 3)),
     ]
-    guard = 0
+    checked = guard = 0
     while checked < trials and guard < 20 * max(trials, 1):
         guard += 1
         y = makers[guard % 3]()
         x = sample_orbit(y, rng.next_u64())
-        try:
-            verdict = check_extreme(x, y)
-        except MajorbitError:
-            failures += 1
+        verdict = check_extreme(x, y)
+        if not verdict.extreme:
             checked += 1
-            continue
-        if verdict.extreme:
-            continue
-        checked += 1
-        w = verdict.witness
-        if w is None or not verify_witness(x, y, w):
-            failures += 1
-    return CriterionResult(
-        4, "witness soundness and completeness", checked, failures, time.perf_counter() - start
-    )
+            w = verdict.witness
+            yield w is not None and verify_witness(x, y, w)
 
 
-def criterion_golden(seed: int = 0, trials: int = 3) -> CriterionResult:
+@_criterion(5, "golden weighted examples", 3)
+def criterion_golden(seed: int, trials: int):
     """5: exact golden weighted examples, re-verified against the rank
     oracle and a bounded perturbation search."""
-    start = time.perf_counter()
-    failures = 0
-
     # (a) weights (1/2,1/4,1/4), y=(4,2,0), x=(3,4,0): extreme by condition 2
     space = MeasureSpace(
         (("a", Fraction(1, 2)), ("b", Fraction(1, 4)), ("c", Fraction(1, 4))),
@@ -228,12 +215,7 @@ def criterion_golden(seed: int = 0, trials: int = 3) -> CriterionResult:
     y = SimpleFunction(space, {"a": 4, "b": 2, "c": 0})
     x = SimpleFunction(space, {"a": 3, "b": 4, "c": 0})
     verdict = check_extreme(x, y)
-    if not (
-        verdict.extreme
-        and verdict.conditions == (1, 2, 1)
-        and oracle_extreme(x, y)
-    ):
-        failures += 1
+    yield verdict.extreme and verdict.conditions == (1, 2, 1) and oracle_extreme(x, y)
 
     # (b) weights (2/3,1/3), y=(3,0): exactly two extreme points
     space2 = MeasureSpace((("A", Fraction(2, 3)), ("B", Fraction(1, 3))), Fraction(0))
@@ -241,8 +223,7 @@ def criterion_golden(seed: int = 0, trials: int = 3) -> CriterionResult:
     found = {
         (f.atom_values["A"], f.atom_values["B"]) for f in enumerate_extreme(y2)
     }
-    if found != {(Fraction(3), Fraction(0)), (Fraction(3, 2), Fraction(3))}:
-        failures += 1
+    yield found == {(Fraction(3), Fraction(0)), (Fraction(3, 2), Fraction(3))}
 
     # (c) half-diffuse space: y = (4 on 1/4) + (2 on 1/4) + atom 0;
     #     x = 0 on the diffuse part, atom value twice the diffuse integral
@@ -252,13 +233,10 @@ def criterion_golden(seed: int = 0, trials: int = 3) -> CriterionResult:
     )
     x3 = SimpleFunction(space3, {"e": 3}, ((Fraction(0), Fraction(1, 2)),))
     verdict3 = check_extreme(x3, y3)
-    if not (verdict3.extreme and verdict3.conditions == (2, 1)):
-        failures += 1
-    if perturbation_search_finds_witness(x3, y3, SplitMix64(seed + 17), attempts=200):
-        failures += 1
-
-    return CriterionResult(
-        5, "golden weighted examples", 3, failures, time.perf_counter() - start
+    yield (
+        verdict3.extreme
+        and verdict3.conditions == (2, 1)
+        and not perturbation_search_finds_witness(x3, y3, SplitMix64(seed + 17), attempts=200)
     )
 
 
@@ -313,52 +291,36 @@ def _dyadic_sqrt_inverse_pieces() -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(pieces)
 
 
-def criterion_truncation_family(seed: int = 0, trials: int = 9) -> CriterionResult:
+@_criterion(6, "truncation family extremality", 9)
+def criterion_truncation_family(seed: int, trials: int):
     """6: truncating the decreasing step density at any piece boundary and
     giving the atom twice the cut tail is always extreme."""
-    start = time.perf_counter()
-    failures = 0
     pieces = _dyadic_sqrt_inverse_pieces()
     space = MeasureSpace((("e", Fraction(1, 2)),), Fraction(1, 2))
     y = SimpleFunction(space, {"e": 0}, pieces)
-    boundaries = range(len(pieces) + 1)
-    count = 0
-    for keep in boundaries:
-        count += 1
+    for keep in range(len(pieces) + 1):
         tail = sum((v * m for v, m in pieces[keep:]), Fraction(0))
         new_pieces = tuple(
             (v if i < keep else Fraction(0), m) for i, (v, m) in enumerate(pieces)
         )
         x = SimpleFunction(space, {"e": 2 * tail}, new_pieces)
-        try:
-            if not check_extreme(x, y).extreme:
-                failures += 1
-        except MajorbitError:
-            failures += 1
-    return CriterionResult(
-        6, "truncation family extremality", count, failures, time.perf_counter() - start
-    )
+        yield check_extreme(x, y).extreme
 
 
-def criterion_matrix(seed: int, trials: int = 200) -> CriterionResult:
+@_criterion(7, "matrix suite", 200)
+def criterion_matrix(seed: int, trials: int):
     """7: Schur inclusion for random unitaries; diagonal extremality matches
     the atomic model; Birkhoff and T-transform contracts."""
     rng = SplitMix64(seed)
-    failures = 0
-    start = time.perf_counter()
-    ran = 0
 
     for _ in range(trials):
-        ran += 1
         n = rng.randint(1, 8)
         y = random_hermitian(rng, n)
         u = random_unitary(rng, n)
         tol = 1e-8 * (1.0 + gershgorin_bound(y.entries))
-        if not schur_horn_check(y, u, tol=tol).holds:
-            failures += 1
+        yield schur_horn_check(y, u, tol=tol).holds
 
     for _ in range(trials):
-        ran += 1
         n = rng.randint(1, 8)
         spectrum = [Fraction(rng.randint(-4, 8)) for _ in range(n)]
         u = random_unitary(rng, n)
@@ -374,44 +336,26 @@ def criterion_matrix(seed: int, trials: int = 200) -> CriterionResult:
             x_model = sample_orbit(y_model, rng.next_u64())
             x_values = [x_model.atom_values[f"e{i}"] for i in range(n)]
         expected = check_extreme(_equal_weight_model(x_values), y_model).extreme
-        try:
-            got = check_extreme_diag(diag_operator(x_values), y_op)
-        except MajorbitError:
-            failures += 1
-            continue
-        if got != expected:
-            failures += 1
+        yield check_extreme_diag(diag_operator(x_values), y_op) == expected
 
     for _ in range(trials):
-        ran += 1
         n = rng.randint(2, 8)
         ds = random_doubly_stochastic(rng, n)
         decomposition = birkhoff_decompose(ds)
         residual = np.max(np.abs(decomposition.matrix(n) - ds.entries))
-        if (
+        yield not (
             residual > 1e-10
             or len(decomposition.terms) > (n - 1) ** 2 + 1
             or abs(sum(c for c, _ in decomposition.terms) - 1.0) > 1e-12
-        ):
-            failures += 1
+        )
 
     for _ in range(trials):
-        ran += 1
         n = rng.randint(1, 8)
         y_vec = np.array([rng.randint(-4, 8) for _ in range(n)], dtype=float)
         mix = random_doubly_stochastic(rng, n) if n > 1 else None
         x_vec = mix.entries @ y_vec if mix is not None else y_vec.copy()
-        try:
-            s = t_transform_chain(x_vec, y_vec)
-        except MajorbitError:
-            failures += 1
-            continue
-        if np.max(np.abs(s.entries @ y_vec - x_vec)) > 1e-10:
-            failures += 1
-
-    return CriterionResult(
-        7, "matrix suite", ran, failures, time.perf_counter() - start
-    )
+        s = t_transform_chain(x_vec, y_vec)
+        yield not np.max(np.abs(s.entries @ y_vec - x_vec)) > 1e-10
 
 
 def criterion_identities(seed: int, trials: int = 200) -> CriterionResult:
@@ -430,15 +374,16 @@ def criterion_identities(seed: int, trials: int = 200) -> CriterionResult:
     )
 
 
+# each criterion's full count is the default of its trials parameter
 CRITERIA = [
-    ("agreement", criterion_agreement, 1000),
-    ("hlp", criterion_hlp, len(_HLP_CASES)),
-    ("ryff", criterion_ryff, 500),
-    ("witnesses", criterion_witnesses, 1000),
-    ("golden", criterion_golden, 3),
-    ("truncation", criterion_truncation_family, 9),
-    ("matrix", criterion_matrix, 200),
-    ("identities", criterion_identities, 200),
+    criterion_agreement,
+    criterion_hlp,
+    criterion_ryff,
+    criterion_witnesses,
+    criterion_golden,
+    criterion_truncation_family,
+    criterion_matrix,
+    criterion_identities,
 ]
 
 
@@ -448,8 +393,9 @@ def run_all(seed: int = 1, trials: int | None = None):
     all_passed)."""
     results = []
     overall_start = time.perf_counter()
-    for index, (name, fn, default) in enumerate(CRITERIA, start=1):
-        count = default if trials is None else max(1, round(default * trials / 1000))
+    for fn in CRITERIA:
+        (full,) = fn.__defaults__
+        count = full if trials is None else max(1, round(full * trials / 1000))
         results.append(fn(seed, count))
         print(results[-1].line(), file=sys.stderr)
     total = time.perf_counter() - overall_start

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from majorbit import cli
+from majorbit.errors import InternalError, NotInOrbit
 from majorbit.selftest import CriterionResult
 
 CONST5 = {
@@ -189,10 +190,46 @@ def test_selftest_detects_corruption(capsys, monkeypatch):
     def broken(seed, trials=1):
         return CriterionResult(1, "broken", 1, 1, 0.0)
 
-    monkeypatch.setattr(st, "CRITERIA", [("broken", broken, 1000)])
+    monkeypatch.setattr(st, "CRITERIA", [broken])
     code, doc = run(capsys, ["selftest", "--trials", "1000"])
     assert code == 1
     assert doc["passed"] is False
+
+
+@pytest.mark.parametrize("name, error, faulted", [
+    ("enumerate_extreme", NotInOrbit, [2, 5]),
+    ("birkhoff_decompose", InternalError, [7]),
+])
+def test_selftest_library_error_is_a_failed_trial(capsys, monkeypatch, name, error, faulted):
+    """A library error inside a criterion ends it with a failed trial, and
+    the other criteria still run: exit 1, not the error's own exit code."""
+    from majorbit import selftest as st
+
+    def fault(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(st, name, fault)
+    code = cli.main(["selftest", "--seed", "7", "--trials", "1"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1 and doc["passed"] is False
+    assert [c["index"] for c in doc["criteria"]] == list(range(1, 9))
+    assert [c["index"] for c in doc["criteria"] if not c["passed"]] == faulted
+    failed = [line.split()[1] for line in captured.err.splitlines() if ": FAIL [" in line]
+    assert failed == [str(index) for index in faulted]
+
+
+@pytest.mark.parametrize("trials, digest", [
+    ("1", "89c367f0cf20b4a4d5be49328239f35bed350b5a2ab0f701c239e9406d1f961c"),
+    ("40", "1627a510a86266b5c1b766abc5dafac768093b52322ab3f42499bfff6f1ca166"),
+])
+def test_selftest_stdout_is_pinned(capsys, trials, digest):
+    """Each criterion's trials and failures at seed 7, pinned to what the
+    hand-counted criteria printed: a change of instance order or of
+    counting shows here even when every criterion still passes."""
+    assert cli.main(["selftest", "--seed", "7", "--trials", trials]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -154,6 +154,25 @@ def test_verify_witness_rejects_a_change_outside_the_region():
     assert not verify_witness(x, y, WitnessPair(plus, minus, Perturbation(u, delta, SPLIT_LEVEL)))
 
 
+def test_verify_witness_rejects_a_direction_on_three_levels():
+    """u = 1_a + 1_b - 2 1_c integrates to zero, and x +- u/100 stay in
+    the orbit and change the scale only inside the region u touches; but
+    u moves three levels of x, and a witness direction moves one or two.
+
+    Two other gates in verify_witness are equivalent mutants, which no
+    test can kill:
+    - dropping the distinctness test: x+ = x- only when u is 0, which
+      touches no level, so the level count rejects it;
+    - dropping the zero-integral test: x+ and x- both majorised by y have
+      equal integrals, which forces the integral of u to be 0."""
+    x, y = mkatomic([3, 2, 1, 0]), mkatomic([6, 0, 0, 0])
+    u = mkatomic([1, 1, -2, 0])
+    delta = frac("1/100")
+    plus = add_functions(x, scale_function(u, delta))
+    minus = add_functions(x, scale_function(u, -delta))
+    assert not verify_witness(x, y, WitnessPair(plus, minus, Perturbation(u, delta, TWO_VALUES)))
+
+
 def test_split_level_on_single_diffuse_piece():
     y = mkdiffuse([(3, "1/2"), (1, "1/2")])
     x = mkdiffuse([(2, "1")])
