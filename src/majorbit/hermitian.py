@@ -38,8 +38,9 @@ def _maxabs(a) -> float:
 
 
 def gershgorin_bound(a: np.ndarray) -> float:
-    """Row-sum bound on the spectral radius."""
-    return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
+    """Row-sum bound on the spectral radius; inf where a row sum overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
 
 
 def _square_finite(entries, dtype, tol: float) -> np.ndarray:
@@ -89,7 +90,9 @@ class HermitianOperator:
             raise SchemaError("absolute row sums of the entries overflow the float range")
         if tol is None:
             tol = TOL_COEFFICIENT * (1.0 + bound)
-        if _maxabs(a - a.conj().T) > tol:
+        with np.errstate(over="ignore"):  # an overflowing difference is rejected
+            asymmetry = _maxabs(a - a.conj().T)
+        if asymmetry > tol:
             raise NotHermitian("matrix differs from its adjoint beyond tolerance")
         self.entries = a
         self.tol = float(tol)
@@ -272,10 +275,9 @@ class DoublyStochastic:
         if float(np.min(a)) < -tol:
             raise NotDoublyStochastic("negative entry")
         ones = np.ones(a.shape[0])
-        if (
-            _maxabs(a.sum(axis=0) - ones) > tol
-            or _maxabs(a.sum(axis=1) - ones) > tol
-        ):
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected
+            drift = max(_maxabs(a.sum(axis=0) - ones), _maxabs(a.sum(axis=1) - ones))
+        if drift > tol:
             raise NotDoublyStochastic("row or column sums differ from 1")
         self.entries = a
         self.tol = float(tol)
@@ -312,33 +314,42 @@ class BirkhoffDecomposition:
         }
 
 
-def _perfect_matching(matrix: np.ndarray, threshold: float) -> list[int] | None:
-    """Row -> column perfect matching on entries above threshold (Kuhn's
+def _perfect_matching(
+    support: list[int], match: list[int], owner: list[int], trail: list[list[int]], start: int
+) -> list[int] | None:
+    """Row -> column perfect matching on the rows' column bitmasks (Kuhn's
     augmenting-path algorithm): rows in order, each row's columns in
-    increasing order, the path on an explicit stack rather than recursion."""
-    n = matrix.shape[0]
-    support = [[col for col, above in enumerate(row) if above]
-               for row in (matrix > threshold).tolist()]
-    owner = [-1] * n  # column -> row
-    match = [-1] * n  # row -> column
-    for root in range(n):
-        seen = set()
-        path = [(root, iter(support[root]))]
-        while path:
-            for col in path[-1][1]:  # the top row resumes its own columns
-                if col not in seen:
-                    seen.add(col)
-                    break
-            else:  # no augmenting path through the top row
+    increasing order, the path on an explicit stack rather than recursion.
+    match/owner keep the last call's matching, trail[r] the path that matched
+    root r. Kuhn's state after root r reads only rows 0..r, so once supports
+    have only lost entries, none before row ``start``, the search resumes there."""
+    while len(trail) > start:  # each row on the path takes back the column above it
+        col = -1
+        for row in trail.pop():
+            match[row], col = col, match[row]
+            if match[row] != -1:
+                owner[match[row]] = row
+        owner[col] = -1
+    for root in range(len(trail), len(support)):
+        seen, path, top = 0, [root], root
+        while True:
+            free = support[top] & ~seen  # the top row's untried columns
+            if not free:  # no augmenting path through the top row
                 path.pop()
+                if not path:
+                    return None
+                top = path[-1]
                 continue
-            if owner[col] == -1:  # free: each row on the path shifts one column
-                for row, _ in reversed(path):
+            bit = free & -free
+            seen |= bit
+            col = bit.bit_length() - 1
+            top = owner[col]
+            if top == -1:  # free: each row on the path shifts one column
+                for row in reversed(path):
                     owner[col], match[row], col = row, col, match[row]
+                trail.append(path)
                 break
-            path.append((owner[col], iter(support[owner[col]])))
-        else:
-            return None
+            path.append(top)
     return match
 
 
@@ -373,30 +384,40 @@ def _caratheodory_prune(
 
 def birkhoff_decompose(s: DoublyStochastic) -> BirkhoffDecomposition:
     """Greedy Birkhoff-von Neumann decomposition, pruned to at most
-    (n-1)^2 + 1 terms; reconstruction residual stays within 10 * tol."""
+    (n-1)^2 + 1 terms; reconstruction residual stays within 10 * tol.
+    Extraction stops at a leftover with no perfect matching, which
+    normalising absorbs; an input then out of contract, or with no
+    perfect matching at all, raises NotDoublyStochastic."""
     n = s.n
-    work = s.entries.copy()
     # extraction threshold is float-noise level, not the validation tol:
     # leftovers below it keep the residual well under the 1e-10 contract
-    threshold = 1e-14 * (1.0 + _maxabs(work))
-    rows = np.arange(n)
+    threshold = 1e-14 * (1.0 + _maxabs(s.entries))
+    above = s.entries > threshold
+    support = [int.from_bytes(row, "little") for row in np.packbits(above, 1, bitorder="little")]
+    # the entries above threshold by flat index, as Python floats: no other
+    # entry is read, and subtracting the minimum leaves none negative
+    cells = dict(zip(np.flatnonzero(above).tolist(), s.entries[above].tolist()))
+    match, owner, trail, start = [-1] * n, [-1] * n, [], 0
     coeffs: list[float] = []
     perms: list[tuple[int, ...]] = []
-    for _ in range(n * n + 1):
-        if _maxabs(work) <= threshold:
-            break
-        perm = _perfect_matching(work, threshold)
+    while any(support):  # each term takes at least one entry out of the support
+        perm = _perfect_matching(support, match, owner, trail, start)
         if perm is None:
-            raise NotDoublyStochastic(
-                "no perfect matching on the positive support; input too far "
-                "from doubly stochastic"
-            )
-        cols = np.asarray(perm)
-        coeff = float(work[rows, cols].min())
+            if not coeffs:
+                raise NotDoublyStochastic(
+                    "no perfect matching on the positive support; input too far "
+                    "from doubly stochastic"
+                )
+            break  # a leftover without one: normalising and the residual check decide
+        coeff = min([cells[row * n + col] for row, col in enumerate(perm)])
         coeffs.append(coeff)
         perms.append(tuple(perm))
-        work[rows, cols] -= coeff
-        work[work < 0] = 0.0
+        start = n
+        for row, col in enumerate(perm):
+            cells[row * n + col] -= coeff
+            if cells[row * n + col] <= threshold:  # the entry leaves the support
+                support[row] ^= 1 << col
+                start = min(start, row)
     total = sum(coeffs)
     if total <= 0:
         raise NotDoublyStochastic("matrix has no doubly stochastic part")
@@ -407,8 +428,9 @@ def birkhoff_decompose(s: DoublyStochastic) -> BirkhoffDecomposition:
     coeffs = [c / total for c in coeffs]
     decomposition = BirkhoffDecomposition(tuple(zip(coeffs, perms)))
     residual = _maxabs(decomposition.matrix(n) - s.entries)
-    if residual > 10 * s.tol:
-        raise InternalError(f"reconstruction residual {residual} out of contract")
+    if residual > 10 * s.tol:  # after a stop on a leftover, the input is at fault
+        error = NotDoublyStochastic if perm is None else InternalError
+        raise error(f"reconstruction residual {residual} out of contract")
     return decomposition
 
 

@@ -326,11 +326,13 @@ def common_refinement(a, b):
     rem_a = a[0][1] if a else ZERO
     rem_b = b[0][1] if b else ZERO
     while i < len(a) and j < len(b):
-        step = min(rem_a, rem_b)
-        yield a[i][0], b[j][0], step
-        rem_a -= step
-        rem_b -= step
-        if rem_a == 0:
+        if rem_b < rem_a:  # b's step ends first; a's goes on shortened
+            yield a[i][0], b[j][0], rem_b
+            rem_a -= rem_b
+            rem_b = ZERO
+        else:  # a's step ends, and b's too if the remainders were equal
+            yield a[i][0], b[j][0], rem_a
+            rem_b -= rem_a
             i += 1
             rem_a = a[i][1] if i < len(a) else ZERO
         if rem_b == 0:

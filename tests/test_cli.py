@@ -493,3 +493,19 @@ def test_birkhoff_stdout_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a36469d85adc51faeecc8279786cafebb3aae635371f1d6fee37efffd7fa9f57"
     )
+
+
+def test_birkhoff_decomposes_a_rounded_matrix(tmp_path, capsys):
+    """A doubly stochastic matrix printed to 12 decimals is accepted within
+    the default tolerance; its greedy leftover has no perfect matching,
+    which once made this call exit 2."""
+    from majorbit.hermitian import random_doubly_stochastic
+    from majorbit.prng import SplitMix64
+
+    rng = SplitMix64(5)
+    for _ in range(3):
+        entries = random_doubly_stochastic(rng, rng.randint(2, 12)).entries
+    rounded = [[round(v, 12) for v in row] for row in entries.tolist()]
+    path = write(tmp_path, "s.json", {"n": len(rounded), "re": rounded})
+    code, doc = run(capsys, ["birkhoff", "-f", path])
+    assert code == 0 and doc["residual"] <= 1e-8

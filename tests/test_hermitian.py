@@ -84,6 +84,10 @@ def test_non_finite_input_is_rejected():
         HermitianOperator([[1e308, 1e308], [1e308, 1e308]])  # default tol is inf
     with pytest.raises(SchemaError):  # row sums overflow whatever the tolerance
         HermitianOperator([[1.5e308, 1.5e308], [1.5e308, 1.5e308]], tol=1.0)
+    with pytest.raises(NotHermitian):  # the difference from the adjoint overflows
+        HermitianOperator([[0.0, 1e308], [-1e308, 0.0]])
+    with pytest.raises(NotDoublyStochastic):  # row and column sums overflow
+        DoublyStochastic([[1e308, 1e308], [1e308, 1e308]])
     with pytest.raises(SchemaError):
         t_transform_chain([], [])
     for tol in (nan, inf, -1.0):
@@ -406,6 +410,11 @@ def reference_perfect_matching(matrix: np.ndarray, threshold: float) -> list[int
     return perm
 
 
+def bitmasks(above: np.ndarray) -> list[int]:
+    """Each row's support as an int, bit c set for column c."""
+    return [sum(1 << col for col in np.flatnonzero(row).tolist()) for row in above]
+
+
 def reference_birkhoff_terms(s: DoublyStochastic):
     n = s.n
     work = s.entries.copy()
@@ -415,6 +424,8 @@ def reference_birkhoff_terms(s: DoublyStochastic):
         if float(np.max(np.abs(work))) <= threshold:
             break
         perm = reference_perfect_matching(work, threshold)
+        if perm is None:
+            raise NotDoublyStochastic("no perfect matching")
         coeff = float(min(work[row, perm[row]] for row in range(n)))
         coeffs.append(coeff)
         perms.append(tuple(perm))
@@ -492,7 +503,7 @@ def test_caratheodory_columns_match_the_loop():
 def test_birkhoff_extraction_matches_the_loop():
     rng = SplitMix64(33)
     for _ in range(200):
-        n = rng.randint(2, 9)
+        n = rng.randint(2, 16)
         ds = random_doubly_stochastic(rng, n)
         coeffs, perms = reference_birkhoff_terms(ds)
         terms = birkhoff_decompose(ds).terms
@@ -512,10 +523,79 @@ def test_perfect_matching_matches_the_recursion():
             [[rng.random() if rng.random() < density else 0.0 for _ in range(n)] for _ in range(n)]
         )
         threshold = 0.25 * rng.random()
-        perm = _perfect_matching(matrix, threshold)
+        perm = _perfect_matching(bitmasks(matrix > threshold), [-1] * n, [-1] * n, [], 0)
         assert perm == reference_perfect_matching(matrix, threshold)
         found[perm is None] += 1
     assert min(found.values()) >= 500
+
+
+def test_resumed_matching_matches_the_recursion():
+    """Supports lose one entry at a time, mostly an entry of the last
+    matching as in the greedy extraction; after each loss the matching
+    resumes at the row that lost it and must equal a search from scratch.
+    A support with no perfect matching keeps none as it loses entries, so
+    each sequence stops three losses after its first None."""
+    rng = SplitMix64(38)
+    found = {True: 0, False: 0}
+    for _ in range(100):
+        n = rng.randint(1, 16)
+        density = 0.3 + 0.7 * rng.random()
+        dense = np.array([[float(rng.random() < density) for _ in range(n)] for _ in range(n)])
+        support = bitmasks(dense > 0.5)
+        match, owner, trail = [-1] * n, [-1] * n, []
+        start, misses = 0, 0
+        while misses < 3:
+            perm = _perfect_matching(support, match, owner, trail, start)
+            assert perm == reference_perfect_matching(dense, 0.5)
+            found[perm is None] += 1
+            misses += perm is None
+            cells = np.argwhere(dense > 0.5).tolist()
+            if not cells:
+                break
+            if perm is not None and rng.random() < 0.8:
+                start = rng.randint(0, n - 1)
+                col = perm[start]
+            else:
+                start, col = cells[rng.randint(0, len(cells) - 1)]
+            dense[start, col] = 0.0
+            support[start] ^= 1 << col
+    assert min(found.values()) >= 200
+
+
+def rounded_corpus():
+    """Seeded doubly stochastic matrices rounded to 12 decimals, then eye(3)
+    with one entry of -5e-10 that its row makes up: all within the
+    default tolerance, and many leave the greedy extraction a leftover
+    above its threshold that has no perfect matching."""
+    rng = SplitMix64(5)
+    for _ in range(200):
+        yield np.round(random_doubly_stochastic(rng, rng.randint(2, 12)).entries, 12)
+    tilted = np.eye(3)
+    tilted[0, 1], tilted[0, 0] = -5e-10, 1 + 5e-10
+    yield tilted
+
+
+def test_birkhoff_decomposes_every_accepted_matrix():
+    """Extraction stops at a leftover without a perfect matching once it has
+    a term, and normalising absorbs the leftover. Where the loop finds a
+    matching for every term the terms are the loop's, bit for bit."""
+    stopped = 0
+    for entries in rounded_corpus():
+        ds = DoublyStochastic(entries)
+        terms = birkhoff_decompose(ds).terms
+        residual = np.max(np.abs(BirkhoffDecomposition(terms).matrix(ds.n) - entries))
+        assert residual <= 10 * ds.tol
+        try:
+            coeffs, perms = reference_birkhoff_terms(ds)
+        except NotDoublyStochastic:
+            stopped += 1
+            continue
+        assert np.array([c for c, _ in terms]).tobytes() == np.array(coeffs).tobytes()
+        assert [p for _, p in terms] == perms
+    assert stopped >= 50
+    ds.tol = 1e-12  # the tilted eye(3) under a tol below its 5e-10 leftover
+    with pytest.raises(NotDoublyStochastic):
+        birkhoff_decompose(ds)
 
 
 def test_t_transform_conjugation_matches_permutation_products():
