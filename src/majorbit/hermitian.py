@@ -203,23 +203,36 @@ def schur_horn_check(
     return matrix_majorise(diag_expectation(conjugated), y, tol)
 
 
-def _equal_weight_model(values: list[Fraction]) -> SimpleFunction:
-    n = len(values)
-    space = MeasureSpace(
-        tuple((f"e{i}", Fraction(1, n)) for i in range(n)), Fraction(0)
-    )
-    return SimpleFunction(space, {f"e{i}": values[i] for i in range(n)})
+def _equal_weight_models(*value_lists: list[Fraction]) -> list[SimpleFunction]:
+    """Functions on one space of n atoms e0, e1, ... of mass 1/n each."""
+    n = len(value_lists[0])
+    space = MeasureSpace(tuple((f"e{i}", Fraction(1, n)) for i in range(n)), Fraction(0))
+    return [SimpleFunction(space, dict(zip(space.atom_ids, values))) for values in value_lists]
+
+
+_SNAP_DENOMINATOR = 10**6
 
 
 def _faithful_snap(values: np.ndarray, tol: float):
-    """Rationals with denominators up to 10**6 reproducing the floats
-    within tol, or None when the data is not that clean."""
+    """Fraction(v).limit_denominator(_SNAP_DENOMINATOR) for each float v,
+    or None when one of them lies further than tol from its snap. The
+    continued fraction runs on v.as_integer_ratio(): the last convergent
+    p1/q1 within the bound, or the semiconvergent after it when that is
+    strictly closer, which is when 2 d (q0 + k q1) > den for the final
+    remainder d."""
     snapped = []
-    for value in values:
-        q = Fraction(float(value)).limit_denominator(10**6)
-        if abs(float(q) - float(value)) > tol:
+    for value in values.tolist():
+        num, den = value.as_integer_ratio()
+        if den > _SNAP_DENOMINATOR:
+            p0, q0, p1, q1, n, d = 0, 1, 1, 0, num, den
+            while q0 + (n // d) * q1 <= _SNAP_DENOMINATOR:
+                a = n // d
+                p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
+            k = (_SNAP_DENOMINATOR - q0) // q1
+            num, den = (p1, q1) if 2 * d * (q0 + k * q1) <= den else (p0 + k * p1, q0 + k * q1)
+        if abs(num / den - value) > tol:
             return None
-        snapped.append(q)
+        snapped.append(Fraction(num, den))
     return snapped
 
 
@@ -257,10 +270,8 @@ def _diag_model_verdict(
     y_vals = _faithful_snap(y.eigensystem()[0], snap_tol)
     if x_vals is None or y_vals is None:
         return None
-    xf = _equal_weight_model(x_vals)
-    yf = _equal_weight_model(y_vals)
     try:
-        return check_extreme(xf, yf).extreme
+        return check_extreme(*_equal_weight_models(x_vals, y_vals)).extreme
     except NotInOrbit:
         return None
 
@@ -452,9 +463,12 @@ def t_transform_chain(x, y) -> DoublyStochastic:
     order_x = np.argsort(-x, kind="stable")
     order_y = np.argsort(-y, kind="stable")
     xs, ys = x[order_x], y[order_y]
-    if float(np.max(np.cumsum(xs) - np.cumsum(ys))) > close or abs(
-        float(np.sum(xs) - np.sum(ys))
-    ) > close:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
+        gaps = np.cumsum(xs) - np.cumsum(ys)
+        totals = np.array([np.sum(xs), np.sum(ys), ys[0] - ys[-1]])
+    if not (np.all(np.isfinite(gaps)) and np.all(np.isfinite(totals))):
+        raise SchemaError("partial sums or the spread of the entries overflow the float range")
+    if float(np.max(gaps)) > close or abs(float(totals[0] - totals[1])) > close:
         raise NotMajorised("x is not majorised by y")
     s_sorted = np.eye(n)
     work = ys.copy()
@@ -484,16 +498,13 @@ def t_transform_chain(x, y) -> DoublyStochastic:
 # ---------------------------------------------------------------------------
 
 def random_hermitian(rng: SplitMix64, n: int) -> HermitianOperator:
-    g = np.array(
-        [[complex(rng.gauss(), rng.gauss()) for _ in range(n)] for _ in range(n)]
-    )
+    # entries row by row, each a real then an imaginary draw
+    g = np.array(rng.normals(2 * n * n)).view(complex).reshape(n, n)
     return HermitianOperator((g + g.conj().T) / 2.0)
 
 
 def random_unitary(rng: SplitMix64, n: int) -> np.ndarray:
-    g = np.array(
-        [[complex(rng.gauss(), rng.gauss()) for _ in range(n)] for _ in range(n)]
-    )
+    g = np.array(rng.normals(2 * n * n)).view(complex).reshape(n, n)
     # the phases of R's diagonal move into Q, which makes that diagonal
     # positive real and so Q a deterministic function of the sample
     q, r = np.linalg.qr(g)
@@ -553,6 +564,8 @@ def identity_suite(seed: int, n: int, trials: int, tol: float = 1e-8) -> SuiteRe
     (d) midpoint rigidity: if x1 != x2 share a spectrum, the midpoint's
         scale differs from it.
     """
+    if not isinstance(n, int) or n < 1:
+        raise SchemaError(f"n must be an integer >= 1, got {n!r}")
     if trials < 1:
         raise SchemaError(f"trials must be >= 1, got {trials}")
     rng = SplitMix64(seed)

@@ -19,7 +19,7 @@ from .errors import MajorbitError
 from .extremality import check_extreme
 from .hermitian import (
     HermitianOperator,
-    _equal_weight_model,
+    _equal_weight_models,
     birkhoff_decompose,
     check_extreme_diag,
     diag_operator,
@@ -158,7 +158,7 @@ def criterion_hlp(seed: int, trials: int):
     are exactly the multiset permutations of y."""
     for values in _HLP_CASES[: max(trials, 0)]:
         n = len(values)
-        y = _equal_weight_model([Fraction(v) for v in values])
+        [y] = _equal_weight_models([Fraction(v) for v in values])
         found = {
             tuple(f.atom_values[f"e{i}"] for i in range(n))
             for f in enumerate_extreme(y)
@@ -327,15 +327,14 @@ def criterion_matrix(seed: int, trials: int):
         y_op = HermitianOperator(
             u @ np.diag([float(v) for v in spectrum]) @ u.conj().T
         )
-        y_model = _equal_weight_model(spectrum)
         if rng.next_u64() & 1:
             ordering = list(range(n))
             rng.shuffle(ordering)
             x_values = [spectrum[j] for j in ordering]
         else:
-            x_model = sample_orbit(y_model, rng.next_u64())
+            x_model = sample_orbit(_equal_weight_models(spectrum)[0], rng.next_u64())
             x_values = [x_model.atom_values[f"e{i}"] for i in range(n)]
-        expected = check_extreme(_equal_weight_model(x_values), y_model).extreme
+        expected = check_extreme(*_equal_weight_models(x_values, spectrum)).extreme
         yield check_extreme_diag(diag_operator(x_values), y_op) == expected
 
     for _ in range(trials):

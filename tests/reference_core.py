@@ -9,8 +9,12 @@ same Fractions, verdicts, reports and witnesses. ``_slack_components``
 reads the strictly positive stretches of the slack off the Fraction
 report, where the library reads them as runs of levels between zero
 level-end slacks (``witness._positive_run``).
+
+``ScalarGauss`` keeps the one-call-per-deviate Box-Muller that
+``SplitMix64.normals`` replaced, as its reference.
 """
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -40,6 +44,7 @@ from majorbit.measure import (
     equal_ae,
     scale_function,
 )
+from majorbit.prng import SplitMix64
 from majorbit.scales import MajorisationReport, StepScale
 from majorbit.witness import (
     SPLIT_LEVEL,
@@ -359,3 +364,23 @@ def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool
         if steps_on_interval(p_scale, s4, ONE) != steps_on_interval(x_scale, s4, ONE):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Gaussian draws
+# ---------------------------------------------------------------------------
+
+
+class ScalarGauss(SplitMix64):
+    def gauss(self) -> float:
+        """Standard normal via Box-Muller, caching the spare deviate."""
+        if self._spare_gauss is not None:
+            value, self._spare_gauss = self._spare_gauss, None
+            return value
+        u1 = self.random()
+        while u1 == 0.0:
+            u1 = self.random()
+        u2 = self.random()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        self._spare_gauss = radius * math.sin(2.0 * math.pi * u2)
+        return radius * math.cos(2.0 * math.pi * u2)

@@ -357,11 +357,16 @@ OVER_RANGE = int("9" * 400)
         ("birkhoff -f {0}", [{"re": [[OVER_RANGE]]}]),
         ("ttransform -x {0} -y {1}", [[OVER_RANGE], [1]]),
         ("ttransform -x {0} -y {1}", [["1"], [str(OVER_RANGE)]]),
+        # finite entries whose sums or spread overflow: once InternalError, exit 3
+        ("ttransform -x {0} -y {1}", [[1.7e308, 1.7e308], [1.7e308, 1.6e308]]),
+        ("ttransform -x {0} -y {1}", [[1.7e308, 1.6e308], [1.7e308, 1.7e308]]),
+        ("ttransform -x {0} -y {1}", [[0.0, 0.0], [1e308, -1e308]]),
     ],
     ids=["ragged-rows", "string-entries", "overflowing-spectrum", "empty-vectors", "zero-snap",
          "diffuse-not-a-list", "overlong-ratstr", "huge-integer-in-a-string-document",
          "over-range-eig", "over-range-majorise", "over-range-extreme", "over-range-birkhoff",
-         "over-range-ttransform", "over-range-ratstr-ttransform"],
+         "over-range-ttransform", "over-range-ratstr-ttransform", "overflowing-sums-ttransform",
+         "overflowing-sums-ttransform-swapped", "overflowing-spread-ttransform"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, docs):
     paths = [write(tmp_path, f"d{i}.json", doc) for i, doc in enumerate(docs)]

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 from itertools import permutations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import majorbit.hermitian as hermitian
 from majorbit.errors import (
@@ -23,6 +26,7 @@ from majorbit.hermitian import (
     DoublyStochastic,
     HermitianOperator,
     _caratheodory_prune,
+    _faithful_snap,
     _perfect_matching,
     birkhoff_decompose,
     check_extreme_diag,
@@ -71,6 +75,14 @@ def test_identity_suite_rejects_vacuous_trial_counts():
     assert identity_suite(1, n=3, trials=1).trials == dict.fromkeys(
         ("pairing_bound", "projection_supremum", "projection_sandwich", "midpoint_rigidity"), 1
     )
+
+
+def test_identity_suite_rejects_a_dimension_that_is_not_a_positive_int():
+    """n = 0 used to raise ValueError("empty range") from randint, and
+    n = 1.5 a TypeError."""
+    for n in (0, -2, 1.5, 3.0, "3", None):
+        with pytest.raises(SchemaError):
+            identity_suite(1, n=n, trials=1)
 
 
 def test_non_finite_input_is_rejected():
@@ -207,6 +219,49 @@ def test_check_extreme_diag_matches_atomic_model():
         values = [x_model.atom_values[f"e{i}"] for i in range(n)]
         expected = check_extreme(x_model, y_model).extreme
         assert check_extreme_diag(diag_operator(values), y_op) == expected
+
+
+# a float within 1e-13 of p/q, q up to twice the snap bound
+near_rationals = st.builds(
+    lambda p, q, offset: p / q + offset,
+    st.integers(-(10**7), 10**7),
+    st.integers(1, 2 * 10**6),
+    st.floats(-1e-13, 1e-13),
+)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | near_rationals,
+                min_size=1, max_size=6),
+       st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, math.inf]))
+@example([5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.0, -0.0], math.inf)
+@example([1 / 3, -2 / 7, 0.1, 999999 / 1000000, 5e-7, 5.000000000000001e-7], 1e-9)
+@example([3.0, -0.25, 0.75, 123456 / 999983], 0.0)
+@settings(max_examples=500)
+def test_faithful_snap_is_limit_denominator(values, tol):
+    """The integer continued fraction gives Fraction.limit_denominator(10**6),
+    and a snap further than tol from its float gives None."""
+    snapped = [Fraction(v).limit_denominator(10**6) for v in values]
+    faithful = all(abs(float(q) - v) <= tol for q, v in zip(snapped, values))
+    assert _faithful_snap(np.array(values), tol) == (snapped if faithful else None)
+
+
+def test_random_families_are_pinned():
+    """sha256 over random_hermitian and random_unitary bytes and the next
+    draw after them, for seeds 0-99 and n = 1-12, then identity_suite(s, 12,
+    3) for s < 20, as the one-gauss()-per-entry construction produced them."""
+    digest = hashlib.sha256()
+    for seed in range(100):
+        for n in range(1, 13):
+            rng = SplitMix64(seed)
+            digest.update(random_hermitian(rng, n).entries.tobytes())
+            digest.update(random_unitary(rng, n).tobytes())
+            digest.update(rng.next_u64().to_bytes(8, "little"))
+    for seed in range(20):
+        report = identity_suite(seed, 12, 3)
+        digest.update(json.dumps(report.serialize(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "77545784be63213bca7049c80f8c05c037d9fdf803774cf836849cd97f18fa4d"
+    )
 
 
 def test_eig_scale_bridges_to_atomic_rearrangement():

@@ -68,6 +68,16 @@ def test_exact_subcommands_import_only_the_exact_core(tmp_path):
     assert stages["matrix-eig"] == [0, ["numpy", "majorbit.hermitian"]]
 
 
+def test_prng_draws_load_no_numpy():
+    """numpy is imported inside SplitMix64.normals only."""
+    script = ("import sys\nfrom majorbit.prng import SplitMix64\nrng = SplitMix64(1)\n"
+              "rng.random()\nprint('numpy' in sys.modules)\n"
+              "rng.normals(1)\nprint('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["False", "True"]  # the second: the probe sees a load
+
+
 def test_every_public_name_resolves():
     for name in majorbit.__all__:
         assert getattr(majorbit, name) is not None, name
