@@ -54,12 +54,13 @@ class CriterionSatisfied(MajorbitError):
 
 
 class NotAtomic(MajorbitError):
-    """Operation requires a purely atomic space but diffuse mass is present."""
+    """enumerate_extreme requires a purely atomic space but diffuse mass is
+    present."""
 
 
 class SizeLimit(MajorbitError):
-    """Instance too large: for exhaustive subset enumeration, or a rational
-    too long to print under Python's int-string conversion limit."""
+    """Instance too large: too many atoms for enumerate_extreme, or a
+    rational too long to print under Python's int-string conversion limit."""
 
 
 class NotHermitian(MajorbitError):

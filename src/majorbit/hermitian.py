@@ -24,7 +24,7 @@ from .errors import (
     NotUnitary,
     SchemaError,
 )
-from .extremality import check_extreme
+from .extremality import evaluate_conditions
 from .measure import MeasureSpace, SimpleFunction, common_refinement
 from .prng import SplitMix64
 from .scales import MajorisationReport, StepScale, majorise_check
@@ -270,10 +270,11 @@ def _diag_model_verdict(
     y_vals = _faithful_snap(y.eigensystem()[0], snap_tol)
     if x_vals is None or y_vals is None:
         return None
-    try:
-        return check_extreme(*_equal_weight_models(x_vals, y_vals)).extreme
+    try:  # the verdict needs the conditions only, not a witness
+        conditions = evaluate_conditions(*_equal_weight_models(x_vals, y_vals))[1]
     except NotInOrbit:
         return None
+    return all(c is not None for c in conditions)
 
 
 # ---------------------------------------------------------------------------

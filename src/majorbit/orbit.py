@@ -1,98 +1,111 @@
-"""Independent ground truth for the orbit on purely atomic spaces.
+"""Independent ground truth for the orbit, on every finite measure space.
 
-On a space of n atoms the orbit of y is the polytope cut out by one
-inequality per nonempty atom subset S,
+On a space of n atoms with weights w_i, the orbit of y is the polytope cut
+out by one inequality per nonempty atom subset S,
 
-    sum_{i in S} w_i x_i  <=  cumulative_y(w(S)),
+    sum_{i in S} w_i x_i  <=  g(w(S)),   g(s) = integral of y's scale over [0, s],
 
 together with equality at the full set. x is a vertex iff the normals of
 the constraints tight at x span n dimensions; scaling column i by
-w_i > 0 is invertible, so their 0/1 indicators span as well. The oracle
-scales every quantity to integers, walks the subsets in reflected Gray
-order (one atom enters or leaves per step, so the subset's mass and
-weighted sum each change by one add), and lets every tight indicator
-shrink an integer null-space basis; x is a vertex iff the basis empties.
+w_i > 0 is invertible, so their 0/1 indicators span as well.
+
+The tight sets are read off y's supporting lines. g is concave and
+piecewise linear, g(s) = min_k a_k + b_k s over y's steps k, with b_k the
+step's value and a_k = integral of (y - b_k)^+. For x in the orbit, put
+
+    c_k(S) = a_k + sum_{i in S} w_i (b_k - x_i)  >=  g(w(S)) - sum_{i in S} w_i x_i  >=  0.
+
+S is tight exactly when c_k(S) = 0 for some k. Each term w_i (b_k - x_i)
+is negative for i in L_k = {x > b_k}, zero on {x = b_k} and positive
+elsewhere, so c_k is least exactly on the sets between L_k and
+U_k = {x >= b_k}. Line k is therefore tight, c_k(L_k) = 0, or has no
+tight set, and a tight line's tight sets are all the sets between L_k and
+U_k. Their indicators span the same space as 1_{L_k} and e_i for each i
+with x_i = b_k. Collect these e_i over all tight lines into E. The L_k
+are nested, and distinct nonempty nested sets are independent, so the
+rank is |E| plus the number of distinct nonempty sets L_k \\ E. The lowest
+line is always tight (x >= b_K and c_K(all) = g(1) - integral of x = 0),
+and its sets include the full set. One merge of x's levels with y's steps
+finds every tight line, so the test is linear after the sort.
+
+Diffuse mass enters through the halved-level model: keep every atom and
+split the diffuse mass m of each level of x into two carriers of mass m/2
+at the level's value; x is extreme in the orbit of y exactly when the
+model's vector is a vertex of the model's polytope (y is read only
+through its scale).
+
+- Extreme implies vertex. The functions constant on the model's cells
+  form a convex subset of the orbit that contains x, and it is affinely
+  isomorphic to the model's polytope. An extreme point of the orbit stays
+  extreme in any convex subset that contains it.
+- Not extreme implies not a vertex. By the criterion of
+  ``extremality``, some level of x fails both of its conditions. If that
+  level holds no diffuse mass, the direction of the witness that
+  ``witness`` builds for it is constant on each level of x but one, and
+  on that one constant on each atom, hence constant on the model's cells.
+  Otherwise the level is not flat: the slack s, the
+  integral of y's scale minus x's, is concave on the level, not constant
+  there, and at least 0 at its ends. So s is positive inside and lies
+  above the tent through its values at the level's ends and midpoint.
+  Put +delta on one half of the level's diffuse mass and -delta on the
+  other. For small delta no value crosses a neighbouring level, and after
+  rearranging, either sign adds to x's integral a trapezoid over the
+  level, with slopes +-delta and height delta * m / 2, which fits under
+  that tent. The direction is constant on the model's cells, so halving
+  loses no witness direction.
+
 This module contains no floating point at all and shares no logic with
 the per-interval criterion it cross-checks.
 """
 
-from bisect import bisect_left
 from itertools import accumulate, permutations
-from math import gcd
 
 from .errors import InternalError, NotAtomic, NotInOrbit, SchemaError, SizeLimit, UnknownAtomError
-from .measure import ZERO, SimpleFunction, _carrier_table, _over_lcm
+from .measure import ZERO, SimpleFunction, _carrier_table
 from .prng import SplitMix64
-from .scales import StepScale, _holds, _slack_walk, cumulative, rearrange
+from .scales import _holds, _slack_walk, cumulative, rearrange
 
-MAX_ORACLE_ATOMS = 20
 MAX_ENUMERATE_ATOMS = 6
 
 
 def oracle_extreme(x: SimpleFunction, y: SimpleFunction) -> bool:
     """Vertex test: x is extreme iff the indicators of its tight subset
-    constraints span n dimensions. Exact, and independent of the
-    per-interval criterion."""
-    if not x.space.purely_atomic:
-        raise NotAtomic("oracle requires a purely atomic space")
-    n = len(x.space.atoms)
-    if n > MAX_ORACLE_ATOMS:
-        raise SizeLimit(f"{n} atoms exceed the 2^n enumeration limit")
-    y_scale = rearrange(y)
-    if not _holds(_slack_walk(rearrange(x), y_scale)[4]):
+    constraints span, on x's space or its halved-level model. Exact, and
+    independent of the per-interval criterion."""
+    _, _, x_ints, y_ints, walk = _slack_walk(rearrange(x), rearrange(y))
+    if not _holds(walk):
         raise NotInOrbit("x is not majorised by y")
-    return _tight_sets_span(x, y_scale)
+    return _tight_lines_span(x, x_ints, y_ints)
 
 
-def _tight_sets_span(x: SimpleFunction, y_scale: StepScale) -> bool:
-    """The Gray-code walk of the module docstring, for x in the orbit."""
-    n = len(x.space.atoms)
-    # masses are ints over den, x's values ints over its table's vden; on
-    # y's step k, with both sides scaled by den * vden * y_den * y_vden,
-    # the bound at a subset's mass is offsets[k] + slopes[k] * mass
-    den, masses = _over_lcm([w for _, w in x.space.atoms])
-    table = _carrier_table(x)
-    y_den, y_vden, y_ints = y_scale._profile
-    # an int mass lies at or before a step end iff it lies at or before its floor
-    ends = [end * den // y_den for end in y_scale._ends]
-    integrals = accumulate((value * length for value, length in y_ints), initial=0)
-    offsets = [table.vden * den * (integral - value * (end - length))
-               for integral, end, (value, length) in zip(integrals, y_scale._ends, y_ints)]
-    slopes = [table.vden * y_den * value for value, _ in y_ints]
-    sums = [mass * value * y_den * y_vden for mass, value in zip(masses, table.values)]
-    basis = [{i: 1} for i in range(n)]  # sparse null vectors of the tight indicators
-    live = (1 << n) - 1  # union of their supports
-    subset = mass = total = 0
-    for step in range(1, 1 << n):
-        i = (step & -step).bit_length() - 1
-        subset ^= 1 << i
-        sign = 1 if subset >> i & 1 else -1
-        mass += sign * masses[i]
-        total += sign * sums[i]
-        if not subset & live:
-            continue
-        k = bisect_left(ends, mass)
-        if total != offsets[k] + slopes[k] * mass:
-            continue
-        dots = [sum(c for j, c in z.items() if subset >> j & 1) for z in basis]
-        pivot = next((j for j, d in enumerate(dots) if d), None)
-        if pivot is None:
-            continue
-        z0, d0 = basis.pop(pivot), dots.pop(pivot)
-        if not basis:
-            return True
-        basis = [_eliminate(z, d, z0, d0) if d else z for z, d in zip(basis, dots)]
-        live = sum({1 << j for z in basis for j in z})
-    return False
-
-
-def _eliminate(z: dict, d: int, z0: dict, d0: int) -> dict:
-    """For null vectors z and z0 whose dot products with a tight indicator
-    are d and d0: d0*z - d*z0, which is orthogonal to that indicator,
-    divided by the gcd of its entries, zero entries dropped."""
-    z = {j: d0 * z.get(j, 0) - d * z0.get(j, 0) for j in z.keys() | z0.keys()}
-    g = gcd(*z.values())
-    return {j: c // g for j, c in z.items() if c}
+def _tight_lines_span(x: SimpleFunction, x_ints, y_ints) -> bool:
+    """The rank count of the module docstring, for x in the orbit. x_ints
+    and y_ints are the (value, length) numerators of the two scales over
+    common denominators; x's steps are the levels of its carrier table."""
+    n_atoms = len(x.space.atoms)
+    sizes = []  # model carriers per level: its atoms, and two halves of any diffuse mass
+    for _, members, _ in _carrier_table(x).levels:
+        atoms = sum(i < n_atoms for i in members)
+        sizes.append(atoms + 2 * (atoms < len(members)))
+    # the levels at some tight line's b_k (they make up E), and each tight
+    # line's cut, the number of levels in L_k
+    at_lines, cuts = set(), set()
+    j = mass = integral = start = y_integral = 0
+    for b, length in y_ints:
+        while j < len(x_ints) and x_ints[j][0] > b:
+            mass += x_ints[j][1]
+            integral += x_ints[j][0] * x_ints[j][1]
+            j += 1
+        if y_integral + b * (mass - start) == integral:  # c_k(L_k) = 0
+            cuts.add(j)
+            if j < len(x_ints) and x_ints[j][0] == b:
+                at_lines.add(j)
+        start += length
+        y_integral += b * length
+    # free[p]: the levels above cut p that lie at no tight b_k, i.e. L_k \ E
+    free = list(accumulate((j not in at_lines for j in range(len(sizes))), initial=0))
+    rank = sum(sizes[j] for j in at_lines) + len({free[p] for p in cuts} - {0})
+    return rank == sum(sizes)
 
 
 def enumerate_extreme(y: SimpleFunction) -> list[SimpleFunction]:
@@ -127,9 +140,10 @@ def enumerate_extreme(y: SimpleFunction) -> list[SimpleFunction]:
         points.add(tuple(values))
     results = [SimpleFunction(y.space, dict(zip(y.space.atom_ids, p))) for p in sorted(points)]
     for candidate in results:
-        if not _holds(_slack_walk(rearrange(candidate), y_scale)[4]):
+        _, _, x_ints, y_ints, walk = _slack_walk(rearrange(candidate), y_scale)
+        if not _holds(walk):
             raise InternalError("a greedy vector lies outside the orbit")
-        if not _tight_sets_span(candidate, y_scale):
+        if not _tight_lines_span(candidate, x_ints, y_ints):
             raise InternalError("a greedy vector failed the vertex test")
     return results
 

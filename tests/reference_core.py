@@ -10,6 +10,11 @@ reads the strictly positive stretches of the slack off the Fraction
 report, where the library reads them as runs of levels between zero
 level-end slacks (``witness._positive_run``).
 
+``gray_oracle`` keeps the 2^n Gray-code walk over the subset constraints
+that ``orbit.oracle_extreme``'s count over y's supporting lines replaced,
+and ``perturbation_search_finds_witness`` the randomized direction search
+that the halved-level model replaced in criterion 5, as their references.
+
 ``ScalarGauss`` keeps the one-call-per-deviate Box-Muller that
 ``SplitMix64.normals`` replaced, as its reference.
 """
@@ -17,6 +22,8 @@ level-end slacks (``witness._positive_run``).
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
 
 from majorbit.errors import (
     CriterionSatisfied,
@@ -39,6 +46,8 @@ from majorbit.measure import (
     ZERO,
     Refinement,
     SimpleFunction,
+    _carrier_table,
+    _over_lcm,
     add_functions,
     common_refinement,
     equal_ae,
@@ -364,6 +373,111 @@ def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool
         if steps_on_interval(p_scale, s4, ONE) != steps_on_interval(x_scale, s4, ONE):
             return False
     return True
+
+# ---------------------------------------------------------------------------
+# orbit: the 2^n Gray-code vertex walk and the perturbation search
+# ---------------------------------------------------------------------------
+#
+# On a space of n atoms the orbit of y is the polytope cut out by one
+# inequality per nonempty atom subset S, sum_{i in S} w_i x_i <=
+# cumulative_y(w(S)), with equality at the full set. x is a vertex iff the
+# 0/1 indicators of the constraints tight at x span n dimensions. The walk
+# scales every quantity to integers, visits the subsets in reflected Gray
+# order (one atom enters or leaves per step, so the subset's mass and
+# weighted sum each change by one add), and lets every tight indicator
+# shrink an integer null-space basis; x is a vertex iff the basis empties.
+
+
+def gray_oracle(x: SimpleFunction, y: SimpleFunction) -> bool:
+    """The vertex test by the Gray-code walk, for x in the orbit of y on a
+    purely atomic space."""
+    assert x.space.purely_atomic
+    return _tight_sets_span(x, rearrange(y))
+
+
+def _tight_sets_span(x: SimpleFunction, y_scale: StepScale) -> bool:
+    """The Gray-code walk of the module docstring, for x in the orbit."""
+    n = len(x.space.atoms)
+    # masses are ints over den, x's values ints over its table's vden; on
+    # y's step k, with both sides scaled by den * vden * y_den * y_vden,
+    # the bound at a subset's mass is offsets[k] + slopes[k] * mass
+    den, masses = _over_lcm([w for _, w in x.space.atoms])
+    table = _carrier_table(x)
+    y_den, y_vden, y_ints = y_scale._profile
+    # an int mass lies at or before a step end iff it lies at or before its floor
+    ends = [end * den // y_den for end in y_scale._ends]
+    integrals = accumulate((value * length for value, length in y_ints), initial=0)
+    offsets = [table.vden * den * (integral - value * (end - length))
+               for integral, end, (value, length) in zip(integrals, y_scale._ends, y_ints)]
+    slopes = [table.vden * y_den * value for value, _ in y_ints]
+    sums = [mass * value * y_den * y_vden for mass, value in zip(masses, table.values)]
+    basis = [{i: 1} for i in range(n)]  # sparse null vectors of the tight indicators
+    live = (1 << n) - 1  # union of their supports
+    subset = mass = total = 0
+    for step in range(1, 1 << n):
+        i = (step & -step).bit_length() - 1
+        subset ^= 1 << i
+        sign = 1 if subset >> i & 1 else -1
+        mass += sign * masses[i]
+        total += sign * sums[i]
+        if not subset & live:
+            continue
+        k = bisect_left(ends, mass)
+        if total != offsets[k] + slopes[k] * mass:
+            continue
+        dots = [sum(c for j, c in z.items() if subset >> j & 1) for z in basis]
+        pivot = next((j for j, d in enumerate(dots) if d), None)
+        if pivot is None:
+            continue
+        z0, d0 = basis.pop(pivot), dots.pop(pivot)
+        if not basis:
+            return True
+        basis = [_eliminate(z, d, z0, d0) if d else z for z, d in zip(basis, dots)]
+        live = sum({1 << j for z in basis for j in z})
+    return False
+
+
+def _eliminate(z: dict, d: int, z0: dict, d0: int) -> dict:
+    """For null vectors z and z0 whose dot products with a tight indicator
+    are d and d0: d0*z - d*z0, which is orthogonal to that indicator,
+    divided by the gcd of its entries, zero entries dropped."""
+    z = {j: d0 * z.get(j, 0) - d * z0.get(j, 0) for j in z.keys() | z0.keys()}
+    g = gcd(*z.values())
+    return {j: c // g for j, c in z.items() if c}
+
+
+def perturbation_search_finds_witness(
+    x: SimpleFunction, y: SimpleFunction, rng: SplitMix64, attempts: int = 100
+) -> bool:
+    """Bounded randomized search for x +- delta*u inside the orbit: returns
+    True iff some direction and dyadic step keep both signs majorised."""
+    y_scale = rearrange(y)
+    carriers = x.weighted_values()
+    n_atoms = len(x.space.atoms)
+    for _ in range(attempts):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in carriers]
+        total = sum(c * m for c, (_, m) in zip(coeffs, carriers))
+        coeffs = [c - total for c in coeffs]  # total mass is 1, so integral is 0
+        if all(c == 0 for c in coeffs):
+            continue
+        values = {
+            aid: coeffs[i] for i, aid in enumerate(x.space.atom_ids)
+        }
+        pieces = tuple(
+            (coeffs[n_atoms + j], m) for j, (_, m) in enumerate(x.diffuse_pieces)
+        )
+        u = SimpleFunction(x.space, values, pieces)
+        delta = Fraction(1)
+        for _ in range(12):
+            plus = add_functions(x, scale_function(u, delta))
+            minus = add_functions(x, scale_function(u, -delta))
+            if (
+                majorise_check(rearrange(plus), y_scale).holds
+                and majorise_check(rearrange(minus), y_scale).holds
+            ):
+                return True
+            delta /= 2
+    return False
 
 
 # ---------------------------------------------------------------------------

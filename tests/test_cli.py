@@ -113,6 +113,27 @@ def test_majorise_and_oracle_and_enumerate(tmp_path, capsys):
     ]
 
 
+def test_oracle_on_mixed_spaces_and_many_atoms(tmp_path, capsys):
+    """The oracle answers on diffuse mass and past 20 atoms; on criterion
+    5's mixed-space example it agrees with extreme."""
+    space = {"atoms": [{"id": "e", "weight": "1/2"}], "diffuse_mass": "1/2"}
+    x = write(tmp_path, "x.json", {"space": space, "atoms": {"e": "3"},
+                                   "diffuse": [{"value": "0", "mass": "1/2"}]})
+    y = write(tmp_path, "y.json", {"space": space, "atoms": {"e": "0"},
+                                   "diffuse": [{"value": "4", "mass": "1/4"},
+                                               {"value": "2", "mass": "1/4"}]})
+    code, oracle = run(capsys, ["oracle", "-x", x, "-y", y])
+    assert code == 0
+    code, verdict = run(capsys, ["extreme", "-x", x, "-y", y])
+    assert code == 0 and oracle == {"extreme": verdict["verdict"] == "extreme"} == {"extreme": True}
+    ids = [f"a{i}" for i in range(21)]
+    atoms = {"space": {"atoms": [{"id": i, "weight": "1/21"} for i in ids], "diffuse_mass": "0"},
+             "atoms": {i: str(k % 3) for k, i in enumerate(ids)}, "diffuse": []}
+    many = write(tmp_path, "many.json", atoms)
+    code, doc = run(capsys, ["oracle", "-x", many, "-y", many])
+    assert code == 0 and doc == {"extreme": True}
+
+
 def test_sample_deterministic_stdout(tmp_path, capsys):
     y = write(tmp_path, "y.json", PEAK)
     code1 = cli.main(["sample", "-y", y, "--seed", "42"])

@@ -17,10 +17,10 @@ from majorbit.measure import MeasureSpace, SimpleFunction
 from majorbit.orbit import oracle_extreme, sample_orbit
 from majorbit.prng import SplitMix64
 from majorbit.scales import cumulative, rearrange
-from majorbit.selftest import perturbation_search_finds_witness
 from majorbit.witness import verify_witness
 
 from conftest import frac, mkatomic, mkdiffuse, simple_functions
+from reference_core import perturbation_search_finds_witness
 
 
 def test_constancy_intervals_examples():

@@ -13,17 +13,19 @@ Everything the test compares against is computed here with plain
 Fractions from y's atoms, not through ``majorbit.scales``.
 """
 
+import time
 from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 
 from majorbit.extremality import check_extreme
-from majorbit.orbit import oracle_extreme
+from majorbit.orbit import oracle_extreme, partial_average
 from majorbit.prng import SplitMix64
 from majorbit.witness import SPLIT_LEVEL, THREE_VALUES, TWO_VALUES, verify_witness
 
 from conftest import mkatomic
+from reference_core import gray_oracle
 
 
 def instance(seed: int, n: int):
@@ -162,6 +164,8 @@ def test_greedy_midpoints_of_swapped_orderings():
 
 @pytest.mark.parametrize("n", [4, 8, 12, 16])
 def test_greedy_vertices_agree_with_the_oracle(n):
+    """The oracle and the 2^n Gray-code reference both read the criterion's
+    verdicts on each distinct greedy pair and its midpoint."""
     weights, values = instance(n, n)
     compared = 0
     for order_a, order_b in zip(*[iter(orderings(n + 200, n, 6))] * 2):
@@ -171,4 +175,22 @@ def test_greedy_vertices_agree_with_the_oracle(n):
         compared += 1
         for x, y, verdict in check_pair(weights, values, order_a, order_b):
             assert oracle_extreme(x, y) is verdict.extreme
+            assert gray_oracle(x, y) is verdict.extreme
     assert compared > 0
+
+
+def test_oracle_at_n_1000():
+    """A greedy vector at n = 1000 is a vertex, and averaging two of its
+    atoms that differ gives a point that is not, each decided in well
+    under a second."""
+    weights, values = instance(10, 1000)
+    (order,) = orderings(1010, 1000, 1)
+    vertex = mkatomic(greedy(weights, YScale(weights, values), order), weights=weights)
+    y = mkatomic(values, weights=weights)
+    first = vertex.space.atom_ids[order[0]]
+    other = next(aid for aid in vertex.space.atom_ids if vertex.atom_values[aid] != vertex.atom_values[first])
+    averaged = partial_average(vertex, [first, other])
+    start = time.perf_counter()
+    assert oracle_extreme(vertex, y) is True
+    assert oracle_extreme(averaged, y) is False
+    assert time.perf_counter() - start < 1.0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import majorbit.hermitian as hermitian
+import majorbit.witness as witness
 from majorbit.errors import (
     DimensionMismatch,
     NotDiagonal,
@@ -201,6 +202,20 @@ def test_check_extreme_diag_builds_each_scale_once(monkeypatch):
         built.clear()
         assert check_extreme_diag(x, b) is extreme
         assert built == [x, b]
+
+
+def test_check_extreme_diag_builds_no_witness(monkeypatch):
+    """The atomic-model cross-check reads the criterion's conditions only:
+    a non-extreme snapped diagonal gets its verdict with no witness built."""
+
+    def refuse(*args):
+        raise AssertionError("a witness was built")
+
+    monkeypatch.setattr(witness, "_witness_from", refuse)
+    b = HermitianOperator([[2.0, 1.0], [1.0, 2.0]])
+    x = diag_operator([2, 2])
+    assert hermitian._diag_model_verdict(x, b, 1e-9) is False
+    assert check_extreme_diag(x, b) is False
 
 
 def test_check_extreme_diag_matches_atomic_model():
