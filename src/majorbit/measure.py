@@ -5,13 +5,14 @@ part of total mass ``diffuse_mass``; weights and masses are exact
 rationals summing to 1. A simple function assigns one rational value per
 atom and carries an ordered list of (value, mass) pieces partitioning the
 diffuse part. Everything is immutable after construction and safe to
-share across threads; a function keeps its integer carrier table and its
-rearrangement once they are computed.
+share across threads; a function extends its space's one integer fold of
+the masses and keeps its carrier table and rearrangement once computed.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from math import gcd
 from numbers import Rational
@@ -22,10 +23,9 @@ from .errors import (
     MassMismatchError,
     NormalizationError,
     SchemaError,
-    SizeLimit,
     UnknownAtomError,
 )
-from .rationals import format_ratstr, parse_ratstr
+from .rationals import _shown, format_ratstr, parse_ratstr
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -41,6 +41,8 @@ def _rational(q) -> bool:
 class MeasureSpace:
     atoms: tuple[tuple[str, Fraction], ...]
     diffuse_mass: Fraction
+    # the weights, then diffuse_mass, as numerators over one denominator
+    _masses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [atom_id for atom_id, _ in self.atoms]
@@ -54,13 +56,10 @@ class MeasureSpace:
                 raise SchemaError(f"atom {atom_id!r} has non-positive weight")
         if self.diffuse_mass.numerator < 0:
             raise SchemaError("diffuse_mass must be >= 0")
-        total = sum((w for _, w in self.atoms), self.diffuse_mass)
-        if total != 1:
-            try:
-                shown = format_ratstr(total)
-            except SizeLimit:
-                shown = "a rational too long to print"
-            raise NormalizationError(f"total mass is {shown}, expected 1")
+        den, nums = _over_lcm(masses)
+        if sum(nums) != den:
+            raise NormalizationError(f"total mass is {_shown(Fraction(sum(nums), den))}, expected 1")
+        object.__setattr__(self, "_masses", (den, nums))
 
     @property
     def atom_ids(self) -> tuple[str, ...]:
@@ -86,6 +85,8 @@ class SimpleFunction:
     _scale: object = field(default=None, init=False, repr=False, compare=False)
     # the integer carrier table, filled by _carrier_table on first use
     _table: object = field(default=None, init=False, repr=False, compare=False)
+    # the carriers' masses over the space's mass denominator extended by the pieces'
+    _masses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def exact(q):  # a Fraction is kept as given: Fraction(q) would build a copy of it
@@ -104,14 +105,15 @@ class SimpleFunction:
             raise UnknownAtomError(f"values given for unknown atoms {sorted(extra)}")
         if missing:
             raise SchemaError(f"missing values for atoms {sorted(missing)}")
-        for _, mass in self.diffuse_pieces:
-            if mass.numerator <= 0:
-                raise SchemaError("piece masses must be > 0")
-        total = sum((m for _, m in self.diffuse_pieces), ZERO)
-        if total != self.space.diffuse_mass:
-            raise MassMismatchError(
-                f"piece masses sum to {total}, diffuse_mass is {self.space.diffuse_mass}"
-            )
+        space_den, space_nums = self.space._masses
+        den, nums = _over_lcm([m for _, m in self.diffuse_pieces], space_den)
+        if any(num <= 0 for num in nums):
+            raise SchemaError("piece masses must be > 0")
+        factor = den // space_den
+        if sum(nums) != space_nums[-1] * factor:
+            raise MassMismatchError(f"piece masses sum to {_shown(Fraction(sum(nums), den))}, "
+                                    f"diffuse_mass is {_shown(self.space.diffuse_mass)}")
+        object.__setattr__(self, "_masses", (den, [m * factor for m in space_nums[:-1]] + nums))
 
     def weighted_values(self) -> list[tuple[Fraction, Fraction]]:
         """All (value, mass) carriers: atoms in space order, then pieces."""
@@ -135,19 +137,19 @@ class _Table(NamedTuple):
     their values as integer numerators over the lcm of the value
     denominators. One stable sort by value groups the carriers into levels,
     by value descending: (value, member indices, (value, length) as
-    Fractions)."""
+    Fractions); ``profile`` holds them as the scale's integer profile."""
 
     vden: int
     values: tuple[int, ...]
     levels: tuple[tuple[int, tuple[int, ...], tuple[Fraction, Fraction]], ...]
+    profile: tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-def _over_lcm(qs) -> tuple[int, list[int]]:
-    """The lcm of the denominators of the rationals qs, and each numerator
-    over it. Each distinct denominator d costs one gcd of d with the running
-    lcm reduced mod d, and one division of the lcm by d."""
+def _over_lcm(qs, den: int = 1) -> tuple[int, list[int]]:
+    """The lcm of den and the denominators of the rationals qs, and each
+    numerator over it. Each distinct denominator d costs one gcd of d with
+    the running lcm reduced mod d, and one division of the lcm by d."""
     cofactors = dict.fromkeys(q.denominator for q in qs)
-    den = 1
     for d in cofactors:
         den *= d // gcd(d, den % d)
     for d in cofactors:
@@ -160,13 +162,17 @@ def _carrier_table(f: SimpleFunction) -> _Table:
     if f._table is None:
         pairs = f.weighted_values()
         vden, values = _over_lcm([v for v, _ in pairs])
-        levels = []
+        den, masses = f._masses
+        levels, steps = [], []
         order = sorted(range(len(values)), key=lambda i: -values[i])
         for value, group in groupby(order, key=values.__getitem__):
-            first, *rest = group
-            v, length = pairs[first]
-            levels.append((value, (first, *rest), (v, sum((pairs[i][1] for i in rest), length))))
-        object.__setattr__(f, "_table", _Table(vden, tuple(values), tuple(levels)))
+            members = tuple(group)
+            length = sum(masses[i] for i in members)
+            v, mass = pairs[members[0]]  # a one-member level keeps its carrier's mass
+            levels.append((value, members, (v, Fraction(length, den) if members[1:] else mass)))
+            steps.append((value, length))
+        profile = (den, vden, tuple(steps))
+        object.__setattr__(f, "_table", _Table(vden, tuple(values), tuple(levels), profile))
     return f._table
 
 
@@ -228,26 +234,31 @@ def _as_document(document):
     return document
 
 
-def _space_entries(document) -> tuple[tuple[tuple[str, Fraction], ...], Fraction]:
-    """The checked atoms and diffuse mass of a space document, not yet
-    required to total 1."""
+def _space_literals(document) -> tuple[tuple[tuple[str, str], ...], str]:
+    """The atom (id, weight) and diffuse_mass strings of a space document,
+    checked for shape but not yet parsed."""
     doc = _as_document(document)
     if not isinstance(doc, dict) or "atoms" not in doc or "diffuse_mass" not in doc:
         raise SchemaError("space document needs 'atoms' and 'diffuse_mass'")
     atoms = []
-    if not isinstance(doc["atoms"], list):
-        raise SchemaError("'atoms' must be a list")
+    if not isinstance(doc["atoms"], list) or not isinstance(doc["diffuse_mass"], str):
+        raise SchemaError("'atoms' must be a list and 'diffuse_mass' a string")
     for entry in doc["atoms"]:
         if not isinstance(entry, dict) or "id" not in entry or "weight" not in entry:
             raise SchemaError(f"bad atom entry: {entry!r}")
-        if not isinstance(entry["id"], str):
-            raise SchemaError("atom ids must be strings")
-        atoms.append((entry["id"], parse_ratstr(entry["weight"])))
-    return tuple(atoms), parse_ratstr(doc["diffuse_mass"])
+        if not isinstance(entry["id"], str) or not isinstance(entry["weight"], str):
+            raise SchemaError("atom ids and weights must be strings")
+        atoms.append((entry["id"], entry["weight"]))
+    return tuple(atoms), doc["diffuse_mass"]
 
 
 def parse_space(document) -> MeasureSpace:
-    return MeasureSpace(*_space_entries(document))
+    return _space_of(*_space_literals(document))
+
+
+@lru_cache(maxsize=1)  # the last space: x and y of a request spell it with the same literals
+def _space_of(atoms, diffuse: str) -> MeasureSpace:
+    return MeasureSpace(tuple((aid, parse_ratstr(w)) for aid, w in atoms), parse_ratstr(diffuse))
 
 
 def _function_entries(doc: dict):
@@ -305,7 +316,8 @@ def parse_function_normalized(document) -> SimpleFunction:
     doc = _as_document(document)
     if not isinstance(doc, dict) or "space" not in doc:
         raise SchemaError("function document needs an embedded 'space'")
-    atoms, diffuse = _space_entries(doc["space"])
+    atoms, diffuse = _space_literals(doc["space"])
+    atoms, diffuse = [(aid, parse_ratstr(w)) for aid, w in atoms], parse_ratstr(diffuse)
     total = sum((w for _, w in atoms), diffuse)
     if total <= 0:
         raise NormalizationError("total mass must be positive to normalize")

@@ -33,3 +33,11 @@ def format_ratstr(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
     except ValueError as exc:  # longer than Python's int-string conversion limit
         raise SizeLimit(f"rational too long to print: {exc}") from exc
+
+
+def _shown(value: Fraction) -> str:
+    """format_ratstr(value) for an error message, or a note if too long to print."""
+    try:
+        return format_ratstr(value)
+    except SizeLimit:
+        return "a rational too long to print"

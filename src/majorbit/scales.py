@@ -15,7 +15,7 @@ from math import lcm
 
 from .errors import DomainError, InternalError
 from .measure import ZERO, SimpleFunction, _carrier_table, _over_lcm, abs_function, common_refinement
-from .rationals import format_ratstr
+from .rationals import _shown, format_ratstr
 
 
 def merge_pairs(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -43,28 +43,29 @@ class StepScale:
     """Decreasing right-continuous step function on [0,1), total length 1.
 
     Construction also records the integer profile every query reads:
-    ``_profile`` = (D, V, (value, length) numerators over V and D), derived
-    from ``steps``, and ``_ends``, each step's end over D.
+    ``_profile`` = (D, V, (value, length) numerators over V and D), given by
+    ``rearrange`` or derived from ``steps``, and ``_ends``, each step's end over D.
     """
 
     steps: tuple[tuple[Fraction, Fraction], ...]
-    _profile: tuple = field(init=False, repr=False, compare=False)
+    _profile: tuple = field(default=None, repr=False, compare=False)
     _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.steps:
             raise InternalError("a scale is never empty")
-        (vden, values), (den, lengths) = (_over_lcm([s[k] for s in self.steps]) for k in (0, 1))
-        ints = tuple(zip(values, lengths))
+        if self._profile is None:
+            (vden, values), (den, lengths) = (_over_lcm([s[k] for s in self.steps]) for k in (0, 1))
+            object.__setattr__(self, "_profile", (den, vden, tuple(zip(values, lengths))))
+        den, _, ints = self._profile
         for i, (value, length) in enumerate(ints):
             if length <= 0:
                 raise InternalError("step lengths must be > 0")
             if i and ints[i - 1][0] <= value:
                 raise InternalError("step values must be strictly decreasing")
-        ends = tuple(accumulate(lengths))
+        ends = tuple(accumulate(length for _, length in ints))
         if ends[-1] != den:
-            raise InternalError(f"step lengths sum to {Fraction(ends[-1], den)}, expected 1")
-        object.__setattr__(self, "_profile", (den, vden, ints))
+            raise InternalError(f"step lengths sum to {_shown(Fraction(ends[-1], den))}, expected 1")
         object.__setattr__(self, "_ends", ends)
 
     @classmethod
@@ -136,11 +137,12 @@ def rearrange(f: SimpleFunction) -> StepScale:
     """The decreasing rearrangement: all (value, mass) carriers sorted by
     value descending, equal values merged. Equimeasurable with f.
 
-    The steps are the levels of f's carrier table, and f keeps its scale
-    once computed, so later calls return the same object."""
+    The steps and their integer profile are f's carrier table's levels, and
+    f keeps its scale once computed, so later calls return the same object."""
     if f._scale is None:
-        steps = tuple(level[2] for level in _carrier_table(f).levels)
-        object.__setattr__(f, "_scale", StepScale(steps))
+        table = _carrier_table(f)
+        steps = tuple(level[2] for level in table.levels)
+        object.__setattr__(f, "_scale", StepScale(steps, table.profile))
     return f._scale
 
 

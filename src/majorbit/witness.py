@@ -19,11 +19,8 @@ from .measure import (
     Refinement,
     SimpleFunction,
     _carrier_table,
-    _over_lcm,
     _require_same_space,
-    add_functions,
     common_refinement,
-    scale_function,
     serialize_function,
 )
 from .extremality import evaluate_conditions
@@ -61,21 +58,19 @@ def serialize_witness(w: WitnessPair) -> dict:
 def _cells(*fs: SimpleFunction) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """Functions on one space cut into common carriers: (D, cells), a cell
     being the functions' value numerators (each over its own value
-    denominator) and a mass numerator over D, the lcm of every mass
-    denominator. Atoms in space order come first, then the common
+    denominator) and a mass numerator over D, the lcm of the functions'
+    mass denominators. Atoms in space order come first, then the common
     refinement of the piece lists."""
     for f in fs[1:]:
         _require_same_space(fs[0], f)
     n = len(fs[0].space.atoms)
-    den, masses = _over_lcm([w for _, w in fs[0].space.atoms]
-                            + [m for f in fs for _, m in f.diffuse_pieces])
-    values = [_carrier_table(f).values for f in fs]
-    cells = [(tuple(v[i] for v in values), masses[i]) for i in range(n)]
-    rest = iter(masses[n:])
-    piece_lists = [[(value, next(rest)) for value in v[n:]] for v in values]
-    pieces = [((v,), m) for v, m in piece_lists[0]]
-    for c in piece_lists[1:]:
-        pieces = [(vs + (v,), m) for vs, v, m in common_refinement(pieces, c)]
+    den = lcm(*{f._masses[0] for f in fs})
+    carriers = [_rescaled(zip(_carrier_table(f).values, f._masses[1]), 1, den // f._masses[0])
+                for f in fs]
+    cells = [(tuple(c[i][0] for c in carriers), carriers[0][i][1]) for i in range(n)]
+    pieces = [((v,), m) for v, m in carriers[0][n:]]
+    for c in carriers[1:]:
+        pieces = [(vs + (v,), m) for vs, v, m in common_refinement(pieces, c[n:])]
     return den, cells + pieces
 
 
@@ -181,6 +176,18 @@ def _split_direction(x: SimpleFunction, level) -> SimpleFunction:
     return _indicator(x, {first}, set(rest), first_mass / (length - first_mass))
 
 
+def _moved(x: SimpleFunction, u: SimpleFunction, delta: Fraction):
+    """x +- delta*u as add_functions(x, scale_function(u, +-delta)) gives
+    them, from one common refinement of x's and u's pieces."""
+    def moved(value, coeff):  # where u vanishes, x's value as is
+        shift = coeff and coeff * delta
+        return (value + shift, value - shift) if shift else (value, value)
+    atoms = [moved(x.atom_values[aid], u.atom_values[aid]) for aid in x.space.atom_ids]
+    pieces = [(moved(a, c), m) for a, c, m in common_refinement(x.diffuse_pieces, u.diffuse_pieces)]
+    return (SimpleFunction(x.space, dict(zip(x.space.atom_ids, (v[k] for v in atoms))),
+                           tuple((v[k], m) for v, m in pieces)) for k in (0, 1))
+
+
 def build_witness(x: SimpleFunction, y: SimpleFunction) -> WitnessPair:
     """Construct a verified witness pair for a criterion-violating (x, y)."""
     return _witness_from(x, y, evaluate_conditions(x, y))
@@ -220,11 +227,7 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
     if delta_sup <= 0:
         raise InternalError("admissible step collapsed to zero on a violation")
     delta = delta_sup / 2
-    pair = WitnessPair(
-        add_functions(x, scale_function(u, delta)),
-        add_functions(x, scale_function(u, -delta)),
-        Perturbation(u, delta, tag),
-    )
+    pair = WitnessPair(*_moved(x, u, delta), Perturbation(u, delta, tag))
     if not verify_witness(x, y, pair):
         raise InternalError("constructed witness failed verification")
     return pair

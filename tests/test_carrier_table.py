@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import given, settings
 
 import reference_core as ref
 from majorbit.errors import MajorbitError
@@ -24,7 +24,8 @@ from majorbit.extremality import (
 )
 from majorbit.measure import MeasureSpace, SimpleFunction, add_functions, scale_function
 from majorbit.orbit import sample_orbit
-from majorbit.scales import cumulative, majorise_check, rearrange
+from majorbit.prng import SplitMix64
+from majorbit.scales import StepScale, cumulative, majorise_check, rearrange
 from majorbit.witness import WitnessPair, admissible_delta, build_witness, verify_witness
 
 from conftest import function_pairs, simple_functions, small_values
@@ -46,6 +47,51 @@ def functions(draw):
 def on_diffuse_space(f: SimpleFunction) -> SimpleFunction:
     """A function on [0, 1) without atoms, equimeasurable with f."""
     return SimpleFunction(MeasureSpace((), Fraction(1)), {}, rearrange(f).steps)
+
+
+def seeded_function(rng: SplitMix64, kind: str) -> SimpleFunction:
+    """A function on an atomic, atomless or mixed space with masses in parts
+    of 1-9 and values in -2..3, so that levels tie. Each piece is cut in two
+    at a fraction a/b, b one of 11, 13 and 97: no sum of parts reaches 97,
+    so the pieces' denominators need not divide the space's."""
+    n_atoms = 0 if kind == "atomless" else rng.randint(1, 4)
+    n_pieces = 0 if kind == "atomic" else rng.randint(1, 4)
+    parts = [rng.randint(1, 9) for _ in range(n_atoms + n_pieces)]
+    masses = [Fraction(p, sum(parts)) for p in parts]
+    values = [Fraction(rng.randint(-2, 3)) for _ in parts]
+    space = MeasureSpace(tuple((f"a{i}", masses[i]) for i in range(n_atoms)), sum(masses[n_atoms:]))
+    pieces = []
+    for value, mass in zip(values[n_atoms:], masses[n_atoms:]):
+        b = (11, 13, 97)[rng.randint(0, 2)]
+        cut = Fraction(rng.randint(1, b - 1), b)
+        pieces += [(value, mass * cut), (values[rng.randint(0, len(values) - 1)], mass * (1 - cut))]
+    return SimpleFunction(space, {f"a{i}": values[i] for i in range(n_atoms)}, tuple(pieces))
+
+
+space_kinds = st.sampled_from(["atomic", "atomless", "mixed"])
+
+
+@settings(max_examples=300)
+@given(space_kinds, space_kinds, st.integers(0, 2**64 - 1))
+def test_table_profile_matches_the_profile_of_the_steps(x_kind, y_kind, seed):
+    """rearrange hands StepScale the carrier table's integer profile, over
+    x's mass denominator; StepScale(steps) folds the same Fraction steps
+    over the lcm of their own denominators. Both give the same steps, ends
+    and values, and the same walk against y's scale on another space."""
+    rng = SplitMix64(seed)
+    x, y = seeded_function(rng, x_kind), seeded_function(rng, y_kind)
+    scale = rearrange(x)
+    folded = StepScale(scale.steps)
+    assert scale.steps == folded.steps == ref.rearrange(x).steps
+    (den, vden, ints), (f_den, f_vden, f_ints) = scale._profile, folded._profile
+    ends = ref.profile(scale)[0]
+    assert [Fraction(end, den) for end in scale._ends] == ends
+    assert [Fraction(end, f_den) for end in folded._ends] == ends
+    assert [Fraction(v, vden) for v, _ in ints] == [Fraction(v, f_vden) for v, _ in f_ints]
+    assert [Fraction(v, vden) for v, _ in ints] == [v for v, _ in scale.steps]
+    other = rearrange(y)
+    for a, b in ((scale, other), (other, scale), (folded, other)):
+        assert majorise_check(a, b) == ref.majorise_check(a, b)
 
 
 @st.composite

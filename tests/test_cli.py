@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -358,43 +359,56 @@ def test_selftest_stdout_is_deterministic(capsys):
 
 ONE_ATOM = {"atoms": [{"id": "a", "weight": "1"}], "diffuse_mass": "0"}
 OVER_RANGE = int("9" * 400)
+# four pieces of mass 1/q, q = 10^1500 + 2i + 1, on an atomless space: their
+# sum misses diffuse_mass 1 and has a denominator of about 6000 digits
+UNPRINTABLE_PIECE_SUM = {
+    "space": {"atoms": [], "diffuse_mass": "1"},
+    "diffuse": [{"value": "1", "mass": f"1/{10**1500 + 2 * i + 1}"} for i in range(4)],
+}
 
 
 @pytest.mark.parametrize(
-    "command, docs",
+    "command, docs, error",
     [
-        ("matrix-eig -f {0}", [{"re": [[1, 2], [3]]}]),  # ragged rows
-        ("birkhoff -f {0}", [{"re": [["a", 1], [1, 0]]}]),  # string entries
-        ("matrix-eig --tol 1 -f {0}", [{"re": [[1.5e308, 1.5e308], [1.5e308, 1.5e308]]}]),
-        ("ttransform -x {0} -y {1}", [[], []]),
-        ("matrix-eig --snap 0 -f {0}", [{"re": [[1.0]]}]),
-        ("rearrange -f {0}", [{"space": CONST5["space"], "diffuse": 5}]),
-        ("rearrange -f {0}", [{"space": ONE_ATOM, "atoms": {"a": "1" * 5000}}]),  # > 4300 digits
-        ("rearrange -f {0}", ["9" * 5000]),  # a document that is a JSON string of a huge integer
+        ("matrix-eig -f {0}", [{"re": [[1, 2], [3]]}], "SchemaError"),  # ragged rows
+        ("birkhoff -f {0}", [{"re": [["a", 1], [1, 0]]}], "SchemaError"),  # string entries
+        ("matrix-eig --tol 1 -f {0}", [{"re": [[1.5e308, 1.5e308], [1.5e308, 1.5e308]]}],
+         "SchemaError"),
+        ("ttransform -x {0} -y {1}", [[], []], "SchemaError"),
+        ("matrix-eig --snap 0 -f {0}", [{"re": [[1.0]]}], "SchemaError"),
+        ("rearrange -f {0}", [{"space": CONST5["space"], "diffuse": 5}], "SchemaError"),
+        # > 4300 digits
+        ("rearrange -f {0}", [{"space": ONE_ATOM, "atoms": {"a": "1" * 5000}}], "SchemaError"),
+        # a document that is a JSON string of a huge integer
+        ("rearrange -f {0}", ["9" * 5000], "SchemaError"),
         # 400 digits: under the int-string limit, outside the float range
-        ("matrix-eig -f {0}", [{"re": [[OVER_RANGE]]}]),
-        ("matrix-majorise -x {0} -y {1}", [{"re": [[OVER_RANGE]]}, {"re": [[1.0]]}]),
-        ("matrix-extreme -x {0} -y {1}", [{"re": [[1.0]]}, {"re": [[1.0]], "im": [[OVER_RANGE]]}]),
-        ("birkhoff -f {0}", [{"re": [[OVER_RANGE]]}]),
-        ("ttransform -x {0} -y {1}", [[OVER_RANGE], [1]]),
-        ("ttransform -x {0} -y {1}", [["1"], [str(OVER_RANGE)]]),
+        ("matrix-eig -f {0}", [{"re": [[OVER_RANGE]]}], "SchemaError"),
+        ("matrix-majorise -x {0} -y {1}", [{"re": [[OVER_RANGE]]}, {"re": [[1.0]]}], "SchemaError"),
+        ("matrix-extreme -x {0} -y {1}", [{"re": [[1.0]]}, {"re": [[1.0]], "im": [[OVER_RANGE]]}],
+         "SchemaError"),
+        ("birkhoff -f {0}", [{"re": [[OVER_RANGE]]}], "SchemaError"),
+        ("ttransform -x {0} -y {1}", [[OVER_RANGE], [1]], "SchemaError"),
+        ("ttransform -x {0} -y {1}", [["1"], [str(OVER_RANGE)]], "SchemaError"),
         # finite entries whose sums or spread overflow: once InternalError, exit 3
-        ("ttransform -x {0} -y {1}", [[1.7e308, 1.7e308], [1.7e308, 1.6e308]]),
-        ("ttransform -x {0} -y {1}", [[1.7e308, 1.6e308], [1.7e308, 1.7e308]]),
-        ("ttransform -x {0} -y {1}", [[0.0, 0.0], [1e308, -1e308]]),
+        ("ttransform -x {0} -y {1}", [[1.7e308, 1.7e308], [1.7e308, 1.6e308]], "SchemaError"),
+        ("ttransform -x {0} -y {1}", [[1.7e308, 1.6e308], [1.7e308, 1.7e308]], "SchemaError"),
+        ("ttransform -x {0} -y {1}", [[0.0, 0.0], [1e308, -1e308]], "SchemaError"),
+        # piece masses that miss diffuse_mass and sum to a rational too long to print
+        ("rearrange -f {0}", [UNPRINTABLE_PIECE_SUM], "MassMismatchError"),
     ],
     ids=["ragged-rows", "string-entries", "overflowing-spectrum", "empty-vectors", "zero-snap",
          "diffuse-not-a-list", "overlong-ratstr", "huge-integer-in-a-string-document",
          "over-range-eig", "over-range-majorise", "over-range-extreme", "over-range-birkhoff",
          "over-range-ttransform", "over-range-ratstr-ttransform", "overflowing-sums-ttransform",
-         "overflowing-sums-ttransform-swapped", "overflowing-spread-ttransform"],
+         "overflowing-sums-ttransform-swapped", "overflowing-spread-ttransform",
+         "unprintable-piece-sum"],
 )
-def test_malformed_input_exits_2(tmp_path, capsys, command, docs):
+def test_malformed_input_exits_2(tmp_path, capsys, command, docs, error):
     paths = [write(tmp_path, f"d{i}.json", doc) for i, doc in enumerate(docs)]
     code = cli.main(command.format(*paths).split())
     out = capsys.readouterr().out
     assert code == 2
-    assert out.count("\n") == 1 and json.loads(out)["error"] == "SchemaError"
+    assert out.count("\n") == 1 and json.loads(out)["error"] == error
 
 
 def test_huge_json_integer_exits_2(tmp_path, capsys):
@@ -504,6 +518,31 @@ def test_hostile_common_denominator(tmp_path, capsys, argv, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert elapsed < 5.0
+
+
+def test_hostile_extreme_folds_the_weights_once(tmp_path, capsys, monkeypatch):
+    """x and y read from one document share one parsed space, which brings
+    its weights to their 96 000-digit common denominator once; the carrier
+    tables, the scales and the walk read those numerators. Counted at
+    _over_lcm in every module that calls it."""
+    from majorbit import measure
+
+    path = write(tmp_path, "f.json", hostile_denominators_doc())
+    fold, folds = measure._over_lcm, []
+
+    def counting(qs, *args):
+        qs = list(qs)
+        if any(q.denominator > 10**3999 for q in qs):
+            folds.append(len(qs))
+        return fold(qs, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("majorbit") and getattr(module, "_over_lcm", None) is fold:
+            monkeypatch.setattr(module, "_over_lcm", counting)
+    measure._space_of.cache_clear()  # a space kept from an earlier test would hide the fold
+    assert cli.main(["extreme", "-x", path, "-y", path]) == 0
+    capsys.readouterr()
+    assert folds == [48 + 1]  # the weights and diffuse_mass
 
 
 def test_birkhoff_stdout_is_pinned(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,55 @@ def test_parse_space_examples():
 
     with pytest.raises(NormalizationError):
         parse_space({"atoms": [{"id": "e", "weight": "1/2"}], "diffuse_mass": "1/4"})
+
+
+HALVES = {"atoms": [{"id": "a", "weight": "1/2"}, {"id": "b", "weight": "1/2"}],
+          "diffuse_mass": "0"}
+
+
+def test_parse_space_reuses_a_literal_identical_space():
+    """x and y of one request embed the same space text: the second parse
+    returns the first's MeasureSpace, with its one mass fold."""
+    first = parse_space(HALVES)
+    assert parse_space(json.dumps(HALVES)) is first
+    x = parse_function({"space": HALVES, "atoms": {"a": "1", "b": "0"}})
+    y = parse_function(json.dumps({"space": HALVES, "atoms": {"a": "2", "b": "-1"}}))
+    assert x.space is y.space is first
+
+
+@pytest.mark.parametrize("other", [
+    {"atoms": [{"id": "a", "weight": "2/4"}, {"id": "b", "weight": "1/2"}], "diffuse_mass": "0"},
+    {"atoms": [{"id": "a", "weight": "1/2"}, {"id": "b", "weight": "1/2"}], "diffuse_mass": "0/3"},
+    {"atoms": [{"id": "b", "weight": "1/2"}, {"id": "a", "weight": "1/2"}], "diffuse_mass": "0"},
+], ids=["respelled-weight", "respelled-diffuse-mass", "atoms-reordered"])
+def test_parse_space_parses_a_respelled_space_on_its_own(other):
+    first = parse_space(HALVES)
+    space = parse_space(other)
+    assert space is not first
+    assert space.atoms == tuple((e["id"], parse_ratstr(e["weight"])) for e in other["atoms"])
+    assert space.diffuse_mass == 0 and space == MeasureSpace(space.atoms, Fraction(0))
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"atoms": [{"id": "a", "weight": "1/2"}], "diffuse_mass": "1/4"}, NormalizationError),
+    ({"atoms": [{"id": "a", "weight": "1/x"}], "diffuse_mass": "0"}, SchemaError),
+    ({"atoms": [{"id": "a", "weight": ["1"]}], "diffuse_mass": "0"}, SchemaError),  # unhashable
+    ({"atoms": [{"id": "a", "weight": "1"}], "diffuse_mass": {"0": 1}}, SchemaError),
+    ({"atoms": [{"id": "a", "weight": "1"}, {"id": "a", "weight": "0"}], "diffuse_mass": "0"},
+     DuplicateAtomError),
+])
+def test_a_space_that_raises_is_not_kept(bad, error):
+    """The refused document raises again, the space kept before it is
+    still returned, and the next new document is parsed in full."""
+    first = parse_space(HALVES)
+    for _ in range(2):
+        with pytest.raises(error):
+            parse_space(bad)
+    assert parse_space(HALVES) is first
+    thirds = parse_space({"atoms": [{"id": "a", "weight": "1/3"}], "diffuse_mass": "2/3"})
+    assert thirds.atoms == (("a", Fraction(1, 3)),) and thirds.diffuse_mass == Fraction(2, 3)
+    with pytest.raises(error):
+        parse_space(bad)
 
 
 def test_parse_space_duplicate_atom():
