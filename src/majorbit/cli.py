@@ -160,9 +160,7 @@ def _cmd_birkhoff(args):
     out = decomposition.serialize()
     import numpy as np
 
-    out["residual"] = float(
-        np.max(np.abs(decomposition.matrix(ds.n) - ds.entries))
-    )
+    out["residual"] = float(np.max(np.abs(decomposition.matrix(ds.n) - ds.entries)))
     return 0, out
 
 
@@ -179,9 +177,7 @@ def _cmd_suite(args):
     from .hermitian import identity_suite
 
     trials = args.trials if args.trials is not None else 200
-    report = identity_suite(
-        args.seed, n=args.dim, trials=trials, tol=_positive_tol(args, 1e-8)
-    )
+    report = identity_suite(args.seed, n=args.dim, trials=trials, tol=_positive_tol(args, 1e-8))
     return 0, report.serialize()
 
 
@@ -189,11 +185,7 @@ def _cmd_selftest(args):
     from .selftest import run_all
 
     results, ok = run_all(seed=args.seed, trials=args.trials)
-    doc = {
-        "seed": args.seed,
-        "passed": ok,
-        "criteria": [r.serialize() for r in results],
-    }
+    doc = {"seed": args.seed, "passed": ok, "criteria": [r.serialize() for r in results]}
     return (0 if ok else 1), doc
 
 

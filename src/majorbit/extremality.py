@@ -64,19 +64,10 @@ class ExtremalityVerdict:
     def serialize(self, include_witness: bool = True) -> dict:
         from .witness import serialize_witness
 
-        doc = {
-            "verdict": self.verdict,
-            "intervals": [
-                {
-                    "t1": format_ratstr(iv.t1),
-                    "t2": format_ratstr(iv.t2),
-                    "value": format_ratstr(iv.value),
-                    "kind": iv.kind.tag,
-                    "condition": cond,
-                }
-                for iv, cond in zip(self.intervals, self.conditions)
-            ],
-        }
+        intervals = [{"t1": format_ratstr(iv.t1), "t2": format_ratstr(iv.t2),
+                      "value": format_ratstr(iv.value), "kind": iv.kind.tag, "condition": cond}
+                     for iv, cond in zip(self.intervals, self.conditions)]
+        doc = {"verdict": self.verdict, "intervals": intervals}
         if include_witness and self.witness is not None:
             doc["witness"] = serialize_witness(self.witness)
         return doc
@@ -99,8 +90,8 @@ def _level_kind(x: SimpleFunction, level) -> LevelKind:
 def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
     """How the level set {x = v} sits in the space: one atom, several atoms,
     diffuse pieces only, or a mixture."""
-    v = Fraction(v)
-    level = next((lv for lv in _carrier_table(x).levels if lv[2][0] == v), None)
+    v, (vden, _, levels, _) = Fraction(v), _carrier_table(x)
+    level = next((lv for lv in levels if lv[0] * v.denominator == v.numerator * vden), None)
     if level is None:
         raise ValueNotAttained(f"{v} is not a value of the function")
     return _level_kind(x, level)
@@ -108,10 +99,11 @@ def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
 
 def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
     """Maximal constancy intervals of the scale of x; they partition [0,1)."""
-    points = (ZERO, *rearrange(x).breakpoints)
+    scale, levels = rearrange(x), _carrier_table(x).levels
+    points = (ZERO, *scale.breakpoints)
     return tuple(
-        ConstancyInterval(t1, t2, level[2][0], _level_kind(x, level))
-        for t1, t2, level in zip(points, points[1:], _carrier_table(x).levels)
+        ConstancyInterval(t1, t2, value, _level_kind(x, level))
+        for t1, t2, (value, _), level in zip(points, points[1:], scale.steps, levels)
     )
 
 

@@ -130,11 +130,7 @@ class HermitianOperator:
         return cls(re + 1j * im, tol)
 
     def serialize(self) -> dict:
-        return {
-            "n": self.n,
-            "re": self.entries.real.tolist(),
-            "im": self.entries.imag.tolist(),
-        }
+        return {"n": self.n, "re": self.entries.real.tolist(), "im": self.entries.imag.tolist()}
 
 
 def eig_scale(a: HermitianOperator, snap_denominator: int | None = None) -> StepScale:
@@ -318,12 +314,7 @@ class BirkhoffDecomposition:
         return out.reshape(n, n)
 
     def serialize(self) -> dict:
-        return {
-            "terms": [
-                {"coefficient": coeff, "permutation": list(perm)}
-                for coeff, perm in self.terms
-            ]
-        }
+        return {"terms": [{"coefficient": c, "permutation": list(perm)} for c, perm in self.terms]}
 
 
 def _perfect_matching(
@@ -541,11 +532,8 @@ class SuiteReport:
         return all(v == 0 for v in self.violations.values())
 
     def serialize(self) -> dict:
-        return {
-            "trials": dict(self.trials),
-            "violations": dict(self.violations),
-            "passed": self.passed,
-        }
+        return {"trials": dict(self.trials), "violations": dict(self.violations),
+                "passed": self.passed}
 
 
 def _top_k_projection(vectors: np.ndarray, k: int) -> np.ndarray:

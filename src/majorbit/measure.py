@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     UnknownAtomError,
 )
-from .rationals import _shown, format_ratstr, parse_ratstr
+from .rationals import _format_pair, _parse_pair, _shown, format_ratstr, parse_ratstr
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -41,13 +41,14 @@ def _rational(q) -> bool:
 class MeasureSpace:
     atoms: tuple[tuple[str, Fraction], ...]
     diffuse_mass: Fraction
+    atom_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     # the weights, then diffuse_mass, as numerators over one denominator
     _masses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [atom_id for atom_id, _ in self.atoms]
+        ids = tuple(atom_id for atom_id, _ in self.atoms)
         if len(set(ids)) != len(ids):
-            raise DuplicateAtomError(f"duplicate atom ids in {ids}")
+            raise DuplicateAtomError(f"duplicate atom ids in {list(ids)}")
         masses = [w for _, w in self.atoms] + [self.diffuse_mass]
         if not all(_rational(q) for q in masses):
             raise SchemaError("weights and diffuse_mass must be rational numbers")
@@ -59,11 +60,8 @@ class MeasureSpace:
         den, nums = _over_lcm(masses)
         if sum(nums) != den:
             raise NormalizationError(f"total mass is {_shown(Fraction(sum(nums), den))}, expected 1")
+        object.__setattr__(self, "atom_ids", ids)
         object.__setattr__(self, "_masses", (den, nums))
-
-    @property
-    def atom_ids(self) -> tuple[str, ...]:
-        return tuple(atom_id for atom_id, _ in self.atoms)
 
     def weight(self, atom_id: str) -> Fraction:
         for aid, w in self.atoms:
@@ -76,44 +74,75 @@ class MeasureSpace:
         return self.diffuse_mass == 0
 
 
+def _exact(q) -> Fraction:
+    """The one number rule as a Fraction; a Fraction is kept as given."""
+    if type(q) is not Fraction and not _rational(q):
+        raise SchemaError(f"{q!r} is not a rational number")
+    return q if type(q) is Fraction else Fraction(q)
+
+
 @dataclass(frozen=True)
 class SimpleFunction:
+    """Values and piece masses are reduced int pairs, ``_atoms`` (id -> value) and ``_pieces``,
+    folded over the carriers (atoms in space order, then pieces) to (D, numerators) in
+    ``_values`` and ``_masses``. Built from pairs, it derives its Fraction fields when read."""
+
     space: MeasureSpace
     atom_values: Mapping[str, Fraction]
-    diffuse_pieces: tuple[tuple[Fraction, Fraction], ...] = ()
+    diffuse_pieces: tuple[tuple[Fraction, Fraction], ...] = field(default_factory=tuple)
     # the decreasing rearrangement, filled by scales.rearrange on first use
     _scale: object = field(default=None, init=False, repr=False, compare=False)
     # the integer carrier table, filled by _carrier_table on first use
     _table: object = field(default=None, init=False, repr=False, compare=False)
-    # the carriers' masses over the space's mass denominator extended by the pieces'
-    _masses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        def exact(q):  # a Fraction is kept as given: Fraction(q) would build a copy of it
-            if type(q) is Fraction:
-                return q
-            if _rational(q):
-                return Fraction(q)
-            raise SchemaError(f"{q!r} is not a rational number")
-        values = {aid: exact(v) for aid, v in self.atom_values.items()}
-        pieces = tuple((exact(v), exact(m)) for v, m in self.diffuse_pieces)
-        object.__setattr__(self, "atom_values", values)
-        object.__setattr__(self, "diffuse_pieces", pieces)
-        missing = set(self.space.atom_ids) - set(self.atom_values)
-        extra = set(self.atom_values) - set(self.space.atom_ids)
-        if extra:
-            raise UnknownAtomError(f"values given for unknown atoms {sorted(extra)}")
-        if missing:
-            raise SchemaError(f"missing values for atoms {sorted(missing)}")
-        space_den, space_nums = self.space._masses
-        den, nums = _over_lcm([m for _, m in self.diffuse_pieces], space_den)
-        if any(num <= 0 for num in nums):
-            raise SchemaError("piece masses must be > 0")
-        factor = den // space_den
-        if sum(nums) != space_nums[-1] * factor:
-            raise MassMismatchError(f"piece masses sum to {_shown(Fraction(sum(nums), den))}, "
-                                    f"diffuse_mass is {_shown(self.space.diffuse_mass)}")
-        object.__setattr__(self, "_masses", (den, [m * factor for m in space_nums[:-1]] + nums))
+        values = {aid: _exact(v) for aid, v in self.atom_values.items()}
+        pieces = tuple((_exact(v), _exact(m)) for v, m in self.diffuse_pieces)
+        self.__dict__.update(atom_values=values, diffuse_pieces=pieces)
+        pair = lambda q: (q.numerator, q.denominator)
+        self._fold({aid: pair(v) for aid, v in values.items()},
+                   tuple((pair(v), pair(m)) for v, m in pieces))
+
+    @classmethod
+    def _of(cls, space, *pairs) -> "SimpleFunction":
+        """The function of the pairs (and the folds, if known) that _fold takes."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "space", space)
+        f._fold(*pairs)
+        return f
+
+    def _fold(self, atoms, pieces, values=None, masses=None):
+        """Check the pairs, unless ``masses`` is given (a checked function's), and keep them."""
+        ids = self.space.atom_ids
+        if masses is None:
+            known = set(ids)
+            extra, missing = sorted(atoms.keys() - known), sorted(known - atoms.keys())
+            if extra:
+                raise UnknownAtomError(f"values given for unknown atoms {extra}")
+            if missing:
+                raise SchemaError(f"missing values for atoms {missing}")
+            space_den, space_nums = self.space._masses
+            den, nums = _fold_pairs([m for _, m in pieces], space_den)
+            if any(num <= 0 for num in nums):
+                raise SchemaError("piece masses must be > 0")
+            factor = den // space_den
+            if sum(nums) != space_nums[-1] * factor:
+                raise MassMismatchError(f"piece masses sum to {_shown(Fraction(sum(nums), den))}, "
+                                        f"diffuse_mass is {_shown(self.space.diffuse_mass)}")
+            masses = (den, [m * factor for m in space_nums[:-1]] + nums)
+        values = values or _fold_pairs([atoms[aid] for aid in ids] + [v for v, _ in pieces])
+        self.__dict__.update(_atoms=atoms, _pieces=pieces, _values=values, _masses=masses)
+
+    def __getattr__(self, name):
+        """The Fraction fields of a function built from pairs, on first read."""
+        if name == "atom_values":
+            value = {aid: Fraction(*q) for aid, q in self._atoms.items()}
+        elif name == "diffuse_pieces":
+            value = tuple((Fraction(*v), Fraction(*m)) for v, m in self._pieces)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     def weighted_values(self) -> list[tuple[Fraction, Fraction]]:
         """All (value, mass) carriers: atoms in space order, then pieces."""
@@ -133,47 +162,57 @@ class SimpleFunction:
 
 
 class _Table(NamedTuple):
-    """A simple function's carriers (atoms in space order, then pieces) with
-    their values as integer numerators over the lcm of the value
-    denominators. One stable sort by value groups the carriers into levels,
-    by value descending: (value, member indices, (value, length) as
-    Fractions); ``profile`` holds them as the scale's integer profile."""
+    """A function's value fold (vden, values) and its levels, by value descending: (value,
+    member indices, length), one stable sort grouping the carriers and the length summing
+    their mass numerators; ``profile`` holds them as the scale's integer profile."""
 
     vden: int
     values: tuple[int, ...]
-    levels: tuple[tuple[int, tuple[int, ...], tuple[Fraction, Fraction]], ...]
+    levels: tuple[tuple[int, tuple[int, ...], int], ...]
     profile: tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-def _over_lcm(qs, den: int = 1) -> tuple[int, list[int]]:
-    """The lcm of den and the denominators of the rationals qs, and each
-    numerator over it. Each distinct denominator d costs one gcd of d with
-    the running lcm reduced mod d, and one division of the lcm by d."""
-    cofactors = dict.fromkeys(q.denominator for q in qs)
+def _fold_pairs(pairs, den: int = 1) -> tuple[int, list[int]]:
+    """The lcm of den and the denominators of the (numerator, denominator) pairs, and each
+    numerator over it. Each distinct denominator d costs one gcd and one division."""
+    cofactors = dict.fromkeys(d for _, d in pairs)
     for d in cofactors:
         den *= d // gcd(d, den % d)
     for d in cofactors:
         cofactors[d] = den // d
-    return den, [q.numerator * cofactors[q.denominator] for q in qs]
+    return den, [n * cofactors[d] for n, d in pairs]
+
+
+def _over_lcm(qs) -> tuple[int, list[int]]:
+    """_fold_pairs of the rationals qs."""
+    return _fold_pairs([(q.numerator, q.denominator) for q in qs])
 
 
 def _carrier_table(f: SimpleFunction) -> _Table:
     """The carrier table of f, built on first use and kept by f."""
     if f._table is None:
-        pairs = f.weighted_values()
-        vden, values = _over_lcm([v for v, _ in pairs])
+        vden, values = f._values
         den, masses = f._masses
-        levels, steps = [], []
-        order = sorted(range(len(values)), key=lambda i: -values[i])
+        levels = []
+        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
         for value, group in groupby(order, key=values.__getitem__):
             members = tuple(group)
-            length = sum(masses[i] for i in members)
-            v, mass = pairs[members[0]]  # a one-member level keeps its carrier's mass
-            levels.append((value, members, (v, Fraction(length, den) if members[1:] else mass)))
-            steps.append((value, length))
-        profile = (den, vden, tuple(steps))
+            length = sum(map(masses.__getitem__, members))
+            levels.append((value, members, length))
+        profile = (den, vden, tuple((value, length) for value, _, length in levels))
         object.__setattr__(f, "_table", _Table(vden, tuple(values), tuple(levels), profile))
     return f._table
+
+
+def _level_steps(space, atoms, pieces, table: _Table) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The (value, length) Fractions of a function's levels, from its pairs. Only a level that
+    joins carriers reduces its length over the common mass denominator: that costs a gcd of
+    the denominator's size, and a one-carrier level's mass is already reduced."""
+    n, den = len(space.atoms), table.profile[0]
+    value = lambda i: Fraction(*(atoms[space.atom_ids[i]] if i < n else pieces[i - n][0]))
+    mass = lambda i: _exact(space.atoms[i][1]) if i < n else Fraction(*pieces[i - n][1])
+    return tuple((value(first), Fraction(length, den) if rest else mass(first))
+                 for _, (first, *rest), length in table.levels)
 
 
 @dataclass(frozen=True)
@@ -192,18 +231,12 @@ class Refinement:
             if any(p <= 0 for p in parts):
                 raise SchemaError("sub-masses must be > 0")
             if sum(parts, ZERO) != pieces[index][1]:
-                raise MassMismatchError(
-                    f"sub-masses of piece {index} do not sum to its mass"
-                )
+                raise MassMismatchError(f"sub-masses of piece {index} do not sum to its mass")
 
     def apply(self) -> SimpleFunction:
-        pieces = []
-        for index, (value, mass) in enumerate(self.source.diffuse_pieces):
-            if index in self.splits:
-                pieces.extend((value, part) for part in self.splits[index])
-            else:
-                pieces.append((value, mass))
-        return SimpleFunction(self.source.space, self.source.atom_values, tuple(pieces))
+        pieces = tuple((v, part) for i, (v, m) in enumerate(self.source.diffuse_pieces)
+                       for part in self.splits.get(i, (m,)))
+        return SimpleFunction(self.source.space, self.source.atom_values, pieces)
 
 
 def refine_diffuse(f: SimpleFunction, k: int) -> SimpleFunction:
@@ -215,9 +248,7 @@ def refine_diffuse(f: SimpleFunction, k: int) -> SimpleFunction:
         raise SchemaError(f"k must be >= 1, got {k}")
     if k == 1:
         return f
-    splits = {
-        i: tuple([mass / k] * k) for i, (_, mass) in enumerate(f.diffuse_pieces)
-    }
+    splits = {i: tuple([mass / k] * k) for i, (_, mass) in enumerate(f.diffuse_pieces)}
     return Refinement(f, splits).apply()
 
 
@@ -262,11 +293,12 @@ def _space_of(atoms, diffuse: str) -> MeasureSpace:
 
 
 def _function_entries(doc: dict):
-    """The checked atom values and diffuse pieces of a function document."""
+    """The checked atom values and diffuse pieces of a function document, as
+    reduced (numerator, denominator) pairs."""
     atom_doc = doc.get("atoms", {})
     if not isinstance(atom_doc, dict):
         raise SchemaError("'atoms' must be an object of id -> ratstr")
-    values = {aid: parse_ratstr(v) for aid, v in atom_doc.items()}
+    values = {aid: _parse_pair(v) for aid, v in atom_doc.items()}
     piece_doc = doc.get("diffuse", [])
     if not isinstance(piece_doc, list):
         raise SchemaError("'diffuse' must be a list of pieces")
@@ -274,7 +306,7 @@ def _function_entries(doc: dict):
     for entry in piece_doc:
         if not isinstance(entry, dict) or "value" not in entry or "mass" not in entry:
             raise SchemaError(f"bad diffuse piece: {entry!r}")
-        pieces.append((parse_ratstr(entry["value"]), parse_ratstr(entry["mass"])))
+        pieces.append((_parse_pair(entry["value"]), _parse_pair(entry["mass"])))
     return values, tuple(pieces)
 
 
@@ -286,27 +318,19 @@ def parse_function(document, space: MeasureSpace | None = None) -> SimpleFunctio
         if "space" not in doc:
             raise SchemaError("function document needs an embedded 'space'")
         space = parse_space(doc["space"])
-    return SimpleFunction(space, *_function_entries(doc))
+    return SimpleFunction._of(space, *_function_entries(doc))
 
 
 def serialize_space(space: MeasureSpace) -> dict:
-    return {
-        "atoms": [
-            {"id": aid, "weight": format_ratstr(w)} for aid, w in space.atoms
-        ],
-        "diffuse_mass": format_ratstr(space.diffuse_mass),
-    }
+    atoms = [{"id": aid, "weight": format_ratstr(w)} for aid, w in space.atoms]
+    return {"atoms": atoms, "diffuse_mass": format_ratstr(space.diffuse_mass)}
 
 
-def serialize_function(f: SimpleFunction) -> dict:
-    return {
-        "space": serialize_space(f.space),
-        "atoms": {aid: format_ratstr(f.atom_values[aid]) for aid in f.space.atom_ids},
-        "diffuse": [
-            {"value": format_ratstr(v), "mass": format_ratstr(m)}
-            for v, m in f.diffuse_pieces
-        ],
-    }
+def serialize_function(f: SimpleFunction, space: dict | None = None) -> dict:
+    """f's document, printed from its pairs; ``space`` is its space's, if already built."""
+    atoms = {aid: _format_pair(*f._atoms[aid]) for aid in f.space.atom_ids}
+    pieces = [{"value": _format_pair(*v), "mass": _format_pair(*m)} for v, m in f._pieces]
+    return {"space": space or serialize_space(f.space), "atoms": atoms, "diffuse": pieces}
 
 
 def parse_function_normalized(document) -> SimpleFunction:
@@ -323,7 +347,8 @@ def parse_function_normalized(document) -> SimpleFunction:
         raise NormalizationError("total mass must be positive to normalize")
     space = MeasureSpace(tuple((a, w / total) for a, w in atoms), diffuse / total)
     values, pieces = _function_entries(doc)
-    return SimpleFunction(space, values, tuple((v, m / total) for v, m in pieces))
+    return SimpleFunction(space, {aid: Fraction(*v) for aid, v in values.items()},
+                          tuple((Fraction(*v), Fraction(*m) / total) for v, m in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +393,7 @@ def add_functions(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
 
 
 def scale_function(f: SimpleFunction, c: Fraction) -> SimpleFunction:
-    c = Fraction(c)
+    c = _exact(c)
     return f.map_values(lambda v: v * c if v else v)
 
 

@@ -10,11 +10,13 @@ denominator and is exact.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .measure import ZERO, SimpleFunction, _carrier_table, _over_lcm, abs_function, common_refinement
+from .measure import (ZERO, SimpleFunction, _carrier_table, _level_steps, _over_lcm, abs_function,
+                      common_refinement)
 from .rationals import _shown, format_ratstr
 
 
@@ -42,22 +44,27 @@ def _rescaled(pairs, value_factor: int, length_factor: int) -> list[tuple[int, i
 class StepScale:
     """Decreasing right-continuous step function on [0,1), total length 1.
 
-    Construction also records the integer profile every query reads:
-    ``_profile`` = (D, V, (value, length) numerators over V and D), given by
-    ``rearrange`` or derived from ``steps``, and ``_ends``, each step's end over D.
+    Construction records the integer profile every query reads: ``_profile``
+    = (D, V, (value, length) numerators over V and D), and ``_ends``, each
+    step's end over D. A scale given its steps folds them; ``rearrange``
+    gives the profile and, for steps None, ``_derive``, which gives the
+    steps on first read.
     """
 
-    steps: tuple[tuple[Fraction, Fraction], ...]
+    steps: tuple[tuple[Fraction, Fraction], ...] | None
     _profile: tuple = field(default=None, repr=False, compare=False)
+    _derive: object = field(default=None, repr=False, compare=False)
     _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.steps:
-            raise InternalError("a scale is never empty")
         if self._profile is None:
             (vden, values), (den, lengths) = (_over_lcm([s[k] for s in self.steps]) for k in (0, 1))
             object.__setattr__(self, "_profile", (den, vden, tuple(zip(values, lengths))))
+        elif self.steps is None:
+            object.__delattr__(self, "steps")
         den, _, ints = self._profile
+        if not ints:
+            raise InternalError("a scale is never empty")
         for i, (value, length) in enumerate(ints):
             if length <= 0:
                 raise InternalError("step lengths must be > 0")
@@ -67,6 +74,14 @@ class StepScale:
         if ends[-1] != den:
             raise InternalError(f"step lengths sum to {_shown(Fraction(ends[-1], den))}, expected 1")
         object.__setattr__(self, "_ends", ends)
+
+    def __getattr__(self, name):
+        """The steps of a scale built with ``_derive``, on first read."""
+        if name != "steps":
+            raise AttributeError(name)
+        steps = self._derive()
+        object.__setattr__(self, "steps", steps)
+        return steps
 
     @classmethod
     def from_pairs(cls, pairs) -> "StepScale":
@@ -86,12 +101,8 @@ class StepScale:
         return self.steps[k][0]
 
     def serialize(self) -> dict:
-        return {
-            "steps": [
-                {"value": format_ratstr(v), "length": format_ratstr(l)}
-                for v, l in self.steps
-            ]
-        }
+        steps = [{"value": format_ratstr(v), "length": format_ratstr(l)} for v, l in self.steps]
+        return {"steps": steps}
 
 
 @dataclass(frozen=True)
@@ -119,14 +130,10 @@ class MajorisationReport:
     total_gap: Fraction
 
     def serialize(self) -> dict:
-        return {
-            "holds": self.holds,
-            "breakpoint_slacks": [
-                {"t": format_ratstr(t), "slack": format_ratstr(s)}
-                for t, s in self.breakpoint_slacks
-            ],
-            "total_gap": format_ratstr(self.total_gap),
-        }
+        slacks = [{"t": format_ratstr(t), "slack": format_ratstr(s)}
+                  for t, s in self.breakpoint_slacks]
+        return {"holds": self.holds, "breakpoint_slacks": slacks,
+                "total_gap": format_ratstr(self.total_gap)}
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +144,12 @@ def rearrange(f: SimpleFunction) -> StepScale:
     """The decreasing rearrangement: all (value, mass) carriers sorted by
     value descending, equal values merged. Equimeasurable with f.
 
-    The steps and their integer profile are f's carrier table's levels, and
-    f keeps its scale once computed, so later calls return the same object."""
+    Its integer profile is f's carrier table's levels, and f keeps its scale
+    once computed, so later calls return the same object."""
     if f._scale is None:
         table = _carrier_table(f)
-        steps = tuple(level[2] for level in table.levels)
-        object.__setattr__(f, "_scale", StepScale(steps, table.profile))
+        derive = partial(_level_steps, f.space, f._atoms, f._pieces, table)
+        object.__setattr__(f, "_scale", StepScale(None, table.profile, derive))
     return f._scale
 
 

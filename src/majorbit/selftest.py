@@ -56,21 +56,12 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f" ({self.note})" if self.note else ""
-        return (
-            f"criterion {self.index} {self.name}: {status} "
-            f"[{self.trials} trials, {self.failures} failures, "
-            f"{self.seconds:.2f}s]{extra}"
-        )
+        return (f"criterion {self.index} {self.name}: {status} [{self.trials} trials, "
+                f"{self.failures} failures, {self.seconds:.2f}s]{extra}")
 
     def serialize(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return {"index": self.index, "name": self.name, "trials": self.trials,
+                "failures": self.failures, "passed": self.passed, "note": self.note}
 
 
 def _dyadic_weights(rng: SplitMix64, n: int) -> tuple[Fraction, ...]:
@@ -143,13 +134,7 @@ def criterion_agreement(seed: int, trials: int):
         yield check_extreme(x, y).extreme == oracle_extreme(x, y)
 
 
-_HLP_CASES = [
-    (3, 1),
-    (2, 2, 1),
-    (5, 1, 1, 0),
-    (3, 2, 2, 1),
-    (4, 3, 2, 2, 1, 0),
-]
+_HLP_CASES = [(3, 1), (2, 2, 1), (5, 1, 1, 0), (3, 2, 2, 1), (4, 3, 2, 2, 1, 0)]
 
 
 @_criterion(2, "classical HLP recovery", len(_HLP_CASES))
@@ -324,14 +309,9 @@ def criterion_identities(seed: int, trials: int = 200) -> CriterionResult:
     start = time.perf_counter()
     report = identity_suite(seed, n=6, trials=trials, tol=1e-8)
     failures = sum(report.violations.values())
-    return CriterionResult(
-        8,
-        "matrix identity suite",
-        sum(report.trials.values()),
-        failures,
-        time.perf_counter() - start,
-        note=", ".join(f"{k}={v}" for k, v in report.violations.items() if v),
-    )
+    note = ", ".join(f"{k}={v}" for k, v in report.violations.items() if v)
+    return CriterionResult(8, "matrix identity suite", sum(report.trials.values()), failures,
+                           time.perf_counter() - start, note=note)
 
 
 # each criterion's full count is the default of its trials parameter
@@ -360,8 +340,5 @@ def run_all(seed: int = 1, trials: int | None = None):
         print(results[-1].line(), file=sys.stderr)
     total = time.perf_counter() - overall_start
     ok = all(r.passed for r in results)
-    print(
-        f"selftest {'PASS' if ok else 'FAIL'} in {total:.2f}s (seed={seed})",
-        file=sys.stderr,
-    )
+    print(f"selftest {'PASS' if ok else 'FAIL'} in {total:.2f}s (seed={seed})", file=sys.stderr)
     return results, ok

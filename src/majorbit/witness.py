@@ -10,18 +10,18 @@ delta* is computed exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CriterionSatisfied, DegenerateDirection, InternalError
 from .measure import (
     ONE,
     ZERO,
-    Refinement,
     SimpleFunction,
     _carrier_table,
     _require_same_space,
     common_refinement,
     serialize_function,
+    serialize_space,
 )
 from .extremality import evaluate_conditions
 from .rationals import format_ratstr
@@ -47,9 +47,11 @@ class WitnessPair:
 
 
 def serialize_witness(w: WitnessPair) -> dict:
+    space = serialize_space(w.x_plus.space)
+    shared = space if w.x_minus.space == w.x_plus.space else None
     return {
-        "x_plus": serialize_function(w.x_plus),
-        "x_minus": serialize_function(w.x_minus),
+        "x_plus": serialize_function(w.x_plus, space),
+        "x_minus": serialize_function(w.x_minus, shared),
         "delta": format_ratstr(w.perturbation.delta),
         "case": w.perturbation.case_tag,
     }
@@ -65,8 +67,7 @@ def _cells(*fs: SimpleFunction) -> tuple[int, list[tuple[tuple[int, ...], int]]]
         _require_same_space(fs[0], f)
     n = len(fs[0].space.atoms)
     den = lcm(*{f._masses[0] for f in fs})
-    carriers = [_rescaled(zip(_carrier_table(f).values, f._masses[1]), 1, den // f._masses[0])
-                for f in fs]
+    carriers = [_rescaled(zip(f._values[1], f._masses[1]), 1, den // f._masses[0]) for f in fs]
     cells = [(tuple(c[i][0] for c in carriers), carriers[0][i][1]) for i in range(n)]
     pieces = [((v,), m) for v, m in carriers[0][n:]]
     for c in carriers[1:]:
@@ -96,7 +97,7 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
     if all(vs[1] == 0 for vs, _ in cells):
         raise DegenerateDirection("u vanishes almost everywhere")
     y_den, y_vden, y_ints = rearrange(y)._profile
-    x_vden, u_vden = _carrier_table(x).vden, _carrier_table(u).vden
+    x_vden, u_vden = x._values[0], u._values[0]
     common, vden = lcm(den, y_den), lcm(x_vden, y_vden)
     y_ints = _rescaled(y_ints, vden // y_vden, common // y_den)
     scale_x, scale_m = vden // x_vden, common // den
@@ -150,13 +151,13 @@ def _positive_run(slacks, k: int) -> tuple[int, int]:
 
 
 def _indicator(x: SimpleFunction, plus, minus, ratio: Fraction) -> SimpleFunction:
-    """Direction u = 1_plus - ratio * 1_minus on x's space, for sets of
+    """Direction u = 1_plus - ratio * 1_minus on x's carriers, for sets of
     carrier indices (atoms in space order, then pieces)."""
-    n = len(x.space.atoms)
-    coeffs = [ONE if i in plus else -ratio if i in minus else ZERO
-              for i in range(n + len(x.diffuse_pieces))]
-    pieces = tuple((c, mass) for c, (_, mass) in zip(coeffs[n:], x.diffuse_pieces))
-    return SimpleFunction(x.space, dict(zip(x.space.atom_ids, coeffs)), pieces)
+    n, below = len(x.space.atoms), (-ratio.numerator, ratio.denominator)
+    coeffs = [(1, 1) if i in plus else below if i in minus else (0, 1)
+              for i in range(len(x._masses[1]))]
+    pieces = tuple((c, mass) for c, (_, mass) in zip(coeffs[n:], x._pieces))
+    return SimpleFunction._of(x.space, dict(zip(x.space.atom_ids, coeffs)), pieces, None, x._masses)
 
 
 def _split_direction(x: SimpleFunction, level) -> SimpleFunction:
@@ -164,28 +165,35 @@ def _split_direction(x: SimpleFunction, level) -> SimpleFunction:
     1_p1 - (mass(p1)/mass(p2)) 1_p2. p1 is the first atom in space order if
     the level holds any atom, else the first piece; a level consisting of a
     single diffuse piece is split into two equal-mass halves."""
-    _, (first, *rest), (_, length) = level
+    _, (first, *rest), length = level
     if not rest:
         index = first - len(x.space.atoms)
         if index < 0:
             raise InternalError("a single-atom level cannot be split")
-        half = x.diffuse_pieces[index][1] / 2
-        halved = Refinement(x, {index: (half, half)}).apply()
-        return _indicator(halved, {first}, {first + 1}, ONE)
-    first_mass = x.weighted_values()[first][1]
-    return _indicator(x, {first}, set(rest), first_mass / (length - first_mass))
+        value, (num, den) = x._pieces[index]
+        half = (value, (num, 2 * den) if num % 2 else (num // 2, den))
+        pieces = x._pieces[:index] + (half, half) + x._pieces[index + 1:]
+        return _indicator(SimpleFunction._of(x.space, x._atoms, pieces), {first}, {first + 1}, ONE)
+    first_mass = x._masses[1][first]
+    return _indicator(x, {first}, set(rest), Fraction(first_mass, length - first_mass))
 
 
 def _moved(x: SimpleFunction, u: SimpleFunction, delta: Fraction):
     """x +- delta*u as add_functions(x, scale_function(u, +-delta)) gives
-    them, from one common refinement of x's and u's pieces."""
-    def moved(value, coeff):  # where u vanishes, x's value as is
-        shift = coeff and coeff * delta
-        return (value + shift, value - shift) if shift else (value, value)
-    atoms = [moved(x.atom_values[aid], u.atom_values[aid]) for aid in x.space.atom_ids]
-    pieces = [(moved(a, c), m) for a, c, m in common_refinement(x.diffuse_pieces, u.diffuse_pieces)]
-    return (SimpleFunction(x.space, dict(zip(x.space.atom_ids, (v[k] for v in atoms))),
-                           tuple((v[k], m) for v, m in pieces)) for k in (0, 1))
+    them, built on ints: their values on the cells of x and u over one
+    denominator, the cells' masses, and the reduced pairs of both."""
+    (den, cells), n = _cells(x, u), len(x.space.atoms)
+    x_vden, u_vden = x._values[0], u._values[0] * delta.denominator
+    vden = lcm(x_vden, u_vden)
+    kx, ku = vden // x_vden, vden // u_vden * delta.numerator
+    reduced = lambda num, d: (num // (g := gcd(num, d)), d // g)
+    masses = [m for _, m in cells]
+    piece_masses = [reduced(m, den) for m in masses[n:]]
+    for sign in (1, -1):
+        values = [xv * kx + sign * c * ku for (xv, c), _ in cells]
+        pairs = [reduced(v, vden) for v in values]
+        yield SimpleFunction._of(x.space, dict(zip(x.space.atom_ids, pairs)),
+                                 tuple(zip(pairs[n:], piece_masses)), (vden, values), (den, masses))
 
 
 def build_witness(x: SimpleFunction, y: SimpleFunction) -> WitnessPair:
@@ -220,7 +228,7 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
         else:
             upper, lower = levels[lo + 1], levels[lo + 2]
             tag = THREE_VALUES
-        ratio = upper[2][1] / lower[2][1]
+        ratio = Fraction(upper[2], lower[2])
         u = _indicator(x, set(upper[1]), set(lower[1]), ratio)
 
     delta_sup = admissible_delta(x, y, u)
@@ -243,7 +251,7 @@ def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool
     if delta <= 0:
         return False
     fs = (x, u, w.x_plus, w.x_minus)
-    vdens = [_carrier_table(f).vden for f in fs]
+    vdens = [f._values[0] for f in fs]
     vdens[1] *= delta.denominator
     kx, ku, kp, km = (lcm(*vdens) // v for v in vdens)
     cells = _cells(*fs)[1]

@@ -523,22 +523,24 @@ def test_hostile_common_denominator(tmp_path, capsys, argv, digest):
 def test_hostile_extreme_folds_the_weights_once(tmp_path, capsys, monkeypatch):
     """x and y read from one document share one parsed space, which brings
     its weights to their 96 000-digit common denominator once; the carrier
-    tables, the scales and the walk read those numerators. Counted at
-    _over_lcm in every module that calls it."""
+    tables, the scales and the walk read those numerators, and x+ and x-
+    are built on them. Counted at _fold_pairs, the one fold of (numerator,
+    denominator) pairs that every fold of rationals goes through, in every
+    module that calls it."""
     from majorbit import measure
 
     path = write(tmp_path, "f.json", hostile_denominators_doc())
-    fold, folds = measure._over_lcm, []
+    fold, folds = measure._fold_pairs, []
 
-    def counting(qs, *args):
-        qs = list(qs)
-        if any(q.denominator > 10**3999 for q in qs):
-            folds.append(len(qs))
-        return fold(qs, *args)
+    def counting(pairs, *args):
+        pairs = list(pairs)
+        if any(den > 10**3999 for _, den in pairs):
+            folds.append(len(pairs))
+        return fold(pairs, *args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("majorbit") and getattr(module, "_over_lcm", None) is fold:
-            monkeypatch.setattr(module, "_over_lcm", counting)
+        if name.startswith("majorbit") and getattr(module, "_fold_pairs", None) is fold:
+            monkeypatch.setattr(module, "_fold_pairs", counting)
     measure._space_of.cache_clear()  # a space kept from an earlier test would hide the fold
     assert cli.main(["extreme", "-x", path, "-y", path]) == 0
     capsys.readouterr()

@@ -333,3 +333,60 @@ def test_normalized_parsing():
     f = parse_function_normalized(doc)
     assert f.space.atoms[0][1] == Fraction(1, 2)
     assert f.diffuse_pieces == ((Fraction(1), Fraction(1, 2)),)
+
+
+EDGE_SPACES = {
+    "atomic": ({"atoms": [{"id": "a", "weight": "2/4"}, {"id": "b", "weight": "1/4"},
+                          {"id": "c", "weight": "1/4"}], "diffuse_mass": "0"},
+               {"c": "007", "a": "2/4", "b": "-6/3"}, []),
+    "atomless": ({"atoms": [], "diffuse_mass": "1"}, {},
+                 [("0/7", "2/8"), ("-0", "1/4"), ("007", "3/6")]),
+    "mixed": ({"atoms": [{"id": "b", "weight": "1/3"}, {"id": "a", "weight": "2/6"}],
+               "diffuse_mass": "1/3"},
+              {"a": "-0", "b": "-6/3"}, [("2/4", "1/6"), ("0/7", "2/12")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_SPACES))
+def test_parsed_function_matches_the_one_built_from_fractions(kind):
+    """A parsed function holds reduced integer pairs and derives its
+    Fraction fields on first read; built from the same numbers as Fractions
+    it is the same function: equal, equally unhashable, with the same repr,
+    fields (in the document's atom order) and document, whatever the
+    spelling of its literals."""
+    space_doc, atom_doc, piece_doc = EDGE_SPACES[kind]
+    doc = {"space": space_doc, "atoms": atom_doc,
+           "diffuse": [{"value": v, "mass": m} for v, m in piece_doc]}
+    parsed = parse_function(json.dumps(doc))
+    built = SimpleFunction(parse_space(space_doc), {aid: Fraction(v) for aid, v in atom_doc.items()},
+                           tuple((Fraction(v), Fraction(m)) for v, m in piece_doc))
+    assert "atom_values" not in vars(parsed) and "diffuse_pieces" not in vars(parsed)
+    assert parsed == built and built == parsed and repr(parsed) == repr(built)
+    assert list(parsed.atom_values.items()) == list(built.atom_values.items())
+    assert parsed.diffuse_pieces == built.diffuse_pieces
+    fields = [*parsed.atom_values.values(), *(q for piece in parsed.diffuse_pieces for q in piece)]
+    assert all(type(q) is Fraction for q in fields)
+    for f in (parsed, built):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(f)
+    assert json.dumps(serialize_function(parsed)) == json.dumps(serialize_function(built))
+    assert rearrange(parsed) == rearrange(built)
+    assert parse_function(serialize_function(parsed)) == parsed
+
+
+def test_space_atom_ids_are_kept_outside_equality():
+    space = MeasureSpace((("a", Fraction(1, 2)), ("b", Fraction(1, 2))), Fraction(0))
+    assert space.atom_ids == ("a", "b") and space.atom_ids is space.atom_ids
+    assert repr(space) == ("MeasureSpace(atoms=(('a', Fraction(1, 2)), ('b', Fraction(1, 2))), "
+                           "diffuse_mass=Fraction(0, 1))")
+    assert hash(space) == hash(((("a", Fraction(1, 2)), ("b", Fraction(1, 2))), Fraction(0)))
+
+
+@pytest.mark.parametrize("bad", [0.1, True, "1/3"], ids=["float", "bool", "ratstr"])
+def test_scale_function_follows_the_constructors_number_rule(bad):
+    """A float, a bool or a ratstr is refused as a factor, as both
+    constructors refuse it as a value, rather than converted by Fraction."""
+    with pytest.raises(SchemaError, match="is not a rational number"):
+        scale_function(mkatomic([1, 3]), bad)
+    for factor in (3, Fraction(1, 3), np.int64(3)):
+        assert scale_function(mkatomic([1, 3]), factor) == mkatomic([factor, 3 * factor])

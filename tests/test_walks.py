@@ -253,13 +253,16 @@ def large_documents() -> tuple[str, str]:
 
 
 def test_exact_request_builds_each_fraction_once(monkeypatch):
-    """Parse, decide and serialize one 48-carrier non-extreme request. A
-    Fraction passed to SimpleFunction or format_ratstr is kept as given,
-    not wrapped again, and masses are validated and summed as integer
-    numerators over one denominator per space, which x and y share: 272
-    Fractions are built on Python 3.11.7, where pairwise Fraction sums
-    built 529 and re-wrapping each value and mass and each printed literal
-    1276."""
+    """Parse, decide and serialize one 48-carrier non-extreme request.
+    Function values and piece masses stay reduced integer pairs from the
+    literal to the printed string, x+ and x- are built on integers, and a
+    scale built from its integer profile derives its steps only when read.
+    124 Fractions are built on Python 3.11.7: the space's 37 masses (x and
+    y share them), x's 36 level values, 13 level lengths that are not an
+    atom's weight and 35 interval ends, and three for the direction and
+    the step. Parsing every value to a Fraction built 272, pairwise
+    Fraction sums 529, and re-wrapping each value and mass and each
+    printed literal 1276."""
     x_doc, y_doc = large_documents()
     built = []
     new = Fraction.__new__
@@ -275,7 +278,7 @@ def test_exact_request_builds_each_fraction_once(monkeypatch):
     monkeypatch.undo()
     count = len(built)
     assert not verdict.extreme
-    assert count <= 272
+    assert count <= 124
 
 
 def test_check_extreme_builds_no_fraction_report(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from majorbit.measure import (
     MeasureSpace,
     SimpleFunction,
     add_functions,
+    parse_function,
     scale_function,
+    serialize_function,
 )
 from majorbit.orbit import sample_orbit
 from majorbit.prng import SplitMix64
@@ -254,6 +257,35 @@ def test_serialize_witness_shape():
     assert set(doc) == {"x_plus", "x_minus", "delta", "case"}
     assert doc["delta"] == "1/2"
     assert doc["case"] == "split_level"
+
+
+def test_serialize_witness_prints_the_shared_space_once():
+    """x+ and x- on one space share one space document; the witness reads
+    as the two functions serialized on their own."""
+    w = build_witness(mkatomic([4, 2, frac("1/2"), frac("-1/2")], weights=[frac("1/4")] * 4),
+                      mkatomic([4, 2, 1, -1], weights=[frac("1/4")] * 4))
+    doc = serialize_witness(w)
+    assert doc["x_plus"]["space"] is doc["x_minus"]["space"]
+    assert doc["x_plus"] == serialize_function(w.x_plus)
+    assert doc["x_minus"] == serialize_function(w.x_minus)
+    respelled = WitnessPair(w.x_plus, parse_function(serialize_function(w.x_minus)), w.perturbation)
+    assert json.dumps(serialize_witness(respelled)) == json.dumps(doc)
+
+
+@pytest.mark.parametrize("x, y", [
+    (mkatomic([2, 2]), mkatomic([3, 1])),
+    (mkdiffuse([(2, "1")]), mkdiffuse([(3, "1/2"), (1, "1/2")])),
+    (mkatomic([4, 2, frac("1/2"), frac("-1/2")], weights=[frac("1/4")] * 4),
+     mkatomic([4, 2, 1, -1], weights=[frac("1/4")] * 4)),
+], ids=["split-atoms", "split-piece", "two-values"])
+def test_witness_pair_is_x_moved_by_delta_u(x, y):
+    """x+ and x-, built on integers, are the functions that Fraction
+    arithmetic gives for x +- delta*u, down to their repr."""
+    w = build_witness(x, y)
+    u, delta = w.perturbation.u, w.perturbation.delta
+    for moved, sign in ((w.x_plus, 1), (w.x_minus, -1)):
+        expected = add_functions(x, scale_function(u, sign * delta))
+        assert moved == expected and repr(moved) == repr(expected)
 
 
 def test_admissible_delta_is_a_supremum():
