@@ -27,6 +27,7 @@ from .errors import (
 from .extremality import evaluate_conditions
 from .measure import MeasureSpace, SimpleFunction, common_refinement
 from .prng import SplitMix64
+from .rationals import parse_ratstr
 from .scales import MajorisationReport, StepScale, majorise_check
 
 TOL_COEFFICIENT = 1e-9
@@ -58,21 +59,38 @@ def _square_finite(entries, dtype, tol: float) -> np.ndarray:
 
 
 def _float_vector(values) -> np.ndarray:
-    """Floats from numbers or rational strings."""
+    """Floats from numbers or ratstrs; a bool is neither."""
     try:
-        return np.asarray(
-            [float(Fraction(v)) if isinstance(v, str) else float(v) for v in values]
-        )
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        if any(isinstance(v, bool) for v in values):
+            raise SchemaError("vector entries must be numbers or ratstrs, not true or false")
+        return np.asarray([float(parse_ratstr(v) if isinstance(v, str) else v) for v in values])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"vector entries must be numbers or ratstrs: {exc}") from exc
 
 
 def _float_matrix(rows) -> np.ndarray:
-    """Floats from the 're' or 'im' rows of a matrix document."""
+    """Floats from the 're' or 'im' rows of a matrix document; an entry
+    must be a JSON number, so not true, false or a string."""
     try:
+        if not {type(v) for row in rows for v in row} <= {int, float}:
+            raise SchemaError("matrix entries must be JSON numbers")
         return np.asarray(rows, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"matrix entries must be equal-length rows of numbers: {exc}") from exc
+
+
+def _matrix_document(doc) -> tuple[np.ndarray, np.ndarray]:
+    """The 're' and 'im' floats of a matrix document, 'im' zero when absent;
+    'n', when present, is an int that matches the shape."""
+    if not isinstance(doc, dict) or "re" not in doc:
+        raise SchemaError("matrix document needs at least 're'")
+    re = _float_matrix(doc["re"])
+    im = _float_matrix(doc["im"]) if "im" in doc else np.zeros_like(re)
+    if re.shape != im.shape:
+        raise SchemaError("'re' and 'im' have different shapes")
+    if "n" in doc and (type(doc["n"]) is not int or re.shape != (doc["n"], doc["n"])):
+        raise SchemaError("'n' is not an integer that matches the entries")
+    return re, im
 
 
 class HermitianOperator:
@@ -119,14 +137,7 @@ class HermitianOperator:
 
     @classmethod
     def from_document(cls, doc, tol: float | None = None) -> "HermitianOperator":
-        if not isinstance(doc, dict) or "re" not in doc:
-            raise SchemaError("matrix document needs at least 're'")
-        re = _float_matrix(doc["re"])
-        im = _float_matrix(doc["im"]) if "im" in doc else np.zeros_like(re)
-        if re.shape != im.shape:
-            raise SchemaError("'re' and 'im' have different shapes")
-        if "n" in doc and re.shape != (doc["n"], doc["n"]):
-            raise SchemaError("'n' does not match the entries")
+        re, im = _matrix_document(doc)
         return cls(re + 1j * im, tol)
 
     def serialize(self) -> dict:
@@ -296,9 +307,10 @@ class DoublyStochastic:
 
     @classmethod
     def from_document(cls, doc, tol: float = 1e-9) -> "DoublyStochastic":
-        if not isinstance(doc, dict) or "re" not in doc:
-            raise SchemaError("matrix document needs 're'")
-        return cls(_float_matrix(doc["re"]), tol)
+        re, im = _matrix_document(doc)
+        if np.any(im):
+            raise SchemaError("a doubly stochastic matrix has no imaginary part")
+        return cls(re, tol)
 
 
 @dataclass(frozen=True)
@@ -356,42 +368,18 @@ def _perfect_matching(
     return match
 
 
-def _caratheodory_prune(
-    coeffs: list[float], perms: list[tuple[int, ...]], n: int, bound: int
-) -> tuple[list[float], list[tuple[int, ...]]]:
-    """Remove affinely dependent terms until at most ``bound`` remain.
-    Doubly stochastic matrices span an affine space of dimension (n-1)^2,
-    so more than (n-1)^2 + 1 terms are always dependent."""
-    while len(coeffs) > bound:
-        # column i is the flattened permutation matrix of perms[i], then a 1
-        terms = np.zeros((n * n + 1, len(perms)))
-        terms[np.asarray(perms) + n * np.arange(n), np.arange(len(perms))[:, None]] = 1.0
-        terms[-1] = 1.0
-        # the right-singular vector of the smallest singular value; a null
-        # vector whenever the columns are dependent
-        alpha = np.linalg.svd(terms)[2][-1]
-        if _maxabs(terms @ alpha) > 1e-9:
-            raise InternalError("expected an affine dependence among terms")
-        if not np.any(alpha > 1e-12):
-            alpha = -alpha
-        theta, drop = min(
-            (coeffs[i] / alpha[i], i) for i in range(len(coeffs)) if alpha[i] > 1e-12
-        )
-        coeffs = [c - theta * a for c, a in zip(coeffs, alpha)]
-        coeffs[drop] = 0.0
-        keep = [i for i, c in enumerate(coeffs) if c > 1e-15]
-        coeffs = [coeffs[i] for i in keep]
-        perms = [perms[i] for i in keep]
-    return coeffs, perms
-
-
 def birkhoff_decompose(s: DoublyStochastic) -> BirkhoffDecomposition:
-    """Greedy Birkhoff-von Neumann decomposition, pruned to at most
-    (n-1)^2 + 1 terms; reconstruction residual stays within 10 * tol.
+    """Greedy Birkhoff-von Neumann decomposition with at most (n-1)^2 + 1
+    terms; reconstruction residual stays within 10 * tol. Each term zeroes
+    its minimal cell, which leaves the support that later matchings read:
+    the terms are triangular on those cells, so linearly independent in the
+    span of the permutation matrices, of dimension (n-1)^2 + 1 (Brualdi
+    1982). One more term raises InternalError.
     Extraction stops at a leftover with no perfect matching, which
     normalising absorbs; an input then out of contract, or with no
     perfect matching at all, raises NotDoublyStochastic."""
     n = s.n
+    bound = (n - 1) ** 2 + 1
     # extraction threshold is float-noise level, not the validation tol:
     # leftovers below it keep the residual well under the 1e-10 contract
     threshold = 1e-14 * (1.0 + _maxabs(s.entries))
@@ -414,6 +402,8 @@ def birkhoff_decompose(s: DoublyStochastic) -> BirkhoffDecomposition:
             break  # a leftover without one: normalising and the residual check decide
         coeff = min([cells[row * n + col] for row, col in enumerate(perm)])
         coeffs.append(coeff)
+        if len(coeffs) > bound:
+            raise InternalError(f"extraction passed (n-1)^2 + 1 = {bound} terms")
         perms.append(tuple(perm))
         start = n
         for row, col in enumerate(perm):
@@ -425,8 +415,7 @@ def birkhoff_decompose(s: DoublyStochastic) -> BirkhoffDecomposition:
     if total <= 0:
         raise NotDoublyStochastic("matrix has no doubly stochastic part")
     coeffs = [c / total for c in coeffs]
-    bound = (n - 1) ** 2 + 1
-    coeffs, perms = _caratheodory_prune(coeffs, perms, n, bound)
+    # twice: one pass sums to 1 only to rounding, and the pinned terms are the second pass's
     total = sum(coeffs)
     coeffs = [c / total for c in coeffs]
     decomposition = BirkhoffDecomposition(tuple(zip(coeffs, perms)))

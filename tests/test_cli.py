@@ -395,13 +395,31 @@ UNPRINTABLE_PIECE_SUM = {
         ("ttransform -x {0} -y {1}", [[0.0, 0.0], [1e308, -1e308]], "SchemaError"),
         # piece masses that miss diffuse_mass and sum to a rational too long to print
         ("rearrange -f {0}", [UNPRINTABLE_PIECE_SUM], "MassMismatchError"),
+        # one reader for both matrix documents: birkhoff once took all of these
+        ("birkhoff -f {0}", [{"n": 3, "re": [[1, 0], [0, 1]]}], "SchemaError"),
+        ("birkhoff -f {0}", [{"re": [[0.5, 0.5], [0.5, 0.5]], "im": [[0, 1], [1, 0]]}],
+         "SchemaError"),
+        ("birkhoff -f {0}", [{"n": True, "re": [[1]]}], "SchemaError"),
+        ("matrix-eig -f {0}", [{"n": True, "re": [[1]]}], "SchemaError"),
+        ("birkhoff -f {0}", [{"re": [[True, False], [False, True]]}], "SchemaError"),
+        ("matrix-extreme -x {0} -y {1}", [{"re": [[1.0]]}, {"re": [[1.0]], "im": [[False]]}],
+         "SchemaError"),
+        ("birkhoff -f {0}", [{"re": [["0.5", 0.5], [0.5, 0.5]]}], "SchemaError"),
+        ("matrix-eig -f {0}", [{"re": [[" 1 "]]}], "SchemaError"),
+        # vector strings follow the ratstr grammar, and a bool is not a number
+        ("ttransform -x {0} -y {1}", [[True, 0, 0], [1, 0, 0]], "SchemaError"),
+        ("ttransform -x {0} -y {1}", [["0.5", "0.5"], ["1", "0"]], "SchemaError"),
+        ("ttransform -x {0} -y {1}", [[" 1e0 ", 0], [1, 0]], "SchemaError"),
     ],
     ids=["ragged-rows", "string-entries", "overflowing-spectrum", "empty-vectors", "zero-snap",
          "diffuse-not-a-list", "overlong-ratstr", "huge-integer-in-a-string-document",
          "over-range-eig", "over-range-majorise", "over-range-extreme", "over-range-birkhoff",
          "over-range-ttransform", "over-range-ratstr-ttransform", "overflowing-sums-ttransform",
          "overflowing-sums-ttransform-swapped", "overflowing-spread-ttransform",
-         "unprintable-piece-sum"],
+         "unprintable-piece-sum", "n-mismatch-birkhoff", "nonzero-im-birkhoff",
+         "bool-n-birkhoff", "bool-n-eig", "bool-entries-birkhoff", "bool-im-extreme",
+         "decimal-string-entry-birkhoff", "spaced-string-entry-eig", "bool-vector-entry",
+         "decimal-vector-string", "spaced-exponent-vector-string"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, docs, error):
     paths = [write(tmp_path, f"d{i}.json", doc) for i, doc in enumerate(docs)]
@@ -409,6 +427,19 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, docs, error):
     out = capsys.readouterr().out
     assert code == 2
     assert out.count("\n") == 1 and json.loads(out)["error"] == error
+
+
+def test_matrix_and_vector_documents_that_stay_accepted(tmp_path, capsys):
+    """A zero 'im' and a matching int 'n' leave birkhoff's terms as they
+    are; ratstr vector entries, such as "1/2" and "-3", still answer."""
+    plain = write(tmp_path, "s.json", {"re": [[0.5, 0.5], [0.5, 0.5]]})
+    dressed = write(tmp_path, "t.json",
+                    {"n": 2, "re": [[0.5, 0.5], [0.5, 0.5]], "im": [[0, 0.0], [-0.0, 0]]})
+    assert run(capsys, ["birkhoff", "-f", dressed]) == run(capsys, ["birkhoff", "-f", plain])
+    xv = write(tmp_path, "xv.json", ["1/2", "1/2", "-3"])
+    yv = write(tmp_path, "yv.json", ["1", "0", "-3"])
+    code, doc = run(capsys, ["ttransform", "-x", xv, "-y", yv])
+    assert code == 0 and len(doc["matrix"]) == 3
 
 
 def test_huge_json_integer_exits_2(tmp_path, capsys):

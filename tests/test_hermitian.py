@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from itertools import permutations
 
 import hypothesis.strategies as st
 import numpy as np
@@ -13,6 +12,7 @@ import majorbit.hermitian as hermitian
 import majorbit.witness as witness
 from majorbit.errors import (
     DimensionMismatch,
+    InternalError,
     NotDiagonal,
     NotDoublyStochastic,
     NotHermitian,
@@ -26,7 +26,6 @@ from majorbit.hermitian import (
     BirkhoffDecomposition,
     DoublyStochastic,
     HermitianOperator,
-    _caratheodory_prune,
     _faithful_snap,
     _perfect_matching,
     birkhoff_decompose,
@@ -368,17 +367,52 @@ def test_birkhoff_output_is_pinned():
     )
 
 
-def test_caratheodory_prune_keeps_the_matrix():
-    """Greedy extraction rarely exceeds the (n-1)^2 + 1 bound, so the prune
-    is driven directly: all six 3x3 permutations are affinely dependent."""
-    perms = list(permutations(range(3)))
-    coeffs = [1.0 / 6] * 6
-    before = BirkhoffDecomposition(tuple(zip(coeffs, perms))).matrix(3)
-    kept, kept_perms = _caratheodory_prune(coeffs, perms, 3, 5)
-    assert len(kept) <= 5 and all(c > 0 for c in kept)
-    after = BirkhoffDecomposition(tuple(zip(kept, kept_perms))).matrix(3)
-    assert abs(sum(kept) - 1.0) <= 1e-12
-    assert np.max(np.abs(after - before)) <= 1e-12
+def test_birkhoff_terms_are_independent_within_the_bound():
+    """Each term zeroes a cell that no later term uses, so the terms are
+    linearly independent and at most (n-1)^2 + 1 of them fit."""
+    rng = SplitMix64(39)
+    for n in range(1, 17):
+        for _ in range(10):
+            perms = [p for _, p in birkhoff_decompose(random_doubly_stochastic(rng, n)).terms]
+            assert len(perms) <= (n - 1) ** 2 + 1
+            flat = np.zeros((len(perms), n * n))  # one flattened 0/1 matrix per row
+            flat[np.arange(len(perms))[:, None], np.asarray(perms) + n * np.arange(n)] = 1.0
+            assert np.linalg.matrix_rank(flat) == len(perms)
+
+
+def test_birkhoff_term_bound_is_reached():
+    """Mixtures of 2-40 random permutations reach (n-1)^2 + 1 terms at every
+    n from 3 to 6 and never pass it, so the bound is not vacuous."""
+    rng = SplitMix64(40)
+    for n in range(3, 7):
+        most = 0
+        for _ in range(150):
+            out = np.zeros((n, n))
+            weights = [rng.random() + 1e-3 for _ in range(rng.randint(2, 40))]
+            for weight in weights:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                out[range(n), perm] += weight / sum(weights)
+            most = max(most, len(birkhoff_decompose(DoublyStochastic(out)).terms))
+        assert most == (n - 1) ** 2 + 1
+
+
+def test_birkhoff_bound_stops_a_matching_that_ignores_the_support(monkeypatch):
+    """A matching that returns the identity whatever the support made the
+    extraction loop run forever; the bound inside the loop raises on the
+    sixth term at n = 3. The stub fails the test after 100 calls, so a
+    missing bound fails it instead of hanging."""
+    calls = []
+
+    def identity(support, match, owner, trail, start):
+        calls.append(start)
+        assert len(calls) <= 100, "extraction ran past its term bound"
+        return [0, 1, 2]
+
+    monkeypatch.setattr(hermitian, "_perfect_matching", identity)
+    with pytest.raises(InternalError):
+        birkhoff_decompose(DoublyStochastic(np.full((3, 3), 1 / 3)))
+    assert len(calls) == 6
 
 
 def test_t_transform_examples():
@@ -395,6 +429,20 @@ def test_t_transform_examples():
 def test_t_transform_accepts_ratstr_and_unsorted():
     s = t_transform_chain(["2", "2"], ["1", "3"])
     assert np.max(np.abs(s.entries @ np.array([1.0, 3.0]) - [2.0, 2.0])) <= 1e-12
+
+
+def test_vector_strings_are_ratstrs_and_bools_are_refused():
+    """true was read as 1, and a string went through Fraction(str), which
+    takes decimals, exponents and surrounding spaces."""
+    for bad in ([True, 0, 0], [1, False, 0], ["0.5", "0.5", 0], [" 1e0 ", 0, 0], [" 1 ", 0, 0]):
+        for x, y in ((bad, [1, 0, 0]), ([1, 0, 0], bad)):
+            with pytest.raises(SchemaError):
+                t_transform_chain(x, y)
+        with pytest.raises(SchemaError):
+            diag_operator(bad)
+    s = t_transform_chain(["1/2", "1/2", "-3"], ["1", "0", "-3"])
+    assert np.max(np.abs(s.entries @ np.array([1.0, 0.0, -3.0]) - [0.5, 0.5, -3.0])) <= 1e-12
+    assert np.array_equal(np.diag(diag_operator([Fraction(1, 2), 3]).entries), [0.5, 3])
 
 
 def test_identity_suite_examples():
@@ -428,32 +476,6 @@ def reference_eig_scale(a: HermitianOperator) -> StepScale:
     return StepScale.from_pairs(
         [(Fraction(sum(c) / len(c)), Fraction(len(c), a.n)) for c in clusters]
     )
-
-
-def reference_prune(coeffs, perms, n, bound):
-    while len(coeffs) > bound:
-        columns = []
-        for perm in perms:
-            flat = np.zeros(n * n + 1)
-            for row, col in enumerate(perm):
-                flat[row * n + col] = 1.0
-            flat[-1] = 1.0
-            columns.append(flat)
-        terms = np.array(columns).T
-        alpha = np.linalg.svd(terms)[2][-1]
-        positive = [(coeffs[i] / alpha[i], i) for i in range(len(coeffs)) if alpha[i] > 1e-12]
-        if not positive:
-            alpha = -alpha
-            positive = [
-                (coeffs[i] / alpha[i], i) for i in range(len(coeffs)) if alpha[i] > 1e-12
-            ]
-        theta, drop = min(positive)
-        coeffs = [c - theta * a for c, a in zip(coeffs, alpha)]
-        coeffs[drop] = 0.0
-        keep = [i for i, c in enumerate(coeffs) if c > 1e-15]
-        coeffs = [coeffs[i] for i in keep]
-        perms = [perms[i] for i in keep]
-    return coeffs, perms
 
 
 def reference_perfect_matching(matrix: np.ndarray, threshold: float) -> list[int] | None:
@@ -503,7 +525,7 @@ def reference_birkhoff_terms(s: DoublyStochastic):
             work[row, perm[row]] -= coeff
         work[work < 0] = 0.0
     total = sum(coeffs)
-    coeffs, perms = _caratheodory_prune([c / total for c in coeffs], perms, n, (n - 1) ** 2 + 1)
+    coeffs = [c / total for c in coeffs]
     total = sum(coeffs)
     return [c / total for c in coeffs], perms
 
@@ -552,22 +574,6 @@ def test_cluster_split_matches_the_loop():
     for _ in range(300):
         op = near_degenerate(rng, rng.randint(1, 10))
         assert eig_scale(op) == reference_eig_scale(op)
-
-
-def test_caratheodory_columns_match_the_loop():
-    cases = [(list(permutations(range(3))), 3, 5)]
-    rng = SplitMix64(32)
-    for _ in range(40):
-        perms = list(permutations(range(4)))
-        rng.shuffle(perms)
-        cases.append((perms[:16], 4, 10))
-    for perms, n, bound in cases:
-        weights = [rng.random() + 1e-3 for _ in perms]
-        coeffs = [w / sum(weights) for w in weights]
-        kept, kept_perms = _caratheodory_prune(coeffs, perms, n, bound)
-        ref, ref_perms = reference_prune(coeffs, perms, n, bound)
-        assert np.array(kept).tobytes() == np.array(ref).tobytes()
-        assert kept_perms == ref_perms and len(kept) <= bound
 
 
 def test_birkhoff_extraction_matches_the_loop():
