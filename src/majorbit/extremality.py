@@ -14,12 +14,14 @@ equivalent to the pointwise one. The interval containing t=0 is treated
 like any other (its interior meets (0,1)).
 """
 
+from bisect import bisect_left
+from collections import UserList
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInOrbit, ValueNotAttained
-from .measure import ZERO, SimpleFunction, _carrier_table
-from .rationals import format_ratstr
+from .measure import ZERO, SimpleFunction, _Derived, _carrier_table, _level_pairs
+from .rationals import _format_pair, _reduced, format_ratstr
 from .scales import _holds, _slack_walk, rearrange
 
 SINGLE_ATOM = "single_atom"
@@ -50,6 +52,17 @@ class ConstancyInterval:
         return self.t2 - self.t1
 
 
+class _Intervals(_Derived, UserList):
+    """The constancy intervals of x, read as a sequence and built, as ``data``, on first read.
+    A verdict prints them from x's level pairs instead, and evaluate_conditions and the witness
+    read x's carrier table."""
+
+    _fractions = {"data": lambda s: constancy_intervals(s.x)}
+
+    def __init__(self, x: SimpleFunction):
+        self.x = x
+
+
 @dataclass(frozen=True)
 class ExtremalityVerdict:
     extreme: bool
@@ -64,52 +77,64 @@ class ExtremalityVerdict:
     def serialize(self, include_witness: bool = True) -> dict:
         from .witness import serialize_witness
 
-        intervals = [{"t1": format_ratstr(iv.t1), "t2": format_ratstr(iv.t2),
-                      "value": format_ratstr(iv.value), "kind": iv.kind.tag, "condition": cond}
-                     for iv, cond in zip(self.intervals, self.conditions)]
+        if isinstance(self.intervals, _Intervals):  # printed from x's level pairs
+            levels, n = _levels(self.intervals.x), len(self.intervals.x.space.atom_ids)
+            ends = ["0", *(_format_pair(*end) for _, end, _ in levels)]
+            rows = [(t1, t2, _format_pair(*value), _tag(members, n))
+                    for t1, t2, (value, _, members) in zip(ends, ends[1:], levels)]
+        else:
+            rows = [(*map(format_ratstr, (iv.t1, iv.t2, iv.value)), iv.kind.tag)
+                    for iv in self.intervals]
+        intervals = [{"t1": t1, "t2": t2, "value": value, "kind": tag, "condition": cond}
+                     for (t1, t2, value, tag), cond in zip(rows, self.conditions)]
         doc = {"verdict": self.verdict, "intervals": intervals}
         if include_witness and self.witness is not None:
             doc["witness"] = serialize_witness(self.witness)
         return doc
 
 
-def _level_kind(x: SimpleFunction, level) -> LevelKind:
-    """How a level of x's carrier table sits in the space: one atom,
-    several atoms, diffuse pieces only, or a mixture."""
-    atoms = x.space.atoms
-    atom_ids = tuple(atoms[i][0] for i in level[1] if i < len(atoms))
-    if atom_ids and len(level[1]) > len(atom_ids):
-        return LevelKind(MIXED, atom_ids)
-    if not atom_ids:
-        return LevelKind(DIFFUSE)
-    if len(atom_ids) == 1:
-        return LevelKind(SINGLE_ATOM, atom_ids)
-    return LevelKind(MULTIPLE_ATOMS, atom_ids)
+def _tag(members, n: int) -> str:
+    """How a level with these ascending carrier indices sits in a space of n atoms:
+    one atom, several atoms, diffuse pieces only, or a mixture."""
+    atoms = bisect_left(members, n)
+    if atoms < len(members):
+        return MIXED if atoms else DIFFUSE
+    return SINGLE_ATOM if atoms == 1 else MULTIPLE_ATOMS
+
+
+def _levels(x: SimpleFunction) -> list[tuple[tuple[int, int], tuple[int, int], tuple[int, ...]]]:
+    """Per level of x: its value's and its end's reduced pairs, and its carrier indices. An end
+    is the running sum of the levels' own reduced lengths, never reduced over the common D."""
+    table, end, levels = _carrier_table(x), (0, 1), []
+    pairs = _level_pairs(x.space, x._atoms, x._pieces, table)
+    for (value, (a, b)), (_, members, _) in zip(pairs, table.levels):
+        end = _reduced(end[0] * b + a * end[1], end[1] * b)
+        levels.append((value, end, members))
+    return levels
 
 
 def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
     """How the level set {x = v} sits in the space: one atom, several atoms,
     diffuse pieces only, or a mixture."""
-    v, (vden, _, levels, _) = Fraction(v), _carrier_table(x)
-    level = next((lv for lv in levels if lv[0] * v.denominator == v.numerator * vden), None)
-    if level is None:
+    v = Fraction(v)
+    kind = next((iv.kind for iv in constancy_intervals(x) if iv.value == v), None)
+    if kind is None:
         raise ValueNotAttained(f"{v} is not a value of the function")
-    return _level_kind(x, level)
+    return kind
 
 
 def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
     """Maximal constancy intervals of the scale of x; they partition [0,1)."""
-    scale, levels = rearrange(x), _carrier_table(x).levels
-    points = (ZERO, *scale.breakpoints)
-    return tuple(
-        ConstancyInterval(t1, t2, value, _level_kind(x, level))
-        for t1, t2, (value, _), level in zip(points, points[1:], scale.steps, levels)
-    )
+    ids, levels = x.space.atom_ids, _levels(x)
+    ends = [ZERO, *(Fraction(*end) for _, end, _ in levels)]
+    kind = lambda m: LevelKind(_tag(m, len(ids)), tuple(ids[i] for i in m if i < len(ids)))
+    return tuple(ConstancyInterval(t1, t2, Fraction(*value), kind(members))
+                 for t1, t2, (value, _, members) in zip(ends, ends[1:], levels))
 
 
 def evaluate_conditions(
     x: SimpleFunction, y: SimpleFunction
-) -> tuple[tuple[ConstancyInterval, ...], tuple[int | None, ...], tuple[int, ...]]:
+) -> tuple["_Intervals", tuple[int | None, ...], tuple[int, ...]]:
     """Per-interval condition tags (1, 2, or None if both fail), with the
     slack s -> integral_0^s (scale of y - scale of x) at each interval end
     from 0 on, as integers over one positive denominator.
@@ -125,11 +150,11 @@ def evaluate_conditions(
     _, _, x_ints, _, walk = _slack_walk(rearrange(x), rearrange(y))
     if not _holds(walk):
         raise NotInOrbit("x is not majorised by y")
-    intervals = constancy_intervals(x)
+    n = len(x.space.atom_ids)
     conditions: list[int | None] = []
     slacks = [0]
     points, end = iter(walk), 0
-    for iv, (_, length) in zip(intervals, x_ints):
+    for (_, members, _), (_, length) in zip(_carrier_table(x).levels, x_ints):
         end += length
         start, flat = slacks[-1], True
         for t, slack in points:
@@ -137,8 +162,9 @@ def evaluate_conditions(
             if t == end:
                 break
         slacks.append(slack)
-        conditions.append(1 if flat else 2 if iv.kind.is_single_atom and slack == start else None)
-    return intervals, tuple(conditions), tuple(slacks)
+        single = slack == start and _tag(members, n) == SINGLE_ATOM
+        conditions.append(1 if flat else 2 if single else None)
+    return _Intervals(x), tuple(conditions), tuple(slacks)
 
 
 def check_extreme(x: SimpleFunction, y: SimpleFunction) -> ExtremalityVerdict:

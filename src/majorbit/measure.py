@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import groupby
 from math import gcd
 from numbers import Rational
+from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 from .errors import (
@@ -25,10 +26,11 @@ from .errors import (
     SchemaError,
     UnknownAtomError,
 )
-from .rationals import _format_pair, _parse_pair, _shown, format_ratstr, parse_ratstr
+from .rationals import _format_pair, _parse_pair, _reduced, _shown
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+_pair = attrgetter("numerator", "denominator")  # a rational's reduced int pair
 
 
 def _rational(q) -> bool:
@@ -37,31 +39,61 @@ def _rational(q) -> bool:
     return isinstance(q, Rational) and not isinstance(q, bool)
 
 
-@dataclass(frozen=True)
-class MeasureSpace:
+class _Derived:
+    """A class whose Fraction fields are derived on first read, each by its function in
+    ``_fractions``. ``_of`` builds one from the arguments of its ``_fold``, which keeps its
+    integers, without those fields."""
+
+    @classmethod
+    def _of(cls, *args):
+        obj = object.__new__(cls)
+        obj._fold(*args)
+        return obj
+
+    def __getattr__(self, name):
+        if name not in type(self)._fractions:
+            raise AttributeError(name)
+        value = type(self)._fractions[name](self)
+        object.__setattr__(self, name, value)
+        return value
+
+
+@dataclass(frozen=True, eq=False)
+class MeasureSpace(_Derived):
+    """Weights and diffuse_mass are reduced int pairs, ``_weights`` and ``_diffuse``, folded to
+    (D, numerators) in ``_masses``. Spaces are equal when their ids and pairs are."""
+
     atoms: tuple[tuple[str, Fraction], ...]
     diffuse_mass: Fraction
-    atom_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    # the weights, then diffuse_mass, as numerators over one denominator
-    _masses: tuple = field(init=False, repr=False, compare=False)
+    _fractions = {"atoms": lambda s: tuple(zip(s.atom_ids, (Fraction(*w) for w in s._weights))),
+                  "diffuse_mass": lambda s: Fraction(*s._diffuse)}
 
     def __post_init__(self):
-        ids = tuple(atom_id for atom_id, _ in self.atoms)
+        if not all(_rational(q) for q in [w for _, w in self.atoms] + [self.diffuse_mass]):
+            raise SchemaError("weights and diffuse_mass must be rational numbers")
+        ids, weights = tuple(aid for aid, _ in self.atoms), tuple(_pair(w) for _, w in self.atoms)
+        self._fold(ids, weights, _pair(self.diffuse_mass))
+
+    def _fold(self, ids, weights, diffuse, masses=None):
+        """Check the pairs and keep them with their fold, folded here unless given."""
         if len(set(ids)) != len(ids):
             raise DuplicateAtomError(f"duplicate atom ids in {list(ids)}")
-        masses = [w for _, w in self.atoms] + [self.diffuse_mass]
-        if not all(_rational(q) for q in masses):
-            raise SchemaError("weights and diffuse_mass must be rational numbers")
-        for atom_id, weight in self.atoms:
-            if weight.numerator <= 0:
+        for atom_id, (num, _) in zip(ids, weights):
+            if num <= 0:
                 raise SchemaError(f"atom {atom_id!r} has non-positive weight")
-        if self.diffuse_mass.numerator < 0:
+        if diffuse[0] < 0:
             raise SchemaError("diffuse_mass must be >= 0")
-        den, nums = _over_lcm(masses)
+        den, nums = masses or _fold_pairs([*weights, diffuse])
         if sum(nums) != den:
             raise NormalizationError(f"total mass is {_shown(Fraction(sum(nums), den))}, expected 1")
-        object.__setattr__(self, "atom_ids", ids)
-        object.__setattr__(self, "_masses", (den, nums))
+        self.__dict__.update(atom_ids=ids, _weights=weights, _diffuse=diffuse, _masses=(den, nums))
+
+    def __eq__(self, other):
+        pairs = lambda s: (s.atom_ids, s._weights, s._diffuse)
+        return self is other or (isinstance(other, MeasureSpace) and pairs(self) == pairs(other))
+
+    def __hash__(self):
+        return hash((self.atoms, self.diffuse_mass))
 
     def weight(self, atom_id: str) -> Fraction:
         for aid, w in self.atoms:
@@ -71,7 +103,7 @@ class MeasureSpace:
 
     @property
     def purely_atomic(self) -> bool:
-        return self.diffuse_mass == 0
+        return self._diffuse[0] == 0
 
 
 def _exact(q) -> Fraction:
@@ -82,10 +114,10 @@ def _exact(q) -> Fraction:
 
 
 @dataclass(frozen=True)
-class SimpleFunction:
+class SimpleFunction(_Derived):
     """Values and piece masses are reduced int pairs, ``_atoms`` (id -> value) and ``_pieces``,
     folded over the carriers (atoms in space order, then pieces) to (D, numerators) in
-    ``_values`` and ``_masses``. Built from pairs, it derives its Fraction fields when read."""
+    ``_values`` and ``_masses``."""
 
     space: MeasureSpace
     atom_values: Mapping[str, Fraction]
@@ -94,26 +126,20 @@ class SimpleFunction:
     _scale: object = field(default=None, init=False, repr=False, compare=False)
     # the integer carrier table, filled by _carrier_table on first use
     _table: object = field(default=None, init=False, repr=False, compare=False)
+    _fractions = {"atom_values": lambda f: {aid: Fraction(*q) for aid, q in f._atoms.items()},
+                  "diffuse_pieces": lambda f: tuple((Fraction(*v), Fraction(*m))
+                                                    for v, m in f._pieces)}
 
     def __post_init__(self):
         values = {aid: _exact(v) for aid, v in self.atom_values.items()}
         pieces = tuple((_exact(v), _exact(m)) for v, m in self.diffuse_pieces)
         self.__dict__.update(atom_values=values, diffuse_pieces=pieces)
-        pair = lambda q: (q.numerator, q.denominator)
-        self._fold({aid: pair(v) for aid, v in values.items()},
-                   tuple((pair(v), pair(m)) for v, m in pieces))
+        self._fold(self.space, {aid: _pair(v) for aid, v in values.items()},
+                   tuple((_pair(v), _pair(m)) for v, m in pieces))
 
-    @classmethod
-    def _of(cls, space, *pairs) -> "SimpleFunction":
-        """The function of the pairs (and the folds, if known) that _fold takes."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "space", space)
-        f._fold(*pairs)
-        return f
-
-    def _fold(self, atoms, pieces, values=None, masses=None):
+    def _fold(self, space, atoms, pieces, values=None, masses=None):
         """Check the pairs, unless ``masses`` is given (a checked function's), and keep them."""
-        ids = self.space.atom_ids
+        ids = space.atom_ids
         if masses is None:
             known = set(ids)
             extra, missing = sorted(atoms.keys() - known), sorted(known - atoms.keys())
@@ -121,28 +147,18 @@ class SimpleFunction:
                 raise UnknownAtomError(f"values given for unknown atoms {extra}")
             if missing:
                 raise SchemaError(f"missing values for atoms {missing}")
-            space_den, space_nums = self.space._masses
+            space_den, space_nums = space._masses
             den, nums = _fold_pairs([m for _, m in pieces], space_den)
             if any(num <= 0 for num in nums):
                 raise SchemaError("piece masses must be > 0")
             factor = den // space_den
             if sum(nums) != space_nums[-1] * factor:
                 raise MassMismatchError(f"piece masses sum to {_shown(Fraction(sum(nums), den))}, "
-                                        f"diffuse_mass is {_shown(self.space.diffuse_mass)}")
+                                        f"diffuse_mass is {_shown(space.diffuse_mass)}")
             masses = (den, [m * factor for m in space_nums[:-1]] + nums)
         values = values or _fold_pairs([atoms[aid] for aid in ids] + [v for v, _ in pieces])
-        self.__dict__.update(_atoms=atoms, _pieces=pieces, _values=values, _masses=masses)
-
-    def __getattr__(self, name):
-        """The Fraction fields of a function built from pairs, on first read."""
-        if name == "atom_values":
-            value = {aid: Fraction(*q) for aid, q in self._atoms.items()}
-        elif name == "diffuse_pieces":
-            value = tuple((Fraction(*v), Fraction(*m)) for v, m in self._pieces)
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+        self.__dict__.update(space=space, _atoms=atoms, _pieces=pieces, _values=values,
+                             _masses=masses)
 
     def weighted_values(self) -> list[tuple[Fraction, Fraction]]:
         """All (value, mass) carriers: atoms in space order, then pieces."""
@@ -183,11 +199,6 @@ def _fold_pairs(pairs, den: int = 1) -> tuple[int, list[int]]:
     return den, [n * cofactors[d] for n, d in pairs]
 
 
-def _over_lcm(qs) -> tuple[int, list[int]]:
-    """_fold_pairs of the rationals qs."""
-    return _fold_pairs([(q.numerator, q.denominator) for q in qs])
-
-
 def _carrier_table(f: SimpleFunction) -> _Table:
     """The carrier table of f, built on first use and kept by f."""
     if f._table is None:
@@ -204,14 +215,15 @@ def _carrier_table(f: SimpleFunction) -> _Table:
     return f._table
 
 
-def _level_steps(space, atoms, pieces, table: _Table) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The (value, length) Fractions of a function's levels, from its pairs. Only a level that
-    joins carriers reduces its length over the common mass denominator: that costs a gcd of
-    the denominator's size, and a one-carrier level's mass is already reduced."""
-    n, den = len(space.atoms), table.profile[0]
-    value = lambda i: Fraction(*(atoms[space.atom_ids[i]] if i < n else pieces[i - n][0]))
-    mass = lambda i: _exact(space.atoms[i][1]) if i < n else Fraction(*pieces[i - n][1])
-    return tuple((value(first), Fraction(length, den) if rest else mass(first))
+def _level_pairs(space, atoms, pieces, table: _Table) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The reduced (value, length) pairs of a function's levels, from its pairs. Only a level
+    that joins carriers reduces its length over the common mass denominator: that costs a gcd
+    of the denominator's size, and a one-carrier level's mass is already reduced."""
+    ids, den = space.atom_ids, table.profile[0]
+    n = len(ids)
+    value = lambda i: atoms[ids[i]] if i < n else pieces[i - n][0]
+    mass = lambda i: space._weights[i] if i < n else pieces[i - n][1]
+    return tuple((value(first), _reduced(length, den) if rest else mass(first))
                  for _, (first, *rest), length in table.levels)
 
 
@@ -265,31 +277,46 @@ def _as_document(document):
     return document
 
 
-def _space_literals(document) -> tuple[tuple[tuple[str, str], ...], str]:
-    """The atom (id, weight) and diffuse_mass strings of a space document,
-    checked for shape but not yet parsed."""
+class _Literals(list):
+    """[atom entries, diffuse_mass] of a space document: as a key, compared in C."""
+
+    def __hash__(self):
+        return hash(self[1])
+
+
+def _space_literals(document) -> _Literals:
+    """The atom entries and diffuse_mass of a space document, checked for shape."""
     doc = _as_document(document)
     if not isinstance(doc, dict) or "atoms" not in doc or "diffuse_mass" not in doc:
         raise SchemaError("space document needs 'atoms' and 'diffuse_mass'")
-    atoms = []
     if not isinstance(doc["atoms"], list) or not isinstance(doc["diffuse_mass"], str):
         raise SchemaError("'atoms' must be a list and 'diffuse_mass' a string")
-    for entry in doc["atoms"]:
+    return _Literals((doc["atoms"], doc["diffuse_mass"]))
+
+
+def _space_pairs(entries, diffuse: str) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
+    """The checked ids of a space document's atom entries, and the weights' and then
+    diffuse_mass's reduced pairs."""
+    for entry in entries:
         if not isinstance(entry, dict) or "id" not in entry or "weight" not in entry:
             raise SchemaError(f"bad atom entry: {entry!r}")
         if not isinstance(entry["id"], str) or not isinstance(entry["weight"], str):
             raise SchemaError("atom ids and weights must be strings")
-        atoms.append((entry["id"], entry["weight"]))
-    return tuple(atoms), doc["diffuse_mass"]
+    ids = tuple(entry["id"] for entry in entries)
+    return ids, [_parse_pair(entry["weight"]) for entry in entries] + [_parse_pair(diffuse)]
 
 
 def parse_space(document) -> MeasureSpace:
-    return _space_of(*_space_literals(document))
+    return _space_of(_space_literals(document))
 
 
 @lru_cache(maxsize=1)  # the last space: x and y of a request spell it with the same literals
-def _space_of(atoms, diffuse: str) -> MeasureSpace:
-    return MeasureSpace(tuple((aid, parse_ratstr(w)) for aid, w in atoms), parse_ratstr(diffuse))
+def _space_of(literals: _Literals) -> MeasureSpace:
+    """The space of the literals. The cache keeps them as its key, so they take a copy of the
+    entries here: a caller may change its document after the call."""
+    ids, masses = _space_pairs(*literals)
+    literals[0] = [dict(entry) for entry in literals[0]]
+    return MeasureSpace._of(ids, tuple(masses[:-1]), masses[-1])
 
 
 def _function_entries(doc: dict):
@@ -322,8 +349,8 @@ def parse_function(document, space: MeasureSpace | None = None) -> SimpleFunctio
 
 
 def serialize_space(space: MeasureSpace) -> dict:
-    atoms = [{"id": aid, "weight": format_ratstr(w)} for aid, w in space.atoms]
-    return {"atoms": atoms, "diffuse_mass": format_ratstr(space.diffuse_mass)}
+    atoms = [{"id": a, "weight": _format_pair(*w)} for a, w in zip(space.atom_ids, space._weights)]
+    return {"atoms": atoms, "diffuse_mass": _format_pair(*space._diffuse)}
 
 
 def serialize_function(f: SimpleFunction, space: dict | None = None) -> dict:
@@ -335,20 +362,23 @@ def serialize_function(f: SimpleFunction, space: dict | None = None) -> dict:
 
 def parse_function_normalized(document) -> SimpleFunction:
     """Parse a function whose embedded space may not be normalized; masses
-    (weights, diffuse_mass, piece masses) are rescaled by the same factor.
-    The document passes the same checks as in parse_function."""
+    (weights, diffuse_mass, piece masses) are divided by their total T/D, the
+    sum of their numerators over their fold's D, so those numerators are the
+    space's fold over T. The document passes the same checks as in parse_function."""
     doc = _as_document(document)
     if not isinstance(doc, dict) or "space" not in doc:
         raise SchemaError("function document needs an embedded 'space'")
-    atoms, diffuse = _space_literals(doc["space"])
-    atoms, diffuse = [(aid, parse_ratstr(w)) for aid, w in atoms], parse_ratstr(diffuse)
-    total = sum((w for _, w in atoms), diffuse)
+    ids, masses = _space_pairs(*_space_literals(doc["space"]))
+    den, nums = _fold_pairs(masses)
+    total = sum(nums)
     if total <= 0:
         raise NormalizationError("total mass must be positive to normalize")
-    space = MeasureSpace(tuple((a, w / total) for a, w in atoms), diffuse / total)
+    t, d = _reduced(total, den)
+    scaled = lambda mass: _reduced(mass[0] * d, mass[1] * t)
+    masses = [scaled(mass) for mass in masses]
+    space = MeasureSpace._of(ids, tuple(masses[:-1]), masses[-1], (total, nums))
     values, pieces = _function_entries(doc)
-    return SimpleFunction(space, {aid: Fraction(*v) for aid, v in values.items()},
-                          tuple((Fraction(*v), Fraction(*m) / total) for v, m in pieces))
+    return SimpleFunction._of(space, values, tuple((v, scaled(m)) for v, m in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +410,7 @@ def common_refinement(a, b):
 
 
 def _require_same_space(f: SimpleFunction, g: SimpleFunction):
-    if f.space.atoms != g.space.atoms or f.space.diffuse_mass != g.space.diffuse_mass:
+    if f.space != g.space:
         raise SchemaError("functions live on different spaces")
 
 

@@ -82,7 +82,7 @@ def _tight_lines_span(x: SimpleFunction, x_ints, y_ints) -> bool:
     """The rank count of the module docstring, for x in the orbit. x_ints
     and y_ints are the (value, length) numerators of the two scales over
     common denominators; x's steps are the levels of its carrier table."""
-    n_atoms = len(x.space.atoms)
+    n_atoms = len(x.space.atom_ids)
     sizes = []  # model carriers per level: its atoms, and two halves of any diffuse mass
     for _, members, _ in _carrier_table(x).levels:
         atoms = sum(i < n_atoms for i in members)

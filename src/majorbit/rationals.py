@@ -24,8 +24,12 @@ def _parse_pair(text) -> tuple[int, int]:
         raise SchemaError(f"rational literal too long: {exc}") from exc
     if den == 0:
         raise SchemaError(f"zero denominator: {text!r}")
-    g = gcd(num, den)
-    return num // g, den // g
+    return num // (g := gcd(num, den)), den // g
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """The reduced pair of num/den, for den > 0."""
+    return num // (g := gcd(num, den)), den // g
 
 
 def parse_ratstr(text) -> Fraction:

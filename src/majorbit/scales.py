@@ -15,8 +15,8 @@ from itertools import accumulate
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .measure import (ZERO, SimpleFunction, _carrier_table, _level_steps, _over_lcm, abs_function,
-                      common_refinement)
+from .measure import (ZERO, SimpleFunction, _Derived, _carrier_table, _fold_pairs, _level_pairs,
+                      _pair, abs_function, common_refinement)
 from .rationals import _shown, format_ratstr
 
 
@@ -41,7 +41,7 @@ def _rescaled(pairs, value_factor: int, length_factor: int) -> list[tuple[int, i
 
 
 @dataclass(frozen=True)
-class StepScale:
+class StepScale(_Derived):
     """Decreasing right-continuous step function on [0,1), total length 1.
 
     Construction records the integer profile every query reads: ``_profile``
@@ -55,10 +55,12 @@ class StepScale:
     _profile: tuple = field(default=None, repr=False, compare=False)
     _derive: object = field(default=None, repr=False, compare=False)
     _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fractions = {"steps": lambda s: s._derive()}
 
     def __post_init__(self):
         if self._profile is None:
-            (vden, values), (den, lengths) = (_over_lcm([s[k] for s in self.steps]) for k in (0, 1))
+            (vden, values), (den, lengths) = (_fold_pairs([_pair(s[k]) for s in self.steps])
+                                              for k in (0, 1))
             object.__setattr__(self, "_profile", (den, vden, tuple(zip(values, lengths))))
         elif self.steps is None:
             object.__delattr__(self, "steps")
@@ -74,14 +76,6 @@ class StepScale:
         if ends[-1] != den:
             raise InternalError(f"step lengths sum to {_shown(Fraction(ends[-1], den))}, expected 1")
         object.__setattr__(self, "_ends", ends)
-
-    def __getattr__(self, name):
-        """The steps of a scale built with ``_derive``, on first read."""
-        if name != "steps":
-            raise AttributeError(name)
-        steps = self._derive()
-        object.__setattr__(self, "steps", steps)
-        return steps
 
     @classmethod
     def from_pairs(cls, pairs) -> "StepScale":
@@ -148,7 +142,8 @@ def rearrange(f: SimpleFunction) -> StepScale:
     once computed, so later calls return the same object."""
     if f._scale is None:
         table = _carrier_table(f)
-        derive = partial(_level_steps, f.space, f._atoms, f._pieces, table)
+        pairs = partial(_level_pairs, f.space, f._atoms, f._pieces, table)
+        derive = lambda: tuple((Fraction(*v), Fraction(*l)) for v, l in pairs())
         object.__setattr__(f, "_scale", StepScale(None, table.profile, derive))
     return f._scale
 
@@ -194,14 +189,18 @@ def add_scales(a: StepScale, b: StepScale) -> StepScale:
 # orders
 # ---------------------------------------------------------------------------
 
-def _slack_walk(x: StepScale, y: StepScale):
-    """majorise_check's walk in integers: (D, V, x steps, y steps, walk) with
-    both step lists over common denominators D and V, and the walk's
-    (end, integral_0^end (y - x)) numerators over D and D*V."""
+def _on_common(x: StepScale, y: StepScale):
+    """(D, V, x steps, y steps): both step lists over common denominators D and V."""
     (dx, vx, x_ints), (dy, vy, y_ints) = x._profile, y._profile
     den, vden = lcm(dx, dy), lcm(vx, vy)
     x_ints = _rescaled(x_ints, vden // vx, den // dx)
-    y_ints = _rescaled(y_ints, vden // vy, den // dy)
+    return den, vden, x_ints, _rescaled(y_ints, vden // vy, den // dy)
+
+
+def _slack_walk(x: StepScale, y: StepScale):
+    """majorise_check's walk in integers: _on_common(x, y) and the walk's
+    (end, integral_0^end (y - x)) numerators over D and D*V."""
+    den, vden, x_ints, y_ints = _on_common(x, y)
     walk = []
     t = slack = 0
     for x_value, y_value, length in common_refinement(x_ints, y_ints):

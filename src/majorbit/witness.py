@@ -10,7 +10,7 @@ delta* is computed exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import CriterionSatisfied, DegenerateDirection, InternalError
 from .measure import (
@@ -23,9 +23,9 @@ from .measure import (
     serialize_function,
     serialize_space,
 )
-from .extremality import evaluate_conditions
-from .rationals import format_ratstr
-from .scales import _holds, _rescaled, _slack_walk, rearrange
+from .extremality import SINGLE_ATOM, _tag, evaluate_conditions
+from .rationals import _reduced, format_ratstr
+from .scales import _holds, _on_common, _rescaled, _slack_walk, rearrange
 
 THREE_VALUES = "three_values"
 TWO_VALUES = "two_values"
@@ -65,7 +65,7 @@ def _cells(*fs: SimpleFunction) -> tuple[int, list[tuple[tuple[int, ...], int]]]
     refinement of the piece lists."""
     for f in fs[1:]:
         _require_same_space(fs[0], f)
-    n = len(fs[0].space.atoms)
+    n = len(fs[0].space.atom_ids)
     den = lcm(*{f._masses[0] for f in fs})
     carriers = [_rescaled(zip(f._values[1], f._masses[1]), 1, den // f._masses[0]) for f in fs]
     cells = [(tuple(c[i][0] for c in carriers), carriers[0][i][1]) for i in range(n)]
@@ -75,7 +75,8 @@ def _cells(*fs: SimpleFunction) -> tuple[int, list[tuple[tuple[int, ...], int]]]
     return den, cells + pieces
 
 
-def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) -> Fraction:
+def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction,
+                     cells=None) -> Fraction:
     """Exact supremum of delta >= 0 with x + delta*u and x - delta*u both
     majorised by y and the strict ordering of x's levels preserved.
 
@@ -92,8 +93,9 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
     The walk is in integers (x's and y's values over a common W, u's over
     its own V), so each bound is an integer ratio times V/W: the bounds are
     compared by cross-multiplication and one Fraction is built at the end.
+    ``cells`` is _cells(x, u), if already built.
     """
-    den, cells = _cells(x, u)
+    den, cells = cells or _cells(x, u)
     if all(vs[1] == 0 for vs, _ in cells):
         raise DegenerateDirection("u vanishes almost everywhere")
     y_den, y_vden, y_ints = rearrange(y)._profile
@@ -153,7 +155,7 @@ def _positive_run(slacks, k: int) -> tuple[int, int]:
 def _indicator(x: SimpleFunction, plus, minus, ratio: Fraction) -> SimpleFunction:
     """Direction u = 1_plus - ratio * 1_minus on x's carriers, for sets of
     carrier indices (atoms in space order, then pieces)."""
-    n, below = len(x.space.atoms), (-ratio.numerator, ratio.denominator)
+    n, below = len(x.space.atom_ids), (-ratio.numerator, ratio.denominator)
     coeffs = [(1, 1) if i in plus else below if i in minus else (0, 1)
               for i in range(len(x._masses[1]))]
     pieces = tuple((c, mass) for c, (_, mass) in zip(coeffs[n:], x._pieces))
@@ -167,7 +169,7 @@ def _split_direction(x: SimpleFunction, level) -> SimpleFunction:
     single diffuse piece is split into two equal-mass halves."""
     _, (first, *rest), length = level
     if not rest:
-        index = first - len(x.space.atoms)
+        index = first - len(x.space.atom_ids)
         if index < 0:
             raise InternalError("a single-atom level cannot be split")
         value, (num, den) = x._pieces[index]
@@ -178,20 +180,19 @@ def _split_direction(x: SimpleFunction, level) -> SimpleFunction:
     return _indicator(x, {first}, set(rest), Fraction(first_mass, length - first_mass))
 
 
-def _moved(x: SimpleFunction, u: SimpleFunction, delta: Fraction):
+def _moved(x: SimpleFunction, u: SimpleFunction, delta: Fraction, x_u_cells):
     """x +- delta*u as add_functions(x, scale_function(u, +-delta)) gives
-    them, built on ints: their values on the cells of x and u over one
+    them, built on ints from _cells(x, u): their values on the cells over one
     denominator, the cells' masses, and the reduced pairs of both."""
-    (den, cells), n = _cells(x, u), len(x.space.atoms)
+    (den, cells), n = x_u_cells, len(x.space.atom_ids)
     x_vden, u_vden = x._values[0], u._values[0] * delta.denominator
     vden = lcm(x_vden, u_vden)
     kx, ku = vden // x_vden, vden // u_vden * delta.numerator
-    reduced = lambda num, d: (num // (g := gcd(num, d)), d // g)
     masses = [m for _, m in cells]
-    piece_masses = [reduced(m, den) for m in masses[n:]]
+    piece_masses = [_reduced(m, den) for m in masses[n:]]
     for sign in (1, -1):
         values = [xv * kx + sign * c * ku for (xv, c), _ in cells]
-        pairs = [reduced(v, vden) for v in values]
+        pairs = [_reduced(v, vden) for v in values]
         yield SimpleFunction._of(x.space, dict(zip(x.space.atom_ids, pairs)),
                                  tuple(zip(pairs[n:], piece_masses)), (vden, values), (den, masses))
 
@@ -209,13 +210,13 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
     non-atomic level is split in place; a single-atom level is handled by
     balancing two adjacent levels of the strict-slack component around it.
     """
-    intervals, conditions, slacks = evaluation
+    _, conditions, slacks = evaluation
     if None not in conditions:
         raise CriterionSatisfied("x satisfies the extremality criterion")
     k = conditions.index(None)
     levels = _carrier_table(x).levels  # one level per constancy interval
 
-    if not intervals[k].kind.is_single_atom:
+    if _tag(levels[k][1], len(x.space.atom_ids)) != SINGLE_ATOM:
         u = _split_direction(x, levels[k])
         tag = SPLIT_LEVEL
     else:
@@ -231,11 +232,12 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
         ratio = Fraction(upper[2], lower[2])
         u = _indicator(x, set(upper[1]), set(lower[1]), ratio)
 
-    delta_sup = admissible_delta(x, y, u)
+    cells = _cells(x, u)
+    delta_sup = admissible_delta(x, y, u, cells)
     if delta_sup <= 0:
         raise InternalError("admissible step collapsed to zero on a violation")
     delta = delta_sup / 2
-    pair = WitnessPair(*_moved(x, u, delta), Perturbation(u, delta, tag))
+    pair = WitnessPair(*_moved(x, u, delta, cells), Perturbation(u, delta, tag))
     if not verify_witness(x, y, pair):
         raise InternalError("constructed witness failed verification")
     return pair
@@ -270,7 +272,7 @@ def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool
         p_scale = rearrange(perturbed)
         if not _holds(_slack_walk(p_scale, y_scale)[4]):
             return False
-        den, _, p_ints, x_ints, _ = _slack_walk(p_scale, x_scale)
+        den, _, p_ints, x_ints = _on_common(p_scale, x_scale)
         s1, s4 = (t * (den // x_den) for t in (region[0][0], region[-1][1]))
         t = 0
         for p_value, x_value, length in common_refinement(p_ints, x_ints):

@@ -47,7 +47,7 @@ from majorbit.measure import (
     Refinement,
     SimpleFunction,
     _carrier_table,
-    _over_lcm,
+    _fold_pairs,
     add_functions,
     common_refinement,
     equal_ae,
@@ -401,7 +401,7 @@ def _tight_sets_span(x: SimpleFunction, y_scale: StepScale) -> bool:
     # masses are ints over den, x's values ints over its table's vden; on
     # y's step k, with both sides scaled by den * vden * y_den * y_vden,
     # the bound at a subset's mass is offsets[k] + slopes[k] * mass
-    den, masses = _over_lcm([w for _, w in x.space.atoms])
+    den, masses = _fold_pairs([(w.numerator, w.denominator) for _, w in x.space.atoms])
     table = _carrier_table(x)
     y_den, y_vden, y_ints = y_scale._profile
     # an int mass lies at or before a step end iff it lies at or before its floor

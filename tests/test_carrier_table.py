@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import reference_core as ref
@@ -22,8 +23,15 @@ from majorbit.extremality import (
     constancy_intervals,
     evaluate_conditions,
 )
-from majorbit.measure import MeasureSpace, SimpleFunction, add_functions, scale_function
-from majorbit.orbit import sample_orbit
+from majorbit.measure import (
+    MeasureSpace,
+    SimpleFunction,
+    _carrier_table,
+    add_functions,
+    parse_function,
+    scale_function,
+)
+from majorbit.orbit import partial_average, sample_orbit
 from majorbit.prng import SplitMix64
 from majorbit.scales import StepScale, cumulative, majorise_check, rearrange
 from majorbit.witness import WitnessPair, admissible_delta, build_witness, verify_witness
@@ -206,3 +214,42 @@ def test_admissible_delta_matches_on_any_direction(pair, y):
     """Directions that are not witnesses, and x outside the orbit of y."""
     x, u = pair
     assert outcome(admissible_delta, x, y, u) == outcome(ref.admissible_delta, x, y, u)
+
+
+# unreduced literals ("2/4", "6/3", "-0") on atomic, atomless and mixed spaces;
+# the averages below join carriers into levels of several members
+RESPELLED = {
+    "atomic": ({"atoms": [{"id": "a", "weight": "2/4"}, {"id": "b", "weight": "3/12"},
+                          {"id": "c", "weight": "1/4"}], "diffuse_mass": "-0"},
+               {"a": "6/3", "b": "-0", "c": "7/2"}, [], (["a", "c"], [])),
+    "atomless": ({"atoms": [], "diffuse_mass": "3/3"}, {},
+                 [("0/7", "2/8"), ("-0", "1/4"), ("12/4", "3/6")], ([], [0, 2])),
+    "mixed": ({"atoms": [{"id": "b", "weight": "1/3"}, {"id": "a", "weight": "2/6"}],
+               "diffuse_mass": "2/6"},
+              {"a": "-0", "b": "-6/3"}, [("2/4", "1/6"), ("0/7", "2/12")], (["a", "b"], [1])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RESPELLED))
+def test_verdict_printed_from_integers_matches_the_fraction_reference(kind):
+    """The verdict prints values, kinds and interval ends from x's carrier
+    table; the reference prints the Fractions of its own intervals. Both
+    documents agree, on a parsed space and on the same space built with the
+    public constructor, for y itself (extreme) and for x averaging y over
+    a few carriers, whose level ends are reduced over the common mass
+    denominator."""
+    space_doc, atom_doc, piece_doc, (atom_ids, piece_indices) = RESPELLED[kind]
+    doc = {"space": space_doc, "atoms": atom_doc,
+           "diffuse": [{"value": v, "mass": m} for v, m in piece_doc]}
+    y = parse_function(json.dumps(doc))
+    built = MeasureSpace(tuple((e["id"], Fraction(e["weight"])) for e in space_doc["atoms"]),
+                         Fraction(space_doc["diffuse_mass"]))
+    assert built == y.space and hash(built) == hash(y.space)
+    for x in (y, partial_average(y, atom_ids, piece_indices)):
+        x_built = SimpleFunction(built, x.atom_values, x.diffuse_pieces)
+        expected = ref.check_extreme(x, y)
+        for a in (x, x_built):
+            verdict = check_extreme(a, y)
+            assert verdict.intervals == expected.intervals == ref.constancy_intervals(a)
+            assert document(verdict) == document(expected)
+    assert not check_extreme(x, y).extreme and any(len(lv[1]) > 1 for lv in _carrier_table(x).levels)

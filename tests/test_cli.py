@@ -578,6 +578,36 @@ def test_hostile_extreme_folds_the_weights_once(tmp_path, capsys, monkeypatch):
     assert folds == [48 + 1]  # the weights and diffuse_mass
 
 
+def test_hostile_intervals_print_without_the_common_denominator(monkeypatch):
+    """The verdict prints each interval end as the running sum of its levels'
+    own reduced masses, whose denominators have about 8000 digits. No end is
+    reduced over the space's 96 000-digit common denominator D: every gcd
+    that the package or Fraction makes while the verdict serializes is
+    checked, and none has an operand a quarter of D's size."""
+    import math
+
+    from majorbit import measure
+    from majorbit.extremality import check_extreme
+    from majorbit.measure import parse_function
+
+    measure._space_of.cache_clear()
+    x = parse_function(hostile_denominators_doc())
+    verdict = check_extreme(x, x)
+    gcd, sizes = math.gcd, []
+
+    def measuring(*args):
+        sizes.append(max(abs(a).bit_length() for a in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", measuring)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("majorbit") and getattr(module, "gcd", None) is gcd:
+            monkeypatch.setattr(module, "gcd", measuring)
+    intervals = verdict.serialize()["intervals"]
+    assert len(intervals) == 48 and intervals[-1]["t2"] == "1"
+    assert sizes and max(sizes) < x.space._masses[0].bit_length() // 4
+
+
 def test_birkhoff_stdout_is_pinned(tmp_path, capsys):
     """The stdout of one birkhoff call at n = 12, pinned to what the
     recursive dense-scan matching printed."""

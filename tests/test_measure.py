@@ -87,6 +87,29 @@ def test_parse_space_reuses_a_literal_identical_space():
     assert x.space is y.space is first
 
 
+def test_parse_space_reads_a_kept_space_without_checking_it(monkeypatch):
+    """A document whose atom entries and diffuse_mass equal the kept
+    space's returns it without reading its entries in Python. The space
+    keeps a copy of the entries it was parsed from, so a document changed
+    in place after its parse is parsed again."""
+    from majorbit import measure
+
+    checked = []
+    space_pairs = measure._space_pairs
+    monkeypatch.setattr(measure, "_space_pairs", lambda *a: checked.append(a) or space_pairs(*a))
+    doc = json.loads(json.dumps(HALVES))
+    measure._space_of.cache_clear()
+    first = parse_space(doc)
+    assert parse_space(doc) is first and parse_space(json.dumps(HALVES)) is first
+    assert len(checked) == 1
+    doc["atoms"][0]["weight"], doc["atoms"][1]["weight"] = "1/4", "3/4"
+    changed = parse_space(doc)
+    assert len(checked) == 2 and changed.atoms == (("a", Fraction(1, 4)), ("b", Fraction(3, 4)))
+    doc["atoms"][0]["id"] = 7
+    with pytest.raises(SchemaError, match="atom ids and weights must be strings"):
+        parse_space(doc)
+
+
 @pytest.mark.parametrize("other", [
     {"atoms": [{"id": "a", "weight": "2/4"}, {"id": "b", "weight": "1/2"}], "diffuse_mass": "0"},
     {"atoms": [{"id": "a", "weight": "1/2"}, {"id": "b", "weight": "1/2"}], "diffuse_mass": "0/3"},
@@ -333,6 +356,39 @@ def test_normalized_parsing():
     f = parse_function_normalized(doc)
     assert f.space.atoms[0][1] == Fraction(1, 2)
     assert f.diffuse_pieces == ((Fraction(1), Fraction(1, 2)),)
+
+
+def normalized_by_fractions(doc: dict) -> SimpleFunction:
+    """parse_function_normalized's Fraction formulation: every mass divided
+    by the Fraction sum of the space's masses."""
+    space_doc = doc["space"]
+    weights = [(e["id"], parse_ratstr(e["weight"])) for e in space_doc["atoms"]]
+    diffuse = parse_ratstr(space_doc["diffuse_mass"])
+    total = sum((w for _, w in weights), diffuse)
+    space = MeasureSpace(tuple((aid, w / total) for aid, w in weights), diffuse / total)
+    return SimpleFunction(space, {aid: parse_ratstr(v) for aid, v in doc["atoms"].items()},
+                          tuple((parse_ratstr(p["value"]), parse_ratstr(p["mass"]) / total)
+                                for p in doc["diffuse"]))
+
+
+@pytest.mark.parametrize("space_doc, pieces", [
+    ({"atoms": [{"id": "a", "weight": "3/3"}, {"id": "b", "weight": "2/4"}], "diffuse_mass": "-0"},
+     []),
+    ({"atoms": [], "diffuse_mass": "7/5"}, [("1", "2/5"), ("-2/4", "1")]),
+    ({"atoms": [{"id": "b", "weight": "1/3"}, {"id": "a", "weight": "1/7"}], "diffuse_mass": "1/11"},
+     [("6/3", "1/22"), ("-0", "1/22")]),
+    ({"atoms": [{"id": "a", "weight": "1/4"}], "diffuse_mass": "3/4"}, [("5", "3/4")]),
+], ids=["atomic", "atomless", "mixed", "normalized"])
+def test_normalized_parsing_matches_the_fraction_division(space_doc, pieces):
+    """The masses' numerators over their fold's D, over their sum T instead,
+    are the space's fold: the same function and document as dividing each
+    mass by the Fraction total."""
+    doc = {"space": space_doc, "atoms": {e["id"]: "3/2" for e in space_doc["atoms"]},
+           "diffuse": [{"value": v, "mass": m} for v, m in pieces]}
+    f, expected = parse_function_normalized(json.dumps(doc)), normalized_by_fractions(doc)
+    assert f == expected and f.space == expected.space
+    assert json.dumps(serialize_function(f)) == json.dumps(serialize_function(expected))
+    assert rearrange(f).steps == rearrange(expected).steps
 
 
 EDGE_SPACES = {

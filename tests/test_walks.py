@@ -254,15 +254,15 @@ def large_documents() -> tuple[str, str]:
 
 def test_exact_request_builds_each_fraction_once(monkeypatch):
     """Parse, decide and serialize one 48-carrier non-extreme request.
-    Function values and piece masses stay reduced integer pairs from the
-    literal to the printed string, x+ and x- are built on integers, and a
-    scale built from its integer profile derives its steps only when read.
-    124 Fractions are built on Python 3.11.7: the space's 37 masses (x and
-    y share them), x's 36 level values, 13 level lengths that are not an
-    atom's weight and 35 interval ends, and three for the direction and
-    the step. Parsing every value to a Fraction built 272, pairwise
-    Fraction sums 529, and re-wrapping each value and mass and each
-    printed literal 1276."""
+    Masses and function values stay reduced integer pairs from the literal
+    to the printed string, the verdict prints its intervals from x's carrier
+    table, x+ and x- are built on integers, and a scale built from its
+    integer profile derives its steps only when read. Three Fractions are
+    built on Python 3.11.7: the direction's ratio, the step supremum delta*
+    and the step delta = delta*/2. The space's masses, x's level values and
+    lengths and the interval ends built 121 more, parsing every value to a
+    Fraction 272, pairwise Fraction sums 529, and re-wrapping each value and
+    mass and each printed literal 1276."""
     x_doc, y_doc = large_documents()
     built = []
     new = Fraction.__new__
@@ -278,7 +278,7 @@ def test_exact_request_builds_each_fraction_once(monkeypatch):
     monkeypatch.undo()
     count = len(built)
     assert not verdict.extreme
-    assert count <= 124
+    assert count <= 3
 
 
 def test_check_extreme_builds_no_fraction_report(monkeypatch):
