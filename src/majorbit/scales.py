@@ -142,10 +142,14 @@ def rearrange(f: SimpleFunction) -> StepScale:
     once computed, so later calls return the same object."""
     if f._scale is None:
         table = _carrier_table(f)
-        pairs = partial(_level_pairs, f.space, f._atoms, f._pieces, table)
-        derive = lambda: tuple((Fraction(*v), Fraction(*l)) for v, l in pairs())
+        derive = partial(_level_steps, f.space, f._atoms, f._pieces, table)
         object.__setattr__(f, "_scale", StepScale(None, table.profile, derive))
     return f._scale
+
+
+def _level_steps(*args) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The Fraction steps of _level_pairs(*args)."""
+    return tuple((Fraction(*v), Fraction(*l)) for v, l in _level_pairs(*args))
 
 
 def distribution(f: SimpleFunction, s: Fraction) -> Fraction:

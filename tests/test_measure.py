@@ -446,3 +446,22 @@ def test_scale_function_follows_the_constructors_number_rule(bad):
         scale_function(mkatomic([1, 3]), bad)
     for factor in (3, Fraction(1, 3), np.int64(3)):
         assert scale_function(mkatomic([1, 3]), factor) == mkatomic([factor, 3 * factor])
+
+
+def test_objects_built_on_integers_survive_pickling():
+    """A parsed space and function, the scale that rearrange builds from the
+    carrier table with its steps not yet derived, and a verdict whose
+    intervals were never read pickle and load equal, and print the same."""
+    import pickle
+
+    from majorbit.extremality import check_extreme
+
+    space_doc, atom_doc, piece_doc = EDGE_SPACES["mixed"]
+    f = parse_function({"space": space_doc, "atoms": atom_doc,
+                        "diffuse": [{"value": v, "mass": m} for v, m in piece_doc]})
+    scale, verdict = rearrange(f), check_extreme(f, f)
+    assert "steps" not in vars(scale) and "data" not in vars(verdict.intervals)
+    for obj in (f.space, f, scale, verdict):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert pickle.loads(pickle.dumps(scale)).serialize() == scale.serialize()
+    assert pickle.loads(pickle.dumps(verdict)).serialize() == verdict.serialize()
