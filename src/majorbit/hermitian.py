@@ -1,15 +1,14 @@
 """Hermitian matrices under the normalized trace: the n x n model of the
 orbit machinery, plus the classical doubly stochastic toolkit around it.
 
-Eigenvalue scales reuse the exact StepScale type: a float is a binary
-rational, so Fraction(float) loses nothing; comparisons against another
-matrix scale are then relaxed by the operator tolerance. Everything
-random is driven by the splitmix64 stream.
+Eigenvalue scales reuse the exact StepScale type on its integer profile: a
+float is a binary rational, so its integer ratio loses nothing; comparisons
+against another matrix scale are then relaxed by the operator tolerance.
+Everything random is driven by the splitmix64 stream.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,10 +24,10 @@ from .errors import (
     SchemaError,
 )
 from .extremality import evaluate_conditions
-from .measure import MeasureSpace, SimpleFunction, common_refinement
+from .measure import MeasureSpace, SimpleFunction, _fold_pairs, common_refinement
 from .prng import SplitMix64
 from .rationals import parse_ratstr
-from .scales import MajorisationReport, StepScale, majorise_check
+from .scales import MajorisationReport, StepScale, _on_common, _slack_walk
 
 TOL_COEFFICIENT = 1e-9
 
@@ -147,37 +146,49 @@ class HermitianOperator:
 def eig_scale(a: HermitianOperator, snap_denominator: int | None = None) -> StepScale:
     """Spectral scale: eigenvalues descending, each a step of length 1/n,
     merged when closer than the operator tolerance (merged step carries
-    the cluster mean). ``snap_denominator`` optionally rounds values to
-    rationals with bounded denominator, for exact inputs."""
+    the cluster mean, and equal means merge). ``snap_denominator`` optionally
+    rounds values to rationals with bounded denominator, for exact inputs."""
     w, _ = a.eigensystem()
     values = w.tolist()
     # slices between numpy's cuts; np.split costs twice the loop at n = 12
-    cuts = (np.flatnonzero(np.abs(np.diff(w)) > a.tol) + 1).tolist()
-    pairs = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(values)]) if values else ():
-        value = Fraction(sum(values[lo:hi]) / (hi - lo))
+    with np.errstate(over="ignore"):  # an infinite gap is a cut
+        cuts = (np.flatnonzero(np.abs(np.diff(w)) > a.tol) + 1).tolist()
+    counts: dict[tuple[int, int], int] = {}  # reduced value pair -> eigenvalues
+    for lo, hi in zip([0, *cuts], [*cuts, len(values)]):
+        if not math.isfinite(total := sum(values[lo:hi])):
+            raise SchemaError("a cluster of eigenvalues sums beyond the float range")
+        value = (total / (hi - lo)).as_integer_ratio()
         if snap_denominator is not None:
-            value = value.limit_denominator(snap_denominator)
-        pairs.append((value, Fraction(hi - lo, a.n)))
-    return StepScale.from_pairs(pairs)
+            value = _limit_pair(*value, snap_denominator)
+        counts[value] = counts.get(value, 0) + hi - lo
+    vden, nums = _fold_pairs(list(counts))  # the values are distinct, so are their numerators
+    return StepScale(None, (a.n, vden, tuple(sorted(zip(nums, counts.values()), reverse=True))))
+
+
+def _quotient(num: int, den: int) -> float:
+    """float(Fraction(num, den)) for den > 0, or +-inf where that overflows."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def scales_equal_within(a: StepScale, b: StepScale, tol: float) -> bool:
-    """Sup-distance of two step scales at most tol (lengths are exact, so
-    walking the merged segments is enough)."""
+    """Sup-distance of two step scales at most tol, each difference a float
+    (lengths are exact, so walking the merged segments is enough)."""
+    _, vden, a_ints, b_ints = _on_common(a, b)
     return all(
-        abs(float(va - vb)) <= tol for va, vb, _ in common_refinement(a.steps, b.steps)
+        abs(_quotient(va - vb, vden)) <= tol for va, vb, _ in common_refinement(a_ints, b_ints)
     )
 
 
 def _relaxed_majorise(x_scale: StepScale, y_scale: StepScale, tol: float) -> MajorisationReport:
-    """majorise_check with a tolerance-aware verdict: slacks may dip to -tol
-    and the total gap may be as large as tol."""
-    exact = majorise_check(x_scale, y_scale)
-    holds = abs(float(exact.total_gap)) <= tol and all(
-        float(s) >= -tol for _, s in exact.breakpoint_slacks
-    )
-    return MajorisationReport(holds, exact.breakpoint_slacks, exact.total_gap)
+    """majorise_check with a tolerance-aware verdict: slacks, as floats, may
+    dip to -tol and the total gap may be as large as tol."""
+    den, vden, _, _, walk = _slack_walk(x_scale, y_scale)
+    holds = abs(_quotient(walk[-1][1], den * vden)) <= tol and all(
+        s >= 0 or _quotient(s, den * vden) >= -tol for _, s in walk)
+    return MajorisationReport(holds, None, None, (den, vden, walk))
 
 
 def matrix_majorise(
@@ -210,37 +221,32 @@ def schur_horn_check(
     return matrix_majorise(diag_expectation(conjugated), y, tol)
 
 
-def _equal_weight_models(*value_lists: list[Fraction]) -> list[SimpleFunction]:
-    """Functions on one space of n atoms e0, e1, ... of mass 1/n each."""
+def _equal_weight_models(*value_lists: list[tuple[int, int]]) -> list[SimpleFunction]:
+    """Functions on one space of n atoms e0, e1, ... of mass 1/n each, from value pairs."""
     n = len(value_lists[0])
-    space = MeasureSpace(tuple((f"e{i}", Fraction(1, n)) for i in range(n)), Fraction(0))
-    return [SimpleFunction(space, dict(zip(space.atom_ids, values))) for values in value_lists]
+    space = MeasureSpace._of(tuple(f"e{i}" for i in range(n)), ((1, n),) * n, (0, 1))
+    return [SimpleFunction._of(space, dict(zip(space.atom_ids, v)), ()) for v in value_lists]
 
 
-_SNAP_DENOMINATOR = 10**6
+def _limit_pair(num: int, den: int, bound: int) -> tuple[int, int]:
+    """Fraction(num, den).limit_denominator(bound)'s reduced pair, for reduced
+    num/den: the last convergent p1/q1 within the bound (num/den itself if the
+    remainder d reaches 0), or the semiconvergent after it when strictly
+    closer, which is when 2 d (q0 + k q1) > den."""
+    p0, q0, p1, q1, n, d = 0, 1, 1, 0, num, den
+    while d and q0 + (n // d) * q1 <= bound:
+        a = n // d
+        p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
+    k = (bound - q0) // q1
+    return (p1, q1) if 2 * d * (q0 + k * q1) <= den else (p0 + k * p1, q0 + k * q1)
 
 
-def _faithful_snap(values: np.ndarray, tol: float):
-    """Fraction(v).limit_denominator(_SNAP_DENOMINATOR) for each float v,
-    or None when one of them lies further than tol from its snap. The
-    continued fraction runs on v.as_integer_ratio(): the last convergent
-    p1/q1 within the bound, or the semiconvergent after it when that is
-    strictly closer, which is when 2 d (q0 + k q1) > den for the final
-    remainder d."""
-    snapped = []
-    for value in values.tolist():
-        num, den = value.as_integer_ratio()
-        if den > _SNAP_DENOMINATOR:
-            p0, q0, p1, q1, n, d = 0, 1, 1, 0, num, den
-            while q0 + (n // d) * q1 <= _SNAP_DENOMINATOR:
-                a = n // d
-                p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
-            k = (_SNAP_DENOMINATOR - q0) // q1
-            num, den = (p1, q1) if 2 * d * (q0 + k * q1) <= den else (p0 + k * p1, q0 + k * q1)
-        if abs(num / den - value) > tol:
-            return None
-        snapped.append(Fraction(num, den))
-    return snapped
+def _faithful_snap(values: np.ndarray, tol: float) -> list[tuple[int, int]] | None:
+    """v's _limit_pair within 10**6 for each float v, or None when one of
+    them lies further than tol from its snap."""
+    floats = values.tolist()
+    snapped = [_limit_pair(*v.as_integer_ratio(), 10**6) for v in floats]
+    return snapped if all(abs(p / q - v) <= tol for (p, q), v in zip(snapped, floats)) else None
 
 
 def check_extreme_diag(x: HermitianOperator, y: HermitianOperator) -> bool:
@@ -451,23 +457,23 @@ def t_transform_chain(x, y) -> DoublyStochastic:
         raise SchemaError("partial sums or the spread of the entries overflow the float range")
     if float(np.max(gaps)) > close or abs(float(totals[0] - totals[1])) > close:
         raise NotMajorised("x is not majorised by y")
-    s_sorted = np.eye(n)
-    work = ys.copy()
+    s_sorted, t = np.eye(n), np.eye(n)  # t: one T-matrix buffer, the identity between steps
+    work, target = ys.copy(), xs.tolist()
     for _ in range(n - 1):
-        below = [j for j in range(n) if xs[j] < work[j] - close]
-        if not below:
+        w = work.tolist()
+        j = next((j for j in reversed(range(n)) if target[j] < w[j] - close), None)
+        if j is None:
             break
-        j = max(below)
-        k = next((i for i in range(j + 1, n) if xs[i] > work[i] + close), None)
+        k = next((i for i in range(j + 1, n) if target[i] > w[i] + close), None)
         if k is None:
             raise InternalError("no balancing index; totals drifted apart")
-        delta = min(work[j] - xs[j], xs[k] - work[k])
-        lam = 1.0 - delta / (work[j] - work[k])
-        t = np.eye(n)
-        t[j, j] = t[k, k] = lam
-        t[j, k] = t[k, j] = 1.0 - lam
+        delta = min(w[j] - target[j], target[k] - w[k])
+        lam = 1.0 - delta / (w[j] - w[k])
+        cells = [j, k, j, k], [j, k, k, j]
+        t[cells] = lam, lam, 1.0 - lam, 1.0 - lam
         work = t @ work
         s_sorted = t @ s_sorted
+        t[cells] = 1.0, 1.0, 0.0, 0.0
     if _maxabs(work - xs) > 1e-10 * scale:
         raise InternalError("T-transform chain failed to reach the target")
     full = s_sorted[np.ix_(np.argsort(order_x), np.argsort(order_y))]

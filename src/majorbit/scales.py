@@ -17,7 +17,7 @@ from math import lcm
 from .errors import DomainError, InternalError
 from .measure import (ZERO, SimpleFunction, _Derived, _carrier_table, _fold_pairs, _level_pairs,
                       _pair, abs_function, common_refinement)
-from .rationals import _shown, format_ratstr
+from .rationals import _format_pair, _reduced, _shown
 
 
 def merge_pairs(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -46,16 +46,20 @@ class StepScale(_Derived):
 
     Construction records the integer profile every query reads: ``_profile``
     = (D, V, (value, length) numerators over V and D), and ``_ends``, each
-    step's end over D. A scale given its steps folds them; ``rearrange``
-    gives the profile and, for steps None, ``_derive``, which gives the
-    steps on first read.
+    step's end over D. A scale given its steps folds them; one given its
+    profile (steps None) derives its reduced (value, length) pairs ``_pairs``
+    on first read, by ``_derive`` or by reducing the profile, and its steps
+    from them. A scale prints from ``_pairs``.
     """
 
     steps: tuple[tuple[Fraction, Fraction], ...] | None
     _profile: tuple = field(default=None, repr=False, compare=False)
     _derive: object = field(default=None, repr=False, compare=False)
     _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _fractions = {"steps": lambda s: s._derive()}
+    _fractions = {"_pairs": lambda s: s._derive() if s._derive else tuple(
+                      (_reduced(v, s._profile[1]), _reduced(l, s._profile[0]))
+                      for v, l in s._profile[2]),
+                  "steps": lambda s: tuple((Fraction(*v), Fraction(*l)) for v, l in s._pairs)}
 
     def __post_init__(self):
         if self._profile is None:
@@ -95,8 +99,8 @@ class StepScale(_Derived):
         return self.steps[k][0]
 
     def serialize(self) -> dict:
-        steps = [{"value": format_ratstr(v), "length": format_ratstr(l)} for v, l in self.steps]
-        return {"steps": steps}
+        return {"steps": [{"value": _format_pair(*v), "length": _format_pair(*l)}
+                          for v, l in self._pairs]}
 
 
 @dataclass(frozen=True)
@@ -118,16 +122,33 @@ class IncreasingScale:
 
 
 @dataclass(frozen=True)
-class MajorisationReport:
+class MajorisationReport(_Derived):
+    """Given majorise_check's slack walk ``_walk`` = (D, V, (end, slack) numerators over D and
+    D*V), a report derives its Fraction fields on first read and prints from the walk."""
+
     holds: bool
-    breakpoint_slacks: tuple[tuple[Fraction, Fraction], ...]
-    total_gap: Fraction
+    breakpoint_slacks: tuple[tuple[Fraction, Fraction], ...] | None
+    total_gap: Fraction | None
+    _walk: tuple = field(default=None, repr=False, compare=False)
+    _fractions = {"breakpoint_slacks": lambda r: tuple((Fraction(*t), Fraction(*s))
+                                                      for t, s in r._walk_pairs()),
+                  "total_gap": lambda r: r.breakpoint_slacks[-1][1]}
+
+    def __post_init__(self):
+        for name in self._fractions if self._walk else ():  # derived on first read
+            object.__delattr__(self, name)
+
+    def _walk_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """The walk's (t, slack) reduced pairs."""
+        den, vden, walk = self._walk
+        return [(_reduced(t, den), _reduced(s, den * vden)) for t, s in walk]
 
     def serialize(self) -> dict:
-        slacks = [{"t": format_ratstr(t), "slack": format_ratstr(s)}
-                  for t, s in self.breakpoint_slacks]
-        return {"holds": self.holds, "breakpoint_slacks": slacks,
-                "total_gap": format_ratstr(self.total_gap)}
+        rows = self._walk_pairs() if self._walk else [(_pair(t), _pair(s))
+                                                      for t, s in self.breakpoint_slacks]
+        gap = rows[-1][1] if self._walk else _pair(self.total_gap)
+        slacks = [{"t": _format_pair(*t), "slack": _format_pair(*s)} for t, s in rows]
+        return {"holds": self.holds, "breakpoint_slacks": slacks, "total_gap": _format_pair(*gap)}
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +163,9 @@ def rearrange(f: SimpleFunction) -> StepScale:
     once computed, so later calls return the same object."""
     if f._scale is None:
         table = _carrier_table(f)
-        derive = partial(_level_steps, f.space, f._atoms, f._pieces, table)
+        derive = partial(_level_pairs, f.space, f._atoms, f._pieces, table)
         object.__setattr__(f, "_scale", StepScale(None, table.profile, derive))
     return f._scale
-
-
-def _level_steps(*args) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The Fraction steps of _level_pairs(*args)."""
-    return tuple((Fraction(*v), Fraction(*l)) for v, l in _level_pairs(*args))
 
 
 def distribution(f: SimpleFunction, s: Fraction) -> Fraction:
@@ -225,8 +241,7 @@ def majorise_check(x: StepScale, y: StepScale) -> MajorisationReport:
     refinement step, whose ends are the union of breakpoints, so checking
     the slack at those ends is exact and sufficient."""
     den, vden, _, _, walk = _slack_walk(x, y)
-    slacks = tuple((Fraction(t, den), Fraction(s, den * vden)) for t, s in walk)
-    return MajorisationReport(_holds(walk), slacks, slacks[-1][1])
+    return MajorisationReport(_holds(walk), None, None, (den, vden, walk))
 
 
 def submajorise_check(x: SimpleFunction, y: SimpleFunction) -> bool:

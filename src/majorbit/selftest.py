@@ -143,7 +143,7 @@ def criterion_hlp(seed: int, trials: int):
     are exactly the multiset permutations of y."""
     for values in _HLP_CASES[: max(trials, 0)]:
         n = len(values)
-        [y] = _equal_weight_models([Fraction(v) for v in values])
+        [y] = _equal_weight_models([(v, 1) for v in values])
         found = {
             tuple(f.atom_values[f"e{i}"] for i in range(n))
             for f in enumerate_extreme(y)
@@ -268,20 +268,18 @@ def criterion_matrix(seed: int, trials: int):
 
     for _ in range(trials):
         n = rng.randint(1, 8)
-        spectrum = [Fraction(rng.randint(-4, 8)) for _ in range(n)]
+        spectrum = [(rng.randint(-4, 8), 1) for _ in range(n)]
         u = random_unitary(rng, n)
-        y_op = HermitianOperator(
-            u @ np.diag([float(v) for v in spectrum]) @ u.conj().T
-        )
+        y_op = HermitianOperator(u @ np.diag([float(v) for v, _ in spectrum]) @ u.conj().T)
         if rng.next_u64() & 1:
             ordering = list(range(n))
             rng.shuffle(ordering)
             x_values = [spectrum[j] for j in ordering]
         else:
             x_model = sample_orbit(_equal_weight_models(spectrum)[0], rng.next_u64())
-            x_values = [x_model.atom_values[f"e{i}"] for i in range(n)]
+            x_values = [x_model._atoms[f"e{i}"] for i in range(n)]
         expected = check_extreme(*_equal_weight_models(x_values, spectrum)).extreme
-        yield check_extreme_diag(diag_operator(x_values), y_op) == expected
+        yield check_extreme_diag(diag_operator([p / q for p, q in x_values]), y_op) == expected
 
     for _ in range(trials):
         n = rng.randint(2, 8)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -469,6 +470,45 @@ def test_unprintable_output_exits_2(tmp_path, capsys):
     path = write(tmp_path, "g.json", doc)
     code, out = run(capsys, ["rearrange", "-f", path])
     assert code == 2 and out["error"] == "NormalizationError"
+
+
+def diagonal(*values):
+    n = len(values)
+    return {"re": [[v if i == j else 0.0 for j in range(n)] for i, v in enumerate(values)]}
+
+
+MAX_PAIR, MIN_PAIR = diagonal(1.7e308, 1.7e308), diagonal(-1.7e308, -1.7e308)
+
+
+@pytest.mark.parametrize(
+    "command, docs, code, answer",
+    [
+        # a cluster sum past the float range: once "cannot convert Infinity", exit 3
+        ("matrix-eig -f {0}", [MAX_PAIR], 2, {"error": "SchemaError"}),
+        ("matrix-majorise -x {0} -y {1}", [MIN_PAIR, MAX_PAIR], 2, {"error": "SchemaError"}),
+        ("matrix-extreme -x {0} -y {1}", [MIN_PAIR, MAX_PAIR], 2, {"error": "SchemaError"}),
+        # an eigenvalue gap past the float range is a cut, with no overflow warning
+        ("matrix-eig -f {0}", [diagonal(1.5e308, -1.5e308)], 0, {}),
+        # a total gap past the float range fails the relaxed test: once OverflowError, exit 3
+        ("matrix-majorise -x {0} -y {1}", [diagonal(-1e308, -1.7e308), diagonal(1.7e308, 1e308)],
+         0, {"holds": False}),
+        ("matrix-extreme -x {0} -y {1}", [diagonal(-1e308, -1.7e308), diagonal(1.7e308, 1e308)],
+         2, {"error": "NotInOrbit"}),
+        # in the orbit, with a scale difference past the float range: not equal
+        ("matrix-extreme -x {0} -y {1}",
+         [diagonal(*[-1.6e308 / 3] * 3), diagonal(1.7e308, -1.7e308, -1.6e308)],
+         0, {"extreme": False}),
+    ],
+    ids=["eig-cluster-sum", "majorise-cluster-sum", "extreme-cluster-sum", "eig-wide-gap",
+         "majorise-total-gap", "extreme-total-gap", "extreme-value-difference"],
+)
+def test_spectra_at_the_float_range_never_exit_3(tmp_path, capsys, command, docs, code, answer):
+    paths = [write(tmp_path, f"d{i}.json", doc) for i, doc in enumerate(docs)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, command.format(*paths).split())
+    assert caught == []
+    assert result[0] == code and answer.items() <= result[1].items()
 
 
 def test_finite_huge_entry_has_its_spectrum(tmp_path, capsys):

@@ -41,10 +41,10 @@ from majorbit.hermitian import (
     schur_horn_check,
     t_transform_chain,
 )
-from majorbit.measure import MeasureSpace, SimpleFunction
+from majorbit.measure import MeasureSpace, SimpleFunction, common_refinement
 from majorbit.orbit import sample_orbit
 from majorbit.prng import SplitMix64
-from majorbit.scales import StepScale, rearrange
+from majorbit.scales import StepScale, majorise_check, rearrange
 
 from conftest import frac, mkatomic
 
@@ -252,11 +252,26 @@ near_rationals = st.builds(
 @example([3.0, -0.25, 0.75, 123456 / 999983], 0.0)
 @settings(max_examples=500)
 def test_faithful_snap_is_limit_denominator(values, tol):
-    """The integer continued fraction gives Fraction.limit_denominator(10**6),
-    and a snap further than tol from its float gives None."""
+    """The integer continued fraction gives the reduced pair of
+    Fraction.limit_denominator(10**6), and a snap further than tol from its
+    float gives None."""
     snapped = [Fraction(v).limit_denominator(10**6) for v in values]
     faithful = all(abs(float(q) - v) <= tol for q, v in zip(snapped, values))
-    assert _faithful_snap(np.array(values), tol) == (snapped if faithful else None)
+    pairs = [(q.numerator, q.denominator) for q in snapped]
+    assert _faithful_snap(np.array(values), tol) == (pairs if faithful else None)
+
+
+@given(st.integers(-(10**20), 10**20), st.integers(1, 10**20), st.integers(1, 10**7))
+@example(7, 1, 1)
+@example(-7, 2, 1)
+@example(355, 113, 113)
+def test_limit_pair_is_limit_denominator(num, den, bound):
+    """Any bound, and a reduced num/den within it, which the continued
+    fraction expands to the end."""
+    q = Fraction(num, den)
+    expected = q.limit_denominator(bound)
+    assert hermitian._limit_pair(q.numerator, q.denominator, bound) == (
+        expected.numerator, expected.denominator)
 
 
 def test_random_families_are_pinned():
@@ -465,7 +480,9 @@ def test_identity_suite_examples():
 # kept as references: each rewrite must reproduce them bit for bit
 # ---------------------------------------------------------------------------
 
-def reference_eig_scale(a: HermitianOperator) -> StepScale:
+def reference_eig_scale(a: HermitianOperator, snap_denominator: int | None = None) -> StepScale:
+    """StepScale.from_pairs over the Fraction cluster means, each snapped by
+    limit_denominator when asked."""
     w, _ = a.eigensystem()
     clusters: list[list[float]] = []
     for value in w:
@@ -473,8 +490,11 @@ def reference_eig_scale(a: HermitianOperator) -> StepScale:
             clusters[-1].append(float(value))
         else:
             clusters.append([float(value)])
+    means = [Fraction(sum(c) / len(c)) for c in clusters]
+    if snap_denominator is not None:
+        means = [mean.limit_denominator(snap_denominator) for mean in means]
     return StepScale.from_pairs(
-        [(Fraction(sum(c) / len(c)), Fraction(len(c), a.n)) for c in clusters]
+        [(mean, Fraction(len(c), a.n)) for mean, c in zip(means, clusters)]
     )
 
 
@@ -574,6 +594,84 @@ def test_cluster_split_matches_the_loop():
     for _ in range(300):
         op = near_degenerate(rng, rng.randint(1, 10))
         assert eig_scale(op) == reference_eig_scale(op)
+
+
+# the Fraction comparisons that the integer walks replaced, kept as references
+
+def fraction_relaxed_holds(x: StepScale, y: StepScale, tol: float) -> bool:
+    report = majorise_check(x, y)
+    return abs(float(report.total_gap)) <= tol and all(
+        float(s) >= -tol for _, s in report.breakpoint_slacks
+    )
+
+
+def fraction_equal_within(a: StepScale, b: StepScale, tol: float) -> bool:
+    return all(abs(float(va - vb)) <= tol for va, vb, _ in common_refinement(a.steps, b.steps))
+
+
+def test_integer_eig_scale_matches_the_fraction_means():
+    """Clustered spectra, each scale built plain and snapped to denominators
+    up to 10**6, 3 and 1: the coarse snaps merge neighbouring clusters into
+    one value. Scales, printed steps, the relaxed majorisation verdict and
+    scale equality match the Fraction path at tolerances on both sides of
+    the slacks and differences."""
+    rng = SplitMix64(41)
+    merged = 0
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        ops = [near_degenerate(rng, n) for _ in range(2)]
+        scales = []
+        for op in ops:
+            for snap in (None, 10**6, 3, 1):
+                scale, reference = eig_scale(op, snap), reference_eig_scale(op, snap)
+                assert scale == reference
+                assert scale.serialize() == reference.serialize()
+                den, vden, ints = scale._profile  # each length a count over n
+                assert den == n
+                steps = tuple((Fraction(v, vden), Fraction(l, n)) for v, l in ints)
+                assert steps == reference.steps
+                clusters = len(reference_eig_scale(op).steps)
+                merged += len(scale.steps) < clusters
+                scales.append(scale)
+        for x in scales[:4]:
+            for y in scales[4:]:
+                for tol in (0.0, 1e-12, 1e-9, 0.1, 1.0):
+                    relaxed = hermitian._relaxed_majorise(x, y, tol).holds
+                    assert relaxed == fraction_relaxed_holds(x, y, tol)
+                    equal = hermitian.scales_equal_within(x, y, tol)
+                    assert equal == fraction_equal_within(x, y, tol)
+                    seen.update({("relaxed", relaxed), ("equal", equal)})
+    assert merged > 50
+    assert len(seen) == 4
+
+
+def test_matrix_requests_build_no_fraction(monkeypatch):
+    """At n = 12, check_extreme_diag on an extreme and a non-extreme diagonal,
+    each cross-checked against the atomic model, and matrix_majorise with
+    its printed report: scales, slacks and models stay on integers."""
+    rng = SplitMix64(43)
+    spectrum = [float(rng.randint(-4, 8)) for _ in range(12)]
+    averaged = [sum(spectrum[:3]) / 3] * 3 + [sum(spectrum[3:5]) / 2] * 2 + spectrum[5:]
+    u, v = random_unitary(rng, 12), random_unitary(rng, 12)
+    y = HermitianOperator(u @ np.diag(spectrum) @ u.conj().T)
+    x = HermitianOperator(v @ np.diag(averaged) @ v.conj().T)
+    diagonals = [diag_operator(spectrum[::-1]), diag_operator(averaged)]
+    for d in diagonals:  # the model check runs
+        assert hermitian._diag_model_verdict(d, y, max(d.tol, y.tol)) is not None
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    verdicts = [check_extreme_diag(d, y) for d in diagonals]
+    report = json.loads(json.dumps(matrix_majorise(x, y).serialize()))
+    monkeypatch.undo()
+    assert verdicts == [True, False] and report["holds"]
+    assert built == []
 
 
 def test_birkhoff_extraction_matches_the_loop():

@@ -29,7 +29,7 @@ from majorbit.measure import (
     serialize_space,
 )
 from majorbit.rationals import format_ratstr, parse_ratstr
-from majorbit.scales import rearrange
+from majorbit.scales import majorise_check, rearrange
 
 from conftest import mkatomic, mkdiffuse, simple_functions
 
@@ -450,8 +450,9 @@ def test_scale_function_follows_the_constructors_number_rule(bad):
 
 def test_objects_built_on_integers_survive_pickling():
     """A parsed space and function, the scale that rearrange builds from the
-    carrier table with its steps not yet derived, and a verdict whose
-    intervals were never read pickle and load equal, and print the same."""
+    carrier table with its steps not yet derived, a verdict whose
+    intervals were never read and a majorisation report whose slacks were
+    never read pickle and load equal, and print the same."""
     import pickle
 
     from majorbit.extremality import check_extreme
@@ -460,8 +461,10 @@ def test_objects_built_on_integers_survive_pickling():
     f = parse_function({"space": space_doc, "atoms": atom_doc,
                         "diffuse": [{"value": v, "mass": m} for v, m in piece_doc]})
     scale, verdict = rearrange(f), check_extreme(f, f)
+    report = majorise_check(scale, scale)
     assert "steps" not in vars(scale) and "data" not in vars(verdict.intervals)
-    for obj in (f.space, f, scale, verdict):
+    assert "breakpoint_slacks" not in vars(report)
+    for obj in (f.space, f, scale, verdict, report):
         assert pickle.loads(pickle.dumps(obj)) == obj
-    assert pickle.loads(pickle.dumps(scale)).serialize() == scale.serialize()
-    assert pickle.loads(pickle.dumps(verdict)).serialize() == verdict.serialize()
+    for obj in (scale, verdict, report):
+        assert pickle.loads(pickle.dumps(obj)).serialize() == obj.serialize()

@@ -281,6 +281,29 @@ def test_exact_request_builds_each_fraction_once(monkeypatch):
     assert count <= 3
 
 
+def test_rearrange_prints_without_fractions(monkeypatch):
+    """A scale prints from its reduced (value, length) pairs: parsing and
+    printing rearrange of the 48-carrier document builds no Fraction (72
+    when the print went through the derived steps), and the printed steps
+    are those of the steps."""
+    x_doc, _ = large_documents()
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    measure._space_of.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    scale = rearrange(parse_function(x_doc))
+    printed = scale.serialize()
+    monkeypatch.undo()
+    assert built == []
+    assert printed["steps"] == [{"value": format_ratstr(v), "length": format_ratstr(l)}
+                                for v, l in scale.steps]
+
+
 def test_check_extreme_builds_no_fraction_report(monkeypatch):
     """The criterion and the witness read the integer slack walk; only
     majorise_check, at the boundary, builds a MajorisationReport."""
