@@ -10,58 +10,26 @@ normalized trace.
 
 from importlib import import_module
 
-from .errors import MajorbitError
-from .measure import (
-    MeasureSpace,
-    Refinement,
-    SimpleFunction,
-    add_functions,
-    equal_ae,
-    parse_function,
-    parse_space,
-    refine_diffuse,
-    scale_function,
-    serialize_function,
-    serialize_space,
-)
-from .scales import (
-    IncreasingScale,
-    MajorisationReport,
-    StepScale,
-    add_scales,
-    co_scale,
-    cumulative,
-    distribution,
-    majorise_check,
-    rearrange,
-    singular_scale,
-    submajorise_check,
-)
-from .extremality import (
-    ConstancyInterval,
-    ExtremalityVerdict,
-    LevelKind,
-    check_extreme,
-    classify_level,
-    constancy_intervals,
-)
-from .witness import (
-    Perturbation,
-    WitnessPair,
-    admissible_delta,
-    build_witness,
-    verify_witness,
-)
-from .prng import SplitMix64
-
-# The polytope oracle and the numpy-based matrix side load on first access
-# (PEP 562), so that the exact core imports neither.
+# Every public name loads its module on first access (PEP 562), so that a caller imports
+# only the layers it uses: the exact core loads no numpy, `rearrange` no criterion or witness.
 _LAZY = {
+    "errors": ("MajorbitError",),
+    "measure": ("MeasureSpace", "Refinement", "SimpleFunction", "add_functions", "equal_ae",
+                "parse_function", "parse_space", "refine_diffuse", "scale_function",
+                "serialize_function", "serialize_space"),
+    "scales": ("IncreasingScale", "MajorisationReport", "StepScale", "add_scales", "co_scale",
+               "cumulative", "distribution", "majorise_check", "rearrange", "singular_scale",
+               "submajorise_check"),
+    "extremality": ("ConstancyInterval", "ExtremalityVerdict", "LevelKind", "check_extreme",
+                    "classify_level", "constancy_intervals"),
+    "witness": ("Perturbation", "WitnessPair", "admissible_delta", "build_witness",
+                "verify_witness"),
     "orbit": ("enumerate_extreme", "oracle_extreme", "partial_average", "sample_orbit"),
     "hermitian": ("BirkhoffDecomposition", "DoublyStochastic", "HermitianOperator",
                   "birkhoff_decompose", "check_extreme_diag", "diag_expectation",
                   "eig_scale", "identity_suite", "matrix_majorise", "schur_horn_check",
                   "t_transform_chain"),
+    "prng": ("SplitMix64",),
 }
 
 

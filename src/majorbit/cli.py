@@ -12,10 +12,8 @@ import math
 import sys
 
 from .errors import InternalError, MajorbitError, SchemaError
-from .extremality import check_extreme
 from .measure import parse_function, parse_function_normalized, serialize_function
 from .scales import majorise_check, rearrange, submajorise_check
-from .witness import build_witness, serialize_witness
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,7 +27,8 @@ def _read_json(path):
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    # JSONDecodeError, an integer over the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -94,6 +93,8 @@ def _cmd_submajorise(args):
 
 
 def _cmd_extreme(args):
+    from .extremality import check_extreme
+
     x = _load_function(args.x, args.normalize)
     y = _load_function(args.y, args.normalize)
     verdict = check_extreme(x, y)
@@ -101,6 +102,8 @@ def _cmd_extreme(args):
 
 
 def _cmd_witness(args):
+    from .witness import build_witness, serialize_witness
+
     x = _load_function(args.x, args.normalize)
     y = _load_function(args.y, args.normalize)
     return 0, serialize_witness(build_witness(x, y))
@@ -222,10 +225,15 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=()) -> _Parser:
+    """The parser of every subcommand, or only of the one that ``argv`` names first: a call
+    runs one command, and the other subparsers took 2-3 ms of every cold call to build."""
     parser = _Parser(prog="majorbit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (handler, flags) in _COMMANDS.items():
+        if named not in (None, name):
+            continue
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -237,8 +245,9 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     indent = None
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         indent = args.json_indent
         code, doc = args.handler(args)
     except MajorbitError as exc:

@@ -16,11 +16,10 @@ like any other (its interior meets (0,1)).
 
 from bisect import bisect_left
 from collections import UserList
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInOrbit, ValueNotAttained
-from .measure import ZERO, SimpleFunction, _Derived, _carrier_table, _level_pairs
+from .measure import ZERO, SimpleFunction, _Derived, _Record, _carrier_table, _level_pairs
 from .rationals import _format_pair, _reduced, format_ratstr
 from .scales import _holds, _slack_walk, rearrange
 
@@ -30,18 +29,17 @@ DIFFUSE = "diffuse"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class LevelKind:
+class LevelKind(_Record):
     tag: str
-    atom_ids: tuple[str, ...] = ()
+    atom_ids: tuple[str, ...]
+    _defaults = {"atom_ids": ()}
 
     @property
     def is_single_atom(self) -> bool:
         return self.tag == SINGLE_ATOM
 
 
-@dataclass(frozen=True)
-class ConstancyInterval:
+class ConstancyInterval(_Record):
     t1: Fraction
     t2: Fraction
     value: Fraction
@@ -63,12 +61,12 @@ class _Intervals(_Derived, UserList):
         self.x = x
 
 
-@dataclass(frozen=True)
-class ExtremalityVerdict:
+class ExtremalityVerdict(_Record):
     extreme: bool
     intervals: tuple[ConstancyInterval, ...]
     conditions: tuple[int | None, ...]
-    witness: "object | None" = None
+    witness: "object | None"
+    _defaults = {"witness": None}
 
     @property
     def verdict(self) -> str:

@@ -8,7 +8,6 @@ Everything random is driven by the splitmix64 stream.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     SchemaError,
 )
 from .extremality import evaluate_conditions
-from .measure import MeasureSpace, SimpleFunction, _fold_pairs, common_refinement
+from .measure import MeasureSpace, SimpleFunction, _Record, _fold_pairs, common_refinement
 from .prng import SplitMix64
 from .rationals import parse_ratstr
 from .scales import MajorisationReport, StepScale, _on_common, _slack_walk
@@ -319,8 +318,7 @@ class DoublyStochastic:
         return cls(re, tol)
 
 
-@dataclass(frozen=True)
-class BirkhoffDecomposition:
+class BirkhoffDecomposition(_Record):
     terms: tuple[tuple[float, tuple[int, ...]], ...]
 
     def matrix(self, n: int) -> np.ndarray:
@@ -517,8 +515,7 @@ def random_doubly_stochastic(rng: SplitMix64, n: int) -> DoublyStochastic:
 # randomized identity suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(_Record):
     trials: dict
     violations: dict
 

@@ -10,7 +10,6 @@ the masses and keeps its carrier table and rearrangement once computed.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -39,6 +38,55 @@ def _rational(q) -> bool:
     return isinstance(q, Rational) and not isinstance(q, bool)
 
 
+class _Record:
+    """A frozen record, as a frozen dataclass: its annotated fields, in order, are its
+    constructor's parameters, then ``__post_init__`` runs; its public fields are its equality,
+    hash and repr. Defaults live in ``_defaults``, for trailing fields: a class attribute would
+    shadow a field that ``_Derived`` derives on first read."""
+
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._public = tuple(name for name in cls._fields if name[0] != "_")
+
+    def __init__(self, *args, **kwargs):
+        """Compile the class's own __init__, which binds its arguments as a dataclass's does,
+        and construct with it. Compiling on first use spares the classes a call never builds."""
+        cls, fields = type(self), type(self)._fields
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in fields)
+        body = "".join(f"    _set(self, {f!r}, {f})\n" for f in fields)
+        scope = {"_defaults": cls._defaults, "_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):\n{body}    self.__post_init__()\n", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__(self, *args, **kwargs)
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._public)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._public)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class _Derived:
     """A class whose Fraction fields are derived on first read, each by its function in
     ``_fractions``. ``_of`` builds one from the arguments of its ``_fold``, which keeps its
@@ -58,8 +106,7 @@ class _Derived:
         return value
 
 
-@dataclass(frozen=True, eq=False)
-class MeasureSpace(_Derived):
+class MeasureSpace(_Record, _Derived):
     """Weights and diffuse_mass are reduced int pairs, ``_weights`` and ``_diffuse``, folded to
     (D, numerators) in ``_masses``. Spaces are equal when their ids and pairs are."""
 
@@ -113,19 +160,18 @@ def _exact(q) -> Fraction:
     return q if type(q) is Fraction else Fraction(q)
 
 
-@dataclass(frozen=True)
-class SimpleFunction(_Derived):
+class SimpleFunction(_Record, _Derived):
     """Values and piece masses are reduced int pairs, ``_atoms`` (id -> value) and ``_pieces``,
     folded over the carriers (atoms in space order, then pieces) to (D, numerators) in
     ``_values`` and ``_masses``."""
 
     space: MeasureSpace
     atom_values: Mapping[str, Fraction]
-    diffuse_pieces: tuple[tuple[Fraction, Fraction], ...] = field(default_factory=tuple)
-    # the decreasing rearrangement, filled by scales.rearrange on first use
-    _scale: object = field(default=None, init=False, repr=False, compare=False)
-    # the integer carrier table, filled by _carrier_table on first use
-    _table: object = field(default=None, init=False, repr=False, compare=False)
+    diffuse_pieces: tuple[tuple[Fraction, Fraction], ...]
+    _defaults = {"diffuse_pieces": ()}
+    # the decreasing rearrangement, filled by scales.rearrange on first use, and the integer
+    # carrier table, filled by _carrier_table on first use
+    _scale = _table = None
     _fractions = {"atom_values": lambda f: {aid: Fraction(*q) for aid, q in f._atoms.items()},
                   "diffuse_pieces": lambda f: tuple((Fraction(*v), Fraction(*m))
                                                     for v, m in f._pieces)}
@@ -227,8 +273,7 @@ def _level_pairs(space, atoms, pieces, table: _Table) -> tuple[tuple[tuple[int, 
                  for _, (first, *rest), length in table.levels)
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(_Record):
     """Split instructions for diffuse pieces: piece index -> sub-masses."""
 
     source: SimpleFunction
@@ -272,7 +317,8 @@ def _as_document(document):
     if isinstance(document, str):
         try:
             return json.loads(document)
-        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        # JSONDecodeError, an integer over the digit limit, or nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
     return document
 

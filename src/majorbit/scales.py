@@ -8,15 +8,14 @@ denominator and is exact.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .measure import (ZERO, SimpleFunction, _Derived, _carrier_table, _fold_pairs, _level_pairs,
-                      _pair, abs_function, common_refinement)
+from .measure import (ZERO, SimpleFunction, _Derived, _Record, _carrier_table, _fold_pairs,
+                      _level_pairs, _pair, abs_function, common_refinement)
 from .rationals import _format_pair, _reduced, _shown
 
 
@@ -40,8 +39,7 @@ def _rescaled(pairs, value_factor: int, length_factor: int) -> list[tuple[int, i
     return [(v * value_factor, l * length_factor) for v, l in pairs]
 
 
-@dataclass(frozen=True)
-class StepScale(_Derived):
+class StepScale(_Record, _Derived):
     """Decreasing right-continuous step function on [0,1), total length 1.
 
     Construction records the integer profile every query reads: ``_profile``
@@ -53,9 +51,9 @@ class StepScale(_Derived):
     """
 
     steps: tuple[tuple[Fraction, Fraction], ...] | None
-    _profile: tuple = field(default=None, repr=False, compare=False)
-    _derive: object = field(default=None, repr=False, compare=False)
-    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _profile: tuple
+    _derive: object
+    _defaults = {"_profile": None, "_derive": None}
     _fractions = {"_pairs": lambda s: s._derive() if s._derive else tuple(
                       (_reduced(v, s._profile[1]), _reduced(l, s._profile[0]))
                       for v, l in s._profile[2]),
@@ -103,8 +101,7 @@ class StepScale(_Derived):
                           for v, l in self._pairs]}
 
 
-@dataclass(frozen=True)
-class IncreasingScale:
+class IncreasingScale(_Record):
     """Increasing right-continuous step function on [0,1): the reversed scale."""
 
     steps: tuple[tuple[Fraction, Fraction], ...]
@@ -121,15 +118,15 @@ class IncreasingScale:
             raise InternalError(f"step lengths sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
-class MajorisationReport(_Derived):
+class MajorisationReport(_Record, _Derived):
     """Given majorise_check's slack walk ``_walk`` = (D, V, (end, slack) numerators over D and
     D*V), a report derives its Fraction fields on first read and prints from the walk."""
 
     holds: bool
     breakpoint_slacks: tuple[tuple[Fraction, Fraction], ...] | None
     total_gap: Fraction | None
-    _walk: tuple = field(default=None, repr=False, compare=False)
+    _walk: tuple
+    _defaults = {"_walk": None}
     _fractions = {"breakpoint_slacks": lambda r: tuple((Fraction(*t), Fraction(*s))
                                                       for t, s in r._walk_pairs()),
                   "total_gap": lambda r: r.breakpoint_slacks[-1][1]}

@@ -11,7 +11,6 @@ test suite cannot drift apart.
 import functools
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -31,7 +30,7 @@ from .hermitian import (
     schur_horn_check,
     t_transform_chain,
 )
-from .measure import MeasureSpace, SimpleFunction
+from .measure import MeasureSpace, SimpleFunction, _Record
 from .orbit import enumerate_extreme, oracle_extreme, sample_orbit
 from .prng import SplitMix64
 from .scales import rearrange
@@ -40,14 +39,14 @@ from .witness import verify_witness
 import numpy as np
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(_Record):
     index: int
     name: str
     trials: int
     failures: int
     seconds: float
-    note: str = ""
+    note: str
+    _defaults = {"note": ""}
 
     @property
     def passed(self) -> bool:

@@ -8,7 +8,6 @@ All constraints are linear in delta at finitely many breakpoints, so
 delta* is computed exactly.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -17,6 +16,7 @@ from .measure import (
     ONE,
     ZERO,
     SimpleFunction,
+    _Record,
     _carrier_table,
     _require_same_space,
     common_refinement,
@@ -32,15 +32,13 @@ TWO_VALUES = "two_values"
 SPLIT_LEVEL = "split_level"
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(_Record):
     u: SimpleFunction
     delta: Fraction
     case_tag: str
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(_Record):
     x_plus: SimpleFunction
     x_minus: SimpleFunction
     perturbation: Perturbation

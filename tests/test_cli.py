@@ -455,6 +455,20 @@ def test_huge_json_integer_exits_2(tmp_path, capsys):
     assert out.count("\n") == 1 and json.loads(out)["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("command", ["rearrange -f {0}", "extreme -x {0} -y {0}",
+                                     "matrix-eig -f {0}"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    """Arrays nested past the JSON parser's recursion limit are a malformed
+    document, not an internal error: 1000 levels exit 2, as 900 do."""
+    for depth in (900, 1000):
+        path = tmp_path / f"d{depth}.json"
+        path.write_text("[" * depth + "]" * depth)
+        code = cli.main(command.format(path).split())
+        out = capsys.readouterr().out
+        assert code == 2, out
+        assert out.count("\n") == 1 and json.loads(out)["error"] == "SchemaError"
+
+
 def test_unprintable_output_exits_2(tmp_path, capsys):
     """Rescaling three 3000-digit weights gives a merged length too long to
     print; a total mass too long to print still reports the bad total."""

@@ -17,6 +17,7 @@ from hypothesis import given
 from majorbit import cli
 
 HUGE_INT = "<huge-int>"  # stands for a 5000-digit JSON integer, which json.dumps refuses
+DEEP = "<deep-array>"  # stands for arrays nested 1000 deep, past the parser's recursion limit
 
 ATOMIC_X = {
     "space": {"atoms": [{"id": "a", "weight": "1/2"}, {"id": "b", "weight": "1/4"},
@@ -57,6 +58,7 @@ REPLACEMENTS = st.sampled_from([
     float("nan"), float("inf"), float("-inf"), 1e308, -1e308,
     "1/0", "0", "-1", "1/3", "0.5", "1" * 5000, HUGE_INT,
     int("9" * 400), "9" * 400,  # within the digit limit, outside the float range
+    DEEP,
 ])
 
 
@@ -90,6 +92,7 @@ def mutated(data, doc) -> str:
         else:
             parent[path[-1]] = data.draw(REPLACEMENTS)
     text = json.dumps(doc).replace(json.dumps(HUGE_INT), "1" * 5000)
+    text = text.replace(json.dumps(DEEP), "[" * 1000 + "]" * 1000)
     if data.draw(st.integers(0, 4)) == 4:
         text = text[: data.draw(st.integers(0, max(len(text) - 1, 0)))]
     return text

@@ -44,8 +44,8 @@ FLAT = {
 PEAK = dict(FLAT, atoms={"a": "3", "b": "1"})
 
 
-def probe(calls):
-    script = PROBE.format(heavy=HEAVY, calls=calls)
+def probe(calls, heavy=HEAVY):
+    script = PROBE.format(heavy=heavy, calls=calls)
     proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=60, check=True)
     return json.loads(proc.stdout)
@@ -66,6 +66,24 @@ def test_exact_subcommands_import_only_the_exact_core(tmp_path):
     assert stages["extreme"] == [0, []]
     # the probe sees a load when there is one
     assert stages["matrix-eig"] == [0, ["numpy", "majorbit.hermitian"]]
+
+
+def test_rearrange_loads_no_decision_layer_and_the_cli_no_dataclasses(tmp_path):
+    """The records are built without dataclasses (and so without inspect), and the
+    package loads a layer when a caller first reads one of its names."""
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
+    x.write_text(json.dumps(FLAT))
+    y.write_text(json.dumps(PEAK))
+    layers = ("majorbit.extremality", "majorbit.witness", "majorbit.prng", "dataclasses",
+              "inspect")
+    stages = probe([
+        ("rearrange", ["rearrange", "-f", str(y)]),
+        ("extreme", ["extreme", "-x", str(x), "-y", str(y), "--witness"]),
+    ], layers)
+    assert stages["import"] == []
+    assert stages["rearrange"] == [0, []]
+    # the probe sees a load when there is one
+    assert stages["extreme"] == [0, ["majorbit.extremality", "majorbit.witness"]]
 
 
 def test_prng_draws_load_no_numpy():
@@ -91,12 +109,12 @@ def test_every_public_name_resolves():
 
 
 # Top-level modules that ``extreme --witness`` loads beyond a bare
-# interpreter, captured when the carrier table replaced the Fraction walks;
-# the set was the same before it. An addition must update this pin and say why.
+# interpreter, captured when the frozen records replaced the dataclasses, which
+# brought in _ast, _opcode, ast, copy, dataclasses, dis, inspect, linecache,
+# opcode, token and tokenize. An addition must update this pin and say why.
 EXTREME_IMPORTS = [
-    "_ast", "_decimal", "_json", "_locale", "_opcode", "argparse", "ast", "copy",
-    "dataclasses", "decimal", "dis", "fractions", "gettext", "inspect", "json", "linecache",
-    "locale", "majorbit", "numbers", "opcode", "token", "tokenize",
+    "_decimal", "_json", "_locale", "argparse", "decimal", "fractions", "gettext", "json",
+    "locale", "majorbit", "numbers",
 ]
 
 # stdout is swapped for a buffer by hand, so the probe itself imports nothing

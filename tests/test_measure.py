@@ -43,6 +43,11 @@ def test_parse_ratstr_strict():
             parse_ratstr(bad)
 
 
+def test_deeply_nested_json_text_is_a_schema_error():
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        parse_function("[" * 5000 + "]" * 5000)
+
+
 def test_format_ratstr_roundtrip():
     for text in ("0", "-3", "3/4", "-11/7"):
         assert format_ratstr(parse_ratstr(text)) == text
