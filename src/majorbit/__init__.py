@@ -44,55 +44,4 @@ def __getattr__(name):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MajorbitError",
-    "MeasureSpace",
-    "Refinement",
-    "SimpleFunction",
-    "add_functions",
-    "equal_ae",
-    "parse_function",
-    "parse_space",
-    "refine_diffuse",
-    "scale_function",
-    "serialize_function",
-    "serialize_space",
-    "IncreasingScale",
-    "MajorisationReport",
-    "StepScale",
-    "add_scales",
-    "co_scale",
-    "cumulative",
-    "distribution",
-    "majorise_check",
-    "rearrange",
-    "singular_scale",
-    "submajorise_check",
-    "ConstancyInterval",
-    "ExtremalityVerdict",
-    "LevelKind",
-    "check_extreme",
-    "classify_level",
-    "constancy_intervals",
-    "Perturbation",
-    "WitnessPair",
-    "admissible_delta",
-    "build_witness",
-    "verify_witness",
-    "enumerate_extreme",
-    "oracle_extreme",
-    "partial_average",
-    "sample_orbit",
-    "BirkhoffDecomposition",
-    "DoublyStochastic",
-    "HermitianOperator",
-    "birkhoff_decompose",
-    "check_extreme_diag",
-    "diag_expectation",
-    "eig_scale",
-    "identity_suite",
-    "matrix_majorise",
-    "schur_horn_check",
-    "t_transform_chain",
-    "SplitMix64",
-]
+__all__ = [name for names in _LAZY.values() for name in names]

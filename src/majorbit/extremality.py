@@ -15,11 +15,10 @@ like any other (its interior meets (0,1)).
 """
 
 from bisect import bisect_left
-from collections import UserList
 from fractions import Fraction
 
 from .errors import NotInOrbit, ValueNotAttained
-from .measure import ZERO, SimpleFunction, _Derived, _Record, _carrier_table, _level_pairs
+from .measure import ZERO, SimpleFunction, _Record, _carrier_table, _level_pairs
 from .rationals import _format_pair, _reduced, format_ratstr
 from .scales import _holds, _slack_walk, rearrange
 
@@ -50,23 +49,20 @@ class ConstancyInterval(_Record):
         return self.t2 - self.t1
 
 
-class _Intervals(_Derived, UserList):
-    """The constancy intervals of x, read as a sequence and built, as ``data``, on first read.
-    A verdict prints them from x's level pairs instead, and evaluate_conditions and the witness
-    read x's carrier table."""
-
-    _fractions = {"data": lambda s: constancy_intervals(s.x)}
-
-    def __init__(self, x: SimpleFunction):
-        self.x = x
-
-
 class ExtremalityVerdict(_Record):
+    """Built by ``_of`` from x, a verdict derives its intervals on first read and prints them
+    from x's level pairs; evaluate_conditions and the witness read x's carrier table."""
+
     extreme: bool
     intervals: tuple[ConstancyInterval, ...]
     conditions: tuple[int | None, ...]
     witness: "object | None"
     _defaults = {"witness": None}
+    _x = None
+    _fractions = {"intervals": lambda v: constancy_intervals(v._x)}
+
+    def _fold(self, extreme, x, conditions, witness=None):
+        self.__dict__.update(extreme=extreme, _x=x, conditions=conditions, witness=witness)
 
     @property
     def verdict(self) -> str:
@@ -75,8 +71,8 @@ class ExtremalityVerdict(_Record):
     def serialize(self, include_witness: bool = True) -> dict:
         from .witness import serialize_witness
 
-        if isinstance(self.intervals, _Intervals):  # printed from x's level pairs
-            levels, n = _levels(self.intervals.x), len(self.intervals.x.space.atom_ids)
+        if self._x is not None:  # printed from x's level pairs
+            levels, n = _levels(self._x), len(self._x.space.atom_ids)
             ends = ["0", *(_format_pair(*end) for _, end, _ in levels)]
             rows = [(t1, t2, _format_pair(*value), _tag(members, n))
                     for t1, t2, (value, _, members) in zip(ends, ends[1:], levels)]
@@ -132,7 +128,7 @@ def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
 
 def evaluate_conditions(
     x: SimpleFunction, y: SimpleFunction
-) -> tuple["_Intervals", tuple[int | None, ...], tuple[int, ...]]:
+) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
     """Per-interval condition tags (1, 2, or None if both fail), with the
     slack s -> integral_0^s (scale of y - scale of x) at each interval end
     from 0 on, as integers over one positive denominator.
@@ -162,7 +158,7 @@ def evaluate_conditions(
         slacks.append(slack)
         single = slack == start and _tag(members, n) == SINGLE_ATOM
         conditions.append(1 if flat else 2 if single else None)
-    return _Intervals(x), tuple(conditions), tuple(slacks)
+    return tuple(conditions), tuple(slacks)
 
 
 def check_extreme(x: SimpleFunction, y: SimpleFunction) -> ExtremalityVerdict:
@@ -172,9 +168,9 @@ def check_extreme(x: SimpleFunction, y: SimpleFunction) -> ExtremalityVerdict:
     y may live on a different space: only its scale enters the criterion.
     """
     evaluation = evaluate_conditions(x, y)
-    intervals, conditions, _ = evaluation
+    conditions = evaluation[0]
     if all(c is not None for c in conditions):
-        return ExtremalityVerdict(True, intervals, conditions)
+        return ExtremalityVerdict._of(True, x, conditions)
     from .witness import _witness_from
 
-    return ExtremalityVerdict(False, intervals, conditions, _witness_from(x, y, evaluation))
+    return ExtremalityVerdict._of(False, x, conditions, _witness_from(x, y, evaluation))

@@ -161,7 +161,7 @@ def eig_scale(a: HermitianOperator, snap_denominator: int | None = None) -> Step
             value = _limit_pair(*value, snap_denominator)
         counts[value] = counts.get(value, 0) + hi - lo
     vden, nums = _fold_pairs(list(counts))  # the values are distinct, so are their numerators
-    return StepScale(None, (a.n, vden, tuple(sorted(zip(nums, counts.values()), reverse=True))))
+    return StepScale._of((a.n, vden, tuple(sorted(zip(nums, counts.values()), reverse=True))))
 
 
 def _quotient(num: int, den: int) -> float:
@@ -187,7 +187,7 @@ def _relaxed_majorise(x_scale: StepScale, y_scale: StepScale, tol: float) -> Maj
     den, vden, _, _, walk = _slack_walk(x_scale, y_scale)
     holds = abs(_quotient(walk[-1][1], den * vden)) <= tol and all(
         s >= 0 or _quotient(s, den * vden) >= -tol for _, s in walk)
-    return MajorisationReport(holds, None, None, (den, vden, walk))
+    return MajorisationReport._of(holds, (den, vden, walk))
 
 
 def matrix_majorise(
@@ -283,7 +283,7 @@ def _diag_model_verdict(
     if x_vals is None or y_vals is None:
         return None
     try:  # the verdict needs the conditions only, not a witness
-        conditions = evaluate_conditions(*_equal_weight_models(x_vals, y_vals))[1]
+        conditions = evaluate_conditions(*_equal_weight_models(x_vals, y_vals))[0]
     except NotInOrbit:
         return None
     return all(c is not None for c in conditions)

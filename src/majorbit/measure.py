@@ -40,15 +40,15 @@ def _rational(q) -> bool:
 
 class _Record:
     """A frozen record, as a frozen dataclass: its annotated fields, in order, are its
-    constructor's parameters, then ``__post_init__`` runs; its public fields are its equality,
-    hash and repr. Defaults live in ``_defaults``, for trailing fields: a class attribute would
-    shadow a field that ``_Derived`` derives on first read."""
+    constructor's parameters, then ``__post_init__`` runs; they are its equality, hash and
+    repr. Defaults live in ``_defaults``, for trailing fields: a class attribute would shadow a
+    field derived on first read. ``_of`` builds a record from the arguments of its ``_fold``,
+    which keeps its integers, without the fields that ``_fractions`` derives on first read."""
 
-    _defaults = {}
+    _defaults = _fractions = {}
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._public = tuple(name for name in cls._fields if name[0] != "_")
 
     def __init__(self, *args, **kwargs):
         """Compile the class's own __init__, which binds its arguments as a dataclass's does,
@@ -65,33 +65,6 @@ class _Record:
     def __post_init__(self):
         pass
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _compared(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._public)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._public)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class _Derived:
-    """A class whose Fraction fields are derived on first read, each by its function in
-    ``_fractions``. ``_of`` builds one from the arguments of its ``_fold``, which keeps its
-    integers, without those fields."""
-
     @classmethod
     def _of(cls, *args):
         obj = object.__new__(cls)
@@ -105,8 +78,29 @@ class _Derived:
         object.__setattr__(self, name, value)
         return value
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-class MeasureSpace(_Record, _Derived):
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class MeasureSpace(_Record):
     """Weights and diffuse_mass are reduced int pairs, ``_weights`` and ``_diffuse``, folded to
     (D, numerators) in ``_masses``. Spaces are equal when their ids and pairs are."""
 
@@ -160,7 +154,7 @@ def _exact(q) -> Fraction:
     return q if type(q) is Fraction else Fraction(q)
 
 
-class SimpleFunction(_Record, _Derived):
+class SimpleFunction(_Record):
     """Values and piece masses are reduced int pairs, ``_atoms`` (id -> value) and ``_pieces``,
     folded over the carriers (atoms in space order, then pieces) to (D, numerators) in
     ``_values`` and ``_masses``."""

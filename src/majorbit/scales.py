@@ -14,8 +14,8 @@ from itertools import accumulate
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .measure import (ZERO, SimpleFunction, _Derived, _Record, _carrier_table, _fold_pairs,
-                      _level_pairs, _pair, abs_function, common_refinement)
+from .measure import (ZERO, SimpleFunction, _Record, _carrier_table, _fold_pairs, _level_pairs,
+                      _pair, abs_function, common_refinement)
 from .rationals import _format_pair, _reduced, _shown
 
 
@@ -39,34 +39,30 @@ def _rescaled(pairs, value_factor: int, length_factor: int) -> list[tuple[int, i
     return [(v * value_factor, l * length_factor) for v, l in pairs]
 
 
-class StepScale(_Record, _Derived):
+class StepScale(_Record):
     """Decreasing right-continuous step function on [0,1), total length 1.
 
-    Construction records the integer profile every query reads: ``_profile``
-    = (D, V, (value, length) numerators over V and D), and ``_ends``, each
-    step's end over D. A scale given its steps folds them; one given its
-    profile (steps None) derives its reduced (value, length) pairs ``_pairs``
-    on first read, by ``_derive`` or by reducing the profile, and its steps
-    from them. A scale prints from ``_pairs``.
+    A scale keeps the integer profile every query reads: ``_profile`` = (D, V, (value, length)
+    numerators over V and D), and ``_ends``, each step's end over D. A scale given its steps
+    folds them; one built by ``_of`` from its profile derives its reduced (value, length) pairs
+    ``_pairs`` on first read, by ``_derive`` or by reducing the profile, and its steps from
+    them. A scale prints from ``_pairs``.
     """
 
-    steps: tuple[tuple[Fraction, Fraction], ...] | None
-    _profile: tuple
-    _derive: object
-    _defaults = {"_profile": None, "_derive": None}
+    steps: tuple[tuple[Fraction, Fraction], ...]
     _fractions = {"_pairs": lambda s: s._derive() if s._derive else tuple(
                       (_reduced(v, s._profile[1]), _reduced(l, s._profile[0]))
                       for v, l in s._profile[2]),
                   "steps": lambda s: tuple((Fraction(*v), Fraction(*l)) for v, l in s._pairs)}
 
     def __post_init__(self):
-        if self._profile is None:
-            (vden, values), (den, lengths) = (_fold_pairs([_pair(s[k]) for s in self.steps])
-                                              for k in (0, 1))
-            object.__setattr__(self, "_profile", (den, vden, tuple(zip(values, lengths))))
-        elif self.steps is None:
-            object.__delattr__(self, "steps")
-        den, _, ints = self._profile
+        (vden, values), (den, lengths) = (_fold_pairs([_pair(s[k]) for s in self.steps])
+                                          for k in (0, 1))
+        self._fold((den, vden, tuple(zip(values, lengths))))
+
+    def _fold(self, profile, derive=None):
+        """Check the profile and keep it with its ends."""
+        den, _, ints = profile
         if not ints:
             raise InternalError("a scale is never empty")
         for i, (value, length) in enumerate(ints):
@@ -77,7 +73,7 @@ class StepScale(_Record, _Derived):
         ends = tuple(accumulate(length for _, length in ints))
         if ends[-1] != den:
             raise InternalError(f"step lengths sum to {_shown(Fraction(ends[-1], den))}, expected 1")
-        object.__setattr__(self, "_ends", ends)
+        self.__dict__.update(_profile=profile, _derive=derive, _ends=ends)
 
     @classmethod
     def from_pairs(cls, pairs) -> "StepScale":
@@ -118,22 +114,21 @@ class IncreasingScale(_Record):
             raise InternalError(f"step lengths sum to {total}, expected 1")
 
 
-class MajorisationReport(_Record, _Derived):
-    """Given majorise_check's slack walk ``_walk`` = (D, V, (end, slack) numerators over D and
-    D*V), a report derives its Fraction fields on first read and prints from the walk."""
+class MajorisationReport(_Record):
+    """Built by ``_of`` from majorise_check's slack walk ``_walk`` = (D, V, (end, slack)
+    numerators over D and D*V), a report derives its Fraction fields on first read and prints
+    from the walk."""
 
     holds: bool
-    breakpoint_slacks: tuple[tuple[Fraction, Fraction], ...] | None
-    total_gap: Fraction | None
-    _walk: tuple
-    _defaults = {"_walk": None}
+    breakpoint_slacks: tuple[tuple[Fraction, Fraction], ...]
+    total_gap: Fraction
+    _walk = None
     _fractions = {"breakpoint_slacks": lambda r: tuple((Fraction(*t), Fraction(*s))
                                                       for t, s in r._walk_pairs()),
                   "total_gap": lambda r: r.breakpoint_slacks[-1][1]}
 
-    def __post_init__(self):
-        for name in self._fractions if self._walk else ():  # derived on first read
-            object.__delattr__(self, name)
+    def _fold(self, holds, walk):
+        self.__dict__.update(holds=holds, _walk=walk)
 
     def _walk_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """The walk's (t, slack) reduced pairs."""
@@ -161,7 +156,7 @@ def rearrange(f: SimpleFunction) -> StepScale:
     if f._scale is None:
         table = _carrier_table(f)
         derive = partial(_level_pairs, f.space, f._atoms, f._pieces, table)
-        object.__setattr__(f, "_scale", StepScale(None, table.profile, derive))
+        object.__setattr__(f, "_scale", StepScale._of(table.profile, derive))
     return f._scale
 
 
@@ -238,7 +233,7 @@ def majorise_check(x: StepScale, y: StepScale) -> MajorisationReport:
     refinement step, whose ends are the union of breakpoints, so checking
     the slack at those ends is exact and sufficient."""
     den, vden, _, _, walk = _slack_walk(x, y)
-    return MajorisationReport(_holds(walk), None, None, (den, vden, walk))
+    return MajorisationReport._of(_holds(walk), (den, vden, walk))
 
 
 def submajorise_check(x: SimpleFunction, y: SimpleFunction) -> bool:

@@ -208,7 +208,7 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
     non-atomic level is split in place; a single-atom level is handled by
     balancing two adjacent levels of the strict-slack component around it.
     """
-    _, conditions, slacks = evaluation
+    conditions, slacks = evaluation
     if None not in conditions:
         raise CriterionSatisfied("x satisfies the extremality criterion")
     k = conditions.index(None)

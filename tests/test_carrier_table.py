@@ -151,8 +151,8 @@ def test_evaluation_and_report_match_on_any_pair(f, g):
     if isinstance(expected, type):
         assert got is expected
     else:
-        intervals, conditions, slacks = got
-        assert (intervals, conditions) == expected[:2]
+        conditions, slacks = got
+        assert (constancy_intervals(f), conditions) == expected[:2]
         at = {Fraction(0): Fraction(0), **dict(expected[2].breakpoint_slacks)}
         reference = [at[t] for t in (Fraction(0), *rearrange(f).breakpoints)]
         assert slack_pattern(slacks) == slack_pattern(reference)

@@ -467,7 +467,7 @@ def test_objects_built_on_integers_survive_pickling():
                         "diffuse": [{"value": v, "mass": m} for v, m in piece_doc]})
     scale, verdict = rearrange(f), check_extreme(f, f)
     report = majorise_check(scale, scale)
-    assert "steps" not in vars(scale) and "data" not in vars(verdict.intervals)
+    assert "steps" not in vars(scale) and "intervals" not in vars(verdict)
     assert "breakpoint_slacks" not in vars(report)
     for obj in (f.space, f, scale, verdict, report):
         assert pickle.loads(pickle.dumps(obj)) == obj

@@ -1,8 +1,9 @@
 """Dead-code guards: every module-level function or class in the package is
-either public API (listed in ``__all__``) or used somewhere in the package
-outside its own definition, every module-level import outside
-``__init__.py`` is used by its module, and every default-valued parameter
-is passed by some call in ``src/`` or ``tests/``. The first guard leaves
+either public API (listed in the ``_LAZY`` table of ``__init__.py`` or in a
+literal ``__all__``) or used somewhere in the package outside its own
+definition, every module-level import outside ``__init__.py`` is used by
+its module, and every default-valued parameter is passed by some call in
+``src/`` or ``tests/``. The first guard leaves
 out methods, and module-level dunders such as a PEP 562 ``__getattr__``,
 which the interpreter calls."""
 
@@ -19,10 +20,11 @@ def dead_names(package: Path) -> list[str]:
              for path in sorted(package.glob("*.py"))}
     exported = set()
     for node in trees["__init__"].body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__"
-            for target in node.targets
-        ):
+        targets = {target.id for target in getattr(node, "targets", ())
+                   if isinstance(target, ast.Name)}
+        if "_LAZY" in targets:  # module -> the names it exports
+            exported.update(*ast.literal_eval(node.value).values())
+        elif "__all__" in targets and isinstance(node.value, (ast.List, ast.Tuple)):
             exported.update(ast.literal_eval(node.value))
 
     def references(tree, skip) -> set[str]:
@@ -90,6 +92,15 @@ def test_guard_skips_a_module_getattr(tmp_path):
     (tmp_path / "__init__.py").write_text(
         'from .a import api\n__all__ = ["api"]\n\n'
         "def __getattr__(name):\n    raise AttributeError(name)\n"
+    )
+    (tmp_path / "a.py").write_text(HELPERS)
+    assert dead_names(tmp_path) == ["a.recursive", "a.Unused"]
+
+
+def test_guard_reads_a_lazy_table(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        '_LAZY = {"a": ("api",)}\n\n'
+        "__all__ = [name for names in _LAZY.values() for name in names]\n"
     )
     (tmp_path / "a.py").write_text(HELPERS)
     assert dead_names(tmp_path) == ["a.recursive", "a.Unused"]

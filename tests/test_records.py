@@ -4,17 +4,22 @@ construction, pickling, parsed arguments and help text."""
 
 import contextlib
 import io
+import json
 import pickle
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from majorbit.cli import _COMMANDS, build_parser
-from majorbit.errors import SchemaError
-from majorbit.extremality import ConstancyInterval, ExtremalityVerdict, LevelKind
-from majorbit.hermitian import BirkhoffDecomposition, SuiteReport
-from majorbit.measure import MeasureSpace, Refinement, SimpleFunction
-from majorbit.scales import IncreasingScale, MajorisationReport, StepScale, rearrange
+from majorbit.errors import InternalError, SchemaError
+from majorbit.extremality import (ConstancyInterval, ExtremalityVerdict, LevelKind, check_extreme,
+                                  constancy_intervals)
+from majorbit.hermitian import (BirkhoffDecomposition, HermitianOperator, SuiteReport, eig_scale,
+                                matrix_majorise)
+from majorbit.measure import MeasureSpace, Refinement, SimpleFunction, _Record
+from majorbit.scales import (IncreasingScale, MajorisationReport, StepScale, majorise_check,
+                             rearrange)
 from majorbit.selftest import CriterionResult
 from majorbit.witness import Perturbation, WitnessPair
 
@@ -182,7 +187,7 @@ def test_construction_by_keyword_position_and_default(case):
     assert cls(fields[first], **{name: fields[name] for name in rest}) == cls(**fields)
     with pytest.raises(TypeError):
         cls()
-    with pytest.raises(TypeError):  # more than every parameter, private ones included
+    with pytest.raises(TypeError):  # more than every parameter
         cls(*fields.values(), *[None] * 4)
     with pytest.raises(TypeError):
         cls(**fields, unknown=None)
@@ -204,16 +209,65 @@ def test_pickle_round_trip(case):
     assert type(loaded) is cls and loaded == record and repr(loaded) == repr(record)
 
 
-def test_derived_records_compare_by_their_fields():
-    """A scale built from an integer profile, and a report built from a slack walk, equal the
-    records built from their Fraction fields."""
-    scale = rearrange(F1)
-    assert scale == StepScale(((F(2), F(1, 2)), (F(1), F(1, 4)), (F(0), F(1, 4))))
-    assert hash(scale) == hash(StepScale(scale.steps)) and "_profile" not in repr(scale)
-    from majorbit.scales import majorise_check
+def _hash_or_refusal(record):
+    try:
+        return hash(record)
+    except TypeError as error:
+        return str(error)
 
-    report = majorise_check(rearrange(F1), rearrange(F2))
-    assert report == MajorisationReport(report.holds, report.breakpoint_slacks, report.total_gap)
+
+def test_derived_records_compare_by_their_fields():
+    """Every record the library builds with ``_of`` from integers (a function's rearrangement,
+    a spectral scale, a majorisation report of exact and of matrix scales, an extreme and a
+    non-extreme verdict) prints, before a field is read, what the record that its public
+    constructor builds from the same Fraction fields prints, and equals it with the same hash,
+    or the same refusal to hash, and the same repr."""
+    averaged = SimpleFunction(SPACE, {"a": F(1, 2), "b": F(1, 2)}, ((F(2), F(1, 2)),))
+    pairs = [
+        (rearrange(F1), StepScale(((F(2), F(1, 2)), (F(1), F(1, 4)), (F(0), F(1, 4))))),
+        (eig_scale(HermitianOperator(np.diag([3.0, 1.0, 1.0, -1.0]))),
+         StepScale(((F(3), F(1, 4)), (F(1), F(1, 2)), (F(-1), F(1, 4))))),
+        (majorise_check(rearrange(F1), rearrange(F2)),
+         MajorisationReport(True, ((F(1, 2), F(0)), (F(3, 4), F(0)), (F(1), F(0))), F(0))),
+        (matrix_majorise(HermitianOperator(np.diag([2.0, 2.0, 0.0, 0.0])),
+                         HermitianOperator(np.diag([3.0, 1.0, 1.0, -1.0]))),
+         MajorisationReport(True, ((F(1, 4), F(1, 4)), (F(1, 2), F(0)), (F(3, 4), F(1, 4)),
+                                   (F(1), F(0))), F(0))),
+    ]
+    for x, y in [(F1, F1), (averaged, F1)]:
+        verdict = check_extreme(x, y)
+        public = ExtremalityVerdict(verdict.extreme, constancy_intervals(x), verdict.conditions,
+                                    verdict.witness)
+        pairs.append((verdict, public))
+    assert [verdict.extreme for verdict, _ in pairs[-2:]] == [True, False]
+    for derived, public in pairs:
+        assert not any(name in vars(derived) for name in derived._fractions)
+        assert json.dumps(derived.serialize()) == json.dumps(public.serialize())
+        assert derived == public and public == derived
+        assert _hash_or_refusal(derived) == _hash_or_refusal(public)
+        assert repr(derived) == repr(public)
+
+
+def test_no_record_field_is_private():
+    assert set(_Record.__subclasses__()) == set(CASES)
+    for cls in CASES:
+        assert cls._fields and not [name for name in cls._fields if name.startswith("_")], cls
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ((), "step lengths sum to 0, expected 1"),
+        (((F(0), F(1)), (F(1), F(0))), "step lengths must be > 0"),
+        (((F(1), F(1, 2)), (F(1), F(1, 2))), "step values must be strictly increasing"),
+        (((F(0), F(1, 4)), (F(1), F(1, 4))), "step lengths sum to 1/2, expected 1"),
+    ],
+    ids=["empty", "non-positive-length", "not-increasing", "total-not-one"],
+)
+def test_increasing_scale_refuses(steps, message):
+    with pytest.raises(InternalError) as error:
+        IncreasingScale(steps)
+    assert str(error.value) == message
 
 
 # one representative argv per subcommand, after its name

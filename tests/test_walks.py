@@ -140,7 +140,8 @@ def test_slack_components_read_the_report(y, seed):
     stretch of the slack is that stretch, every stretch is found, and a
     level in no stretch has zero slack at both ends."""
     x = sample_orbit(y, seed)
-    intervals, _, slacks = extremality.evaluate_conditions(x, y)
+    intervals = extremality.constancy_intervals(x)
+    _, slacks = extremality.evaluate_conditions(x, y)
     components = reference_slack_components(rearrange(x), rearrange(y))
     runs = set()
     for k, iv in enumerate(intervals):
@@ -215,14 +216,14 @@ def test_check_extreme_evaluates_once(monkeypatch, x, y):
 )
 def test_check_extreme_builds_each_scale_once(monkeypatch, make, extreme, scales):
     built = []
-    post_init = StepScale.__post_init__
+    fold = StepScale._fold
 
-    def counting(scale):
+    def counting(scale, *args):
         built.append(scale)
-        post_init(scale)
+        fold(scale, *args)
 
     x, y = make()
-    monkeypatch.setattr(StepScale, "__post_init__", counting)
+    monkeypatch.setattr(StepScale, "_fold", counting)
     assert check_extreme(x, y).extreme is extreme
     assert len(built) == scales
 
@@ -308,13 +309,13 @@ def test_check_extreme_builds_no_fraction_report(monkeypatch):
     """The criterion and the witness read the integer slack walk; only
     majorise_check, at the boundary, builds a MajorisationReport."""
     built = []
-    init = MajorisationReport.__init__
+    fold = MajorisationReport._fold
 
     def counting(report, *args):
         built.append(report)
-        init(report, *args)
+        fold(report, *args)
 
-    monkeypatch.setattr(MajorisationReport, "__init__", counting)
+    monkeypatch.setattr(MajorisationReport, "_fold", counting)
     for x, y in [
         (mkatomic([2, 2]), mkatomic([3, 1])),  # split level
         (

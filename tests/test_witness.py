@@ -225,8 +225,8 @@ def test_slack_components_split_at_interior_zero():
     x = mkatomic([3, 3, 0, 0], weights=[frac("1/4")] * 4)
     components = _slack_components(majorise_check(rearrange(x), rearrange(y)))
     assert components == [(0, frac("1/2")), (frac("1/2"), 1)]
-    intervals, _, slacks = evaluate_conditions(x, y)
-    assert [(iv.t1, iv.t2) for iv in intervals] == components
+    _, slacks = evaluate_conditions(x, y)
+    assert [(iv.t1, iv.t2) for iv in check_extreme(x, y).intervals] == components
     assert slacks == (0, 0, 0)
     assert [_positive_run(slacks, k) for k in range(2)] == [(0, 1), (1, 2)]
 
