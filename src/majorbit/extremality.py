@@ -100,8 +100,8 @@ def _levels(x: SimpleFunction) -> list[tuple[tuple[int, int], tuple[int, int], t
     """Per level of x: its value's and its end's reduced pairs, and its carrier indices. An end
     is the running sum of the levels' own reduced lengths, never reduced over the common D."""
     table, end, levels = _carrier_table(x), (0, 1), []
-    pairs = _level_pairs(x.space, x._atoms, x._pieces, table)
-    for (value, (a, b)), (_, members, _) in zip(pairs, table.levels):
+    pairs = _level_pairs(x.space, x._atoms, x._pieces, x._masses[0], table)
+    for (value, (a, b)), (_, members, _) in zip(pairs, table):
         end = _reduced(end[0] * b + a * end[1], end[1] * b)
         levels.append((value, end, members))
     return levels
@@ -148,7 +148,7 @@ def evaluate_conditions(
     conditions: list[int | None] = []
     slacks = [0]
     points, end = iter(walk), 0
-    for (_, members, _), (_, length) in zip(_carrier_table(x).levels, x_ints):
+    for (_, members, _), (_, length) in zip(_carrier_table(x), x_ints):
         end += length
         start, flat = slacks[-1], True
         for t, slack in points:

@@ -16,7 +16,7 @@ from itertools import groupby
 from math import gcd
 from numbers import Rational
 from operator import attrgetter
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import (
     DuplicateAtomError,
@@ -164,7 +164,7 @@ class SimpleFunction(_Record):
     diffuse_pieces: tuple[tuple[Fraction, Fraction], ...]
     _defaults = {"diffuse_pieces": ()}
     # the decreasing rearrangement, filled by scales.rearrange on first use, and the integer
-    # carrier table, filled by _carrier_table on first use
+    # carrier table (its levels), filled by _carrier_table on first use
     _scale = _table = None
     _fractions = {"atom_values": lambda f: {aid: Fraction(*q) for aid, q in f._atoms.items()},
                   "diffuse_pieces": lambda f: tuple((Fraction(*v), Fraction(*m))
@@ -217,17 +217,6 @@ class SimpleFunction(_Record):
         )
 
 
-class _Table(NamedTuple):
-    """A function's value fold (vden, values) and its levels, by value descending: (value,
-    member indices, length), one stable sort grouping the carriers and the length summing
-    their mass numerators; ``profile`` holds them as the scale's integer profile."""
-
-    vden: int
-    values: tuple[int, ...]
-    levels: tuple[tuple[int, tuple[int, ...], int], ...]
-    profile: tuple[int, int, tuple[tuple[int, int], ...]]
-
-
 def _fold_pairs(pairs, den: int = 1) -> tuple[int, list[int]]:
     """The lcm of den and the denominators of the (numerator, denominator) pairs, and each
     numerator over it. Each distinct denominator d costs one gcd and one division."""
@@ -239,32 +228,30 @@ def _fold_pairs(pairs, den: int = 1) -> tuple[int, list[int]]:
     return den, [n * cofactors[d] for n, d in pairs]
 
 
-def _carrier_table(f: SimpleFunction) -> _Table:
-    """The carrier table of f, built on first use and kept by f."""
+def _carrier_table(f: SimpleFunction) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """f's levels by value descending, (value, member indices, length), built on first use and
+    kept by f: one stable sort groups the carriers, and a length sums their mass numerators."""
     if f._table is None:
-        vden, values = f._values
-        den, masses = f._masses
+        values, masses = f._values[1], f._masses[1]
         levels = []
         order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
         for value, group in groupby(order, key=values.__getitem__):
             members = tuple(group)
-            length = sum(map(masses.__getitem__, members))
-            levels.append((value, members, length))
-        profile = (den, vden, tuple((value, length) for value, _, length in levels))
-        object.__setattr__(f, "_table", _Table(vden, tuple(values), tuple(levels), profile))
+            levels.append((value, members, sum(map(masses.__getitem__, members))))
+        object.__setattr__(f, "_table", tuple(levels))
     return f._table
 
 
-def _level_pairs(space, atoms, pieces, table: _Table) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _level_pairs(space, atoms, pieces, den, levels) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The reduced (value, length) pairs of a function's levels, from its pairs. Only a level
     that joins carriers reduces its length over the common mass denominator: that costs a gcd
     of the denominator's size, and a one-carrier level's mass is already reduced."""
-    ids, den = space.atom_ids, table.profile[0]
+    ids = space.atom_ids
     n = len(ids)
     value = lambda i: atoms[ids[i]] if i < n else pieces[i - n][0]
     mass = lambda i: space._weights[i] if i < n else pieces[i - n][1]
     return tuple((value(first), _reduced(length, den) if rest else mass(first))
-                 for _, (first, *rest), length in table.levels)
+                 for _, (first, *rest), length in levels)
 
 
 class Refinement(_Record):

@@ -25,8 +25,12 @@ with x_i = b_k. Collect these e_i over all tight lines into E. The L_k
 are nested, and distinct nonempty nested sets are independent, so the
 rank is |E| plus the number of distinct nonempty sets L_k \\ E. The lowest
 line is always tight (x >= b_K and c_K(all) = g(1) - integral of x = 0),
-and its sets include the full set. One merge of x's levels with y's steps
-finds every tight line, so the test is linear after the sort.
+and its sets include the full set. The same lines decide membership: with
+equal integrals, x is majorised by y iff h(t) = integral (y - t)^+ -
+integral (x - t)^+ >= 0 for all t, and h is least at some b_k (it is
+concave between values of y, increasing above b_1 and decreasing below
+b_K), where it is c_k(L_k). One merge of x's levels with y's lines checks
+these and finds every tight line, so the test is linear after the sort.
 
 Diffuse mass enters through the halved-level model: keep every atom and
 split the diffuse mass m of each level of x into two carriers of mass m/2
@@ -63,7 +67,7 @@ from itertools import accumulate, permutations
 from .errors import InternalError, NotAtomic, NotInOrbit, SchemaError, SizeLimit, UnknownAtomError
 from .measure import ZERO, SimpleFunction, _carrier_table
 from .prng import SplitMix64
-from .scales import _holds, _slack_walk, cumulative, rearrange
+from .scales import StepScale, _on_common, cumulative, rearrange
 
 MAX_ENUMERATE_ATOMS = 6
 
@@ -72,36 +76,39 @@ def oracle_extreme(x: SimpleFunction, y: SimpleFunction) -> bool:
     """Vertex test: x is extreme iff the indicators of its tight subset
     constraints span, on x's space or its halved-level model. Exact, and
     independent of the per-interval criterion."""
-    _, _, x_ints, y_ints, walk = _slack_walk(rearrange(x), rearrange(y))
-    if not _holds(walk):
-        raise NotInOrbit("x is not majorised by y")
-    return _tight_lines_span(x, x_ints, y_ints)
+    return _vertex(x, rearrange(y))
 
 
-def _tight_lines_span(x: SimpleFunction, x_ints, y_ints) -> bool:
-    """The rank count of the module docstring, for x in the orbit. x_ints
-    and y_ints are the (value, length) numerators of the two scales over
-    common denominators; x's steps are the levels of its carrier table."""
+def _vertex(x: SimpleFunction, y_scale: StepScale) -> bool:
+    """The rank count of the module docstring, in the one merge that also checks membership
+    (NotInOrbit if x is not majorised by y): masses over D, values over V, each c_k over D*V."""
+    den, vden, x_ints, _ = _on_common(rearrange(x), y_scale)
+    kb = vden // y_scale._profile[1]
+    ka = den // y_scale._profile[0] * kb
     n_atoms = len(x.space.atom_ids)
     sizes = []  # model carriers per level: its atoms, and two halves of any diffuse mass
-    for _, members, _ in _carrier_table(x).levels:
+    for _, members, _ in _carrier_table(x):
         atoms = sum(i < n_atoms for i in members)
         sizes.append(atoms + 2 * (atoms < len(members)))
     # the levels at some tight line's b_k (they make up E), and each tight
     # line's cut, the number of levels in L_k
     at_lines, cuts = set(), set()
-    j = mass = integral = start = y_integral = 0
-    for b, length in y_ints:
+    j = mass = integral = 0
+    for a, b in y_scale._lines:
+        a, b = a * ka, b * kb
         while j < len(x_ints) and x_ints[j][0] > b:
             mass += x_ints[j][1]
             integral += x_ints[j][0] * x_ints[j][1]
             j += 1
-        if y_integral + b * (mass - start) == integral:  # c_k(L_k) = 0
+        c = a + b * mass - integral  # c_k(L_k)
+        if c < 0:
+            raise NotInOrbit("x is not majorised by y")
+        if c == 0:
             cuts.add(j)
             if j < len(x_ints) and x_ints[j][0] == b:
                 at_lines.add(j)
-        start += length
-        y_integral += b * length
+    if integral + sum(value * length for value, length in x_ints[j:]) != a + b * den:
+        raise NotInOrbit("x is not majorised by y")
     # free[p]: the levels above cut p that lie at no tight b_k, i.e. L_k \ E
     free = list(accumulate((j not in at_lines for j in range(len(sizes))), initial=0))
     rank = sum(sizes[j] for j in at_lines) + len({free[p] for p in cuts} - {0})
@@ -140,10 +147,11 @@ def enumerate_extreme(y: SimpleFunction) -> list[SimpleFunction]:
         points.add(tuple(values))
     results = [SimpleFunction(y.space, dict(zip(y.space.atom_ids, p))) for p in sorted(points)]
     for candidate in results:
-        _, _, x_ints, y_ints, walk = _slack_walk(rearrange(candidate), y_scale)
-        if not _holds(walk):
-            raise InternalError("a greedy vector lies outside the orbit")
-        if not _tight_lines_span(candidate, x_ints, y_ints):
+        try:
+            vertex = _vertex(candidate, y_scale)
+        except NotInOrbit:
+            raise InternalError("a greedy vector lies outside the orbit") from None
+        if not vertex:
             raise InternalError("a greedy vector failed the vertex test")
     return results
 

@@ -46,14 +46,19 @@ class StepScale(_Record):
     numerators over V and D), and ``_ends``, each step's end over D. A scale given its steps
     folds them; one built by ``_of`` from its profile derives its reduced (value, length) pairs
     ``_pairs`` on first read, by ``_derive`` or by reducing the profile, and its steps from
-    them. A scale prints from ``_pairs``.
+    them. A scale prints from ``_pairs``. Its cumulative is the least of the lines a_k + b_k s
+    in ``_lines``, derived on first read: b_k is step k's value over V, and a_k = P_k - b_k E_k
+    over D*V, with P_k the integral up to the step's end E_k.
     """
 
     steps: tuple[tuple[Fraction, Fraction], ...]
     _fractions = {"_pairs": lambda s: s._derive() if s._derive else tuple(
                       (_reduced(v, s._profile[1]), _reduced(l, s._profile[0]))
                       for v, l in s._profile[2]),
-                  "steps": lambda s: tuple((Fraction(*v), Fraction(*l)) for v, l in s._pairs)}
+                  "steps": lambda s: tuple((Fraction(*v), Fraction(*l)) for v, l in s._pairs),
+                  "_lines": lambda s: tuple(
+                      (integral - value * end, value) for integral, end, (value, _) in
+                      zip(accumulate(v * l for v, l in s._profile[2]), s._ends, s._profile[2]))}
 
     def __post_init__(self):
         (vden, values), (den, lengths) = (_fold_pairs([_pair(s[k]) for s in self.steps])
@@ -83,7 +88,7 @@ class StepScale(_Record):
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Cumulative right endpoints of the steps; the last one is 1."""
-        return tuple(accumulate(length for _, length in self.steps))
+        return tuple(Fraction(end, self._profile[0]) for end in self._ends)
 
     def value_at(self, t: Fraction) -> Fraction:
         t = Fraction(t)
@@ -154,9 +159,10 @@ def rearrange(f: SimpleFunction) -> StepScale:
     Its integer profile is f's carrier table's levels, and f keeps its scale
     once computed, so later calls return the same object."""
     if f._scale is None:
-        table = _carrier_table(f)
-        derive = partial(_level_pairs, f.space, f._atoms, f._pieces, table)
-        object.__setattr__(f, "_scale", StepScale._of(table.profile, derive))
+        levels, den = _carrier_table(f), f._masses[0]
+        derive = partial(_level_pairs, f.space, f._atoms, f._pieces, den, levels)
+        profile = (den, f._values[0], tuple((value, length) for value, _, length in levels))
+        object.__setattr__(f, "_scale", StepScale._of(profile, derive))
     return f._scale
 
 
@@ -181,12 +187,10 @@ def cumulative(scale: StepScale, s: Fraction) -> Fraction:
     s = Fraction(s)
     if not 0 <= s <= 1:
         raise DomainError(f"cumulative argument outside [0,1]: {s}")
-    den, vden, ints = scale._profile
+    den, vden, _ = scale._profile
     p, q = s.numerator, s.denominator
-    k = bisect_left(scale._ends, -(-p * den // q))  # the first end at or after s
-    integral = sum(value * length for value, length in ints[:k])
-    start = scale._ends[k] - ints[k][1]
-    return Fraction(q * integral + ints[k][0] * (p * den - q * start), q * den * vden)
+    a, b = scale._lines[bisect_left(scale._ends, -(-p * den // q))]  # the first end at or after s
+    return Fraction(a * q + b * p * den, q * den * vden)
 
 
 def add_scales(a: StepScale, b: StepScale) -> StepScale:

@@ -46,7 +46,6 @@ from majorbit.measure import (
     ZERO,
     Refinement,
     SimpleFunction,
-    _carrier_table,
     _fold_pairs,
     add_functions,
     common_refinement,
@@ -398,19 +397,19 @@ def gray_oracle(x: SimpleFunction, y: SimpleFunction) -> bool:
 def _tight_sets_span(x: SimpleFunction, y_scale: StepScale) -> bool:
     """The Gray-code walk of the module docstring, for x in the orbit."""
     n = len(x.space.atoms)
-    # masses are ints over den, x's values ints over its table's vden; on
+    # masses are ints over den, x's values ints over its value fold's vden; on
     # y's step k, with both sides scaled by den * vden * y_den * y_vden,
     # the bound at a subset's mass is offsets[k] + slopes[k] * mass
     den, masses = _fold_pairs([(w.numerator, w.denominator) for _, w in x.space.atoms])
-    table = _carrier_table(x)
+    vden, values = x._values
     y_den, y_vden, y_ints = y_scale._profile
     # an int mass lies at or before a step end iff it lies at or before its floor
     ends = [end * den // y_den for end in y_scale._ends]
     integrals = accumulate((value * length for value, length in y_ints), initial=0)
-    offsets = [table.vden * den * (integral - value * (end - length))
+    offsets = [vden * den * (integral - value * (end - length))
                for integral, end, (value, length) in zip(integrals, y_scale._ends, y_ints)]
-    slopes = [table.vden * y_den * value for value, _ in y_ints]
-    sums = [mass * value * y_den * y_vden for mass, value in zip(masses, table.values)]
+    slopes = [vden * y_den * value for value, _ in y_ints]
+    sums = [mass * value * y_den * y_vden for mass, value in zip(masses, values)]
     basis = [{i: 1} for i in range(n)]  # sparse null vectors of the tight indicators
     live = (1 << n) - 1  # union of their supports
     subset = mass = total = 0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 import reference_core as ref
-from majorbit.errors import MajorbitError
+from majorbit.errors import MajorbitError, NotInOrbit
 from majorbit.extremality import (
     check_extreme,
     classify_level,
@@ -31,7 +31,7 @@ from majorbit.measure import (
     parse_function,
     scale_function,
 )
-from majorbit.orbit import partial_average, sample_orbit
+from majorbit.orbit import oracle_extreme, partial_average, sample_orbit
 from majorbit.prng import SplitMix64
 from majorbit.scales import StepScale, cumulative, majorise_check, rearrange
 from majorbit.witness import WitnessPair, admissible_delta, build_witness, verify_witness
@@ -160,6 +160,28 @@ def test_evaluation_and_report_match_on_any_pair(f, g):
     assert majorise_check(rf, rg) == ref.majorise_check(rf, rg)
 
 
+def test_oracle_decides_membership_on_its_own():
+    """The vertex oracle checks orbit membership in its own merge over y's supporting lines.
+    On pairs on unrelated spaces, most of them outside the orbit, and on orbit pairs, it
+    raises NotInOrbit exactly when the reference report fails, and otherwise answers as the
+    criterion."""
+    seen = set()
+
+    @settings(max_examples=400)
+    @given(st.one_of(st.tuples(functions(), functions()), orbit_pairs()))
+    def agree(pair):
+        x, y = pair
+        verdict = outcome(oracle_extreme, x, y)
+        if ref.majorise_check(rearrange(x), rearrange(y)).holds:
+            assert verdict == check_extreme(x, y).extreme
+        else:
+            assert verdict is NotInOrbit
+        seen.add(verdict)
+
+    agree()
+    assert seen == {True, False, NotInOrbit}
+
+
 probes = st.lists(st.fractions(min_value=0, max_value=1, max_denominator=30), max_size=6)
 
 
@@ -252,4 +274,4 @@ def test_verdict_printed_from_integers_matches_the_fraction_reference(kind):
             verdict = check_extreme(a, y)
             assert verdict.intervals == expected.intervals == ref.constancy_intervals(a)
             assert document(verdict) == document(expected)
-    assert not check_extreme(x, y).extreme and any(len(lv[1]) > 1 for lv in _carrier_table(x).levels)
+    assert not check_extreme(x, y).extreme and any(len(lv[1]) > 1 for lv in _carrier_table(x))

@@ -1,11 +1,11 @@
 """Dead-code guards: every module-level function or class in the package is
 either public API (listed in the ``_LAZY`` table of ``__init__.py`` or in a
 literal ``__all__``) or used somewhere in the package outside its own
-definition, every module-level import outside ``__init__.py`` is used by
-its module, and every default-valued parameter is passed by some call in
-``src/`` or ``tests/``. The first guard leaves
-out methods, and module-level dunders such as a PEP 562 ``__getattr__``,
-which the interpreter calls."""
+definition, every module-level import outside ``__init__.py``, in the
+package and in ``tests/``, is used by its module, and every default-valued
+parameter is passed by some call in ``src/`` or ``tests/``. The first guard
+leaves out methods, and module-level dunders such as a PEP 562
+``__getattr__``, which the interpreter calls."""
 
 import ast
 from pathlib import Path
@@ -108,6 +108,7 @@ def test_guard_reads_a_lazy_table(tmp_path):
 
 def test_no_unused_imports():
     assert unused_imports(PACKAGE) == []
+    assert unused_imports(ROOT / "tests") == []
 
 
 def test_import_guard_flags_an_unused_import(tmp_path):

@@ -471,7 +471,7 @@ def test_enumerate_digest_is_pinned():
 
 
 def test_oracle_and_enumerate_build_no_fraction_report(monkeypatch):
-    """Orbit membership is read off the integer slack walk."""
+    """Orbit membership is read off y's supporting lines, in integers."""
     built = []
     init = MajorisationReport.__init__
 
@@ -489,23 +489,24 @@ def test_oracle_and_enumerate_build_no_fraction_report(monkeypatch):
 
 
 def test_enumerate_invariant_checks_are_live(monkeypatch):
-    """Each greedy vector must lie in the orbit and be a vertex; a walk or
-    a vertex test that says otherwise is an internal fault."""
+    """Each greedy vector must lie in the orbit and be a vertex; a membership
+    or vertex test that says otherwise is an internal fault."""
     y = mkatomic([3, 1, 0])
-    monkeypatch.setattr(orbit, "_tight_lines_span", lambda x, x_ints, y_ints: False)
+    monkeypatch.setattr(orbit, "_vertex", lambda x, y_scale: False)
     with pytest.raises(InternalError, match="vertex"):
         enumerate_extreme(y)
     monkeypatch.undo()
-    walk = orbit._slack_walk
-
-    def gapped(x_scale, y_scale):  # the total gap moved off zero
-        *head, steps = walk(x_scale, y_scale)
-        end, slack = steps[-1]
-        return (*head, [*steps[:-1], (end, slack + 1)])
-
-    monkeypatch.setattr(orbit, "_slack_walk", gapped)
+    # bounds of twice the cumulative give greedy vectors of twice y's integral
+    monkeypatch.setattr(orbit, "cumulative", lambda scale, s: 2 * cumulative(scale, s))
     with pytest.raises(InternalError, match="orbit"):
         enumerate_extreme(y)
+
+
+def test_oracle_shares_no_logic_with_the_criterion():
+    """The oracle is the criterion's independent cross-check: it reaches neither the
+    criterion's slack walk nor its verdicts."""
+    names = {"_slack_walk", "_holds", "majorise_check", "evaluate_conditions", "check_extreme"}
+    assert not names & set(vars(orbit))
 
 
 def test_partial_average_examples():

@@ -277,11 +277,31 @@ def test_common_refinement_matches_breakpoint_union(pair):
     assert list(common_refinement(rf.steps, rg.steps)) == expected
 
 
-def test_common_refinement_edges():
-    assert list(common_refinement([], [])) == []
-    half = [(Fraction(1), frac("1/2"))]
-    for a, b in ((half, [(Fraction(2), frac("1/3"))]), (half, []), ([], half)):
-        with pytest.raises(MassMismatchError):
-            list(common_refinement(a, b))
-        with pytest.raises(MassMismatchError):
-            list(common_refinement(b, a))
+int_steps = st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6)), max_size=5)
+
+
+@st.composite
+def step_list_pairs(draw):
+    """Two integer step lists; in half of the draws the second cuts the
+    first's total anew, so the totals agree."""
+    a = draw(int_steps)
+    total = sum(length for _, length in a)
+    if not total or not draw(st.booleans()):
+        return a, draw(int_steps)
+    cuts = draw(st.sets(st.integers(1, total - 1))) if total > 1 else set()
+    ends = [0, *sorted(cuts), total]
+    return a, [(draw(st.integers(-3, 3)), hi - lo) for lo, hi in zip(ends, ends[1:])]
+
+
+@given(step_list_pairs())
+def test_common_refinement_edges(pair):
+    """Unequal totals raise in both argument orders; equal totals yield
+    lengths that sum to the total."""
+    a, b = pair
+    total = sum(length for _, length in a)
+    for p, q in (a, b), (b, a):
+        if total != sum(length for _, length in b):
+            with pytest.raises(MassMismatchError):
+                list(common_refinement(p, q))
+        else:
+            assert sum(length for *_, length in common_refinement(p, q)) == total
