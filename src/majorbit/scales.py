@@ -88,7 +88,7 @@ class StepScale(_Record):
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Cumulative right endpoints of the steps; the last one is 1."""
-        return tuple(Fraction(end, self._profile[0]) for end in self._ends)
+        return tuple(accumulate(length for _, length in self.steps))
 
     def value_at(self, t: Fraction) -> Fraction:
         t = Fraction(t)

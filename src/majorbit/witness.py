@@ -55,22 +55,23 @@ def serialize_witness(w: WitnessPair) -> dict:
     }
 
 
-def _cells(*fs: SimpleFunction) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """Functions on one space cut into common carriers: (D, cells), a cell
-    being the functions' value numerators (each over its own value
-    denominator) and a mass numerator over D, the lcm of the functions'
-    mass denominators. Atoms in space order come first, then the common
-    refinement of the piece lists."""
+def _cells(*fs: SimpleFunction) -> tuple[int, int, list[tuple[tuple[int, ...], int]]]:
+    """Functions on one space cut into common carriers, the witness's frame
+    (D, V, cells): a cell is the functions' value numerators over V, the lcm
+    of their value denominators, and a mass numerator over D, the lcm of
+    their mass denominators. Atoms in space order come first, then the
+    common refinement of the piece lists."""
     for f in fs[1:]:
         _require_same_space(fs[0], f)
     n = len(fs[0].space.atom_ids)
-    den = lcm(*{f._masses[0] for f in fs})
-    carriers = [_rescaled(zip(f._values[1], f._masses[1]), 1, den // f._masses[0]) for f in fs]
+    den, vden = lcm(*{f._masses[0] for f in fs}), lcm(*{f._values[0] for f in fs})
+    carriers = [_rescaled(zip(f._values[1], f._masses[1]), vden // f._values[0], den // f._masses[0])
+                for f in fs]
     cells = [(tuple(c[i][0] for c in carriers), carriers[0][i][1]) for i in range(n)]
     pieces = [((v,), m) for v, m in carriers[0][n:]]
     for c in carriers[1:]:
         pieces = [(vs + (v,), m) for vs, v, m in common_refinement(pieces, c[n:])]
-    return den, cells + pieces
+    return den, vden, cells + pieces
 
 
 def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction,
@@ -88,20 +89,19 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction,
     adjacent in that order, so the ordering bound is read off adjacent
     blocks that close in.
 
-    The walk is in integers (x's and y's values over a common W, u's over
-    its own V), so each bound is an integer ratio times V/W: the bounds are
-    compared by cross-multiplication and one Fraction is built at the end.
-    ``cells`` is _cells(x, u), if already built.
+    The walk is in integers, x's values and u's coefficients over one
+    denominator with y's, so each bound is a plain ratio of integers: the
+    bounds are compared by cross-multiplication and one Fraction is built
+    at the end. ``cells`` is _cells(x, u), if already built.
     """
-    den, cells = cells or _cells(x, u)
+    den, vden, cells = cells or _cells(x, u)
     if all(vs[1] == 0 for vs, _ in cells):
         raise DegenerateDirection("u vanishes almost everywhere")
     y_den, y_vden, y_ints = rearrange(y)._profile
-    x_vden, u_vden = x._values[0], u._values[0]
-    common, vden = lcm(den, y_den), lcm(x_vden, y_vden)
-    y_ints = _rescaled(y_ints, vden // y_vden, common // y_den)
-    scale_x, scale_m = vden // x_vden, common // den
-    carriers = [(vs[0] * scale_x, vs[1], m * scale_m) for vs, m in cells]
+    common, common_v = lcm(den, y_den), lcm(vden, y_vden)
+    y_ints = _rescaled(y_ints, common_v // y_vden, common // y_den)
+    scale_v, scale_m = common_v // vden, common // den
+    carriers = [(xv * scale_v, c * scale_v, m * scale_m) for (xv, c), m in cells]
     best = None  # (numerator, positive denominator) of the least bound
 
     def bound(num: int, div: int) -> None:
@@ -134,7 +134,7 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction,
     if best is None:
         raise InternalError("direction admits no binding constraint")
     num, div = best
-    return Fraction(num * u_vden, div * vden) if num > 0 else ZERO
+    return Fraction(num, div) if num > 0 else ZERO
 
 
 def _positive_run(slacks, k: int) -> tuple[int, int]:
@@ -178,18 +178,17 @@ def _split_direction(x: SimpleFunction, level) -> SimpleFunction:
     return _indicator(x, {first}, set(rest), Fraction(first_mass, length - first_mass))
 
 
-def _moved(x: SimpleFunction, u: SimpleFunction, delta: Fraction, x_u_cells):
+def _moved(x: SimpleFunction, delta: Fraction, x_u_cells):
     """x +- delta*u as add_functions(x, scale_function(u, +-delta)) gives
-    them, built on ints from _cells(x, u): their values on the cells over one
-    denominator, the cells' masses, and the reduced pairs of both."""
-    (den, cells), n = x_u_cells, len(x.space.atom_ids)
-    x_vden, u_vden = x._values[0], u._values[0] * delta.denominator
-    vden = lcm(x_vden, u_vden)
-    kx, ku = vden // x_vden, vden // u_vden * delta.numerator
+    them, built on ints from _cells(x, u): for delta = p/q, their values
+    x*q +- u*p over V*q, the cells' masses, and the reduced pairs of both."""
+    (den, vden, cells), n = x_u_cells, len(x.space.atom_ids)
+    p, q = delta.numerator, delta.denominator
+    vden *= q
     masses = [m for _, m in cells]
     piece_masses = [_reduced(m, den) for m in masses[n:]]
     for sign in (1, -1):
-        values = [xv * kx + sign * c * ku for (xv, c), _ in cells]
+        values = [xv * q + sign * c * p for (xv, c), _ in cells]
         pairs = [_reduced(v, vden) for v in values]
         yield SimpleFunction._of(x.space, dict(zip(x.space.atom_ids, pairs)),
                                  tuple(zip(pairs[n:], piece_masses)), (vden, values), (den, masses))
@@ -235,7 +234,7 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
     if delta_sup <= 0:
         raise InternalError("admissible step collapsed to zero on a violation")
     delta = delta_sup / 2
-    pair = WitnessPair(*_moved(x, u, delta, cells), Perturbation(u, delta, tag))
+    pair = WitnessPair(*_moved(x, delta, cells), Perturbation(u, delta, tag))
     if not verify_witness(x, y, pair):
         raise InternalError("constructed witness failed verification")
     return pair
@@ -250,17 +249,16 @@ def verify_witness(x: SimpleFunction, y: SimpleFunction, w: WitnessPair) -> bool
     u, delta = w.perturbation.u, w.perturbation.delta
     if delta <= 0:
         return False
-    fs = (x, u, w.x_plus, w.x_minus)
-    vdens = [f._values[0] for f in fs]
-    vdens[1] *= delta.denominator
-    kx, ku, kp, km = (lcm(*vdens) // v for v in vdens)
-    cells = _cells(*fs)[1]
-    rows = [(xv * kx, c * ku * delta.numerator, p * kp, m * km) for (xv, c, p, m), _ in cells]
-    if not all(p == xv + shift and m == xv - shift and p + m == 2 * xv for xv, shift, p, m in rows):
+    _, vden, cells = _cells(x, u, w.x_plus, w.x_minus)
+    p, q = delta.numerator, delta.denominator
+    rows = [(xv * q, c * p, pv * q, mv * q) for (xv, c, pv, mv), _ in cells]
+    if not all(xp == xv + shift and xm == xv - shift and xp + xm == 2 * xv
+               for xv, shift, xp, xm in rows):
         return False
-    if all(p == m for _, _, p, m in rows):
+    if all(xp == xm for _, _, xp, xm in rows):
         return False
-    touched = {vs[0] for vs, _ in cells if vs[1]}
+    to_x = vden // x._values[0]  # x's values back over x's own value denominator
+    touched = {vs[0] // to_x for vs, _ in cells if vs[1]}
     if sum(vs[1] * mass for vs, mass in cells) != 0 or not 1 <= len(touched) <= 2:
         return False
     x_scale, y_scale = rearrange(x), rearrange(y)

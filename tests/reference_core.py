@@ -17,18 +17,25 @@ that the halved-level model replaced in criterion 5, as their references.
 
 ``ScalarGauss`` keeps the one-call-per-deviate Box-Muller that
 ``SplitMix64.normals`` replaced, as its reference.
+
+The reference merges step lists with its own Fraction walk, ``merge``, and
+folds denominators with ``math.lcm``, so a fault in the library's merge or
+fold does not reach both sides of a differential test. It still reaches the
+library through the public ``add_functions``, ``equal_ae`` and
+``Refinement``.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 
 from majorbit.errors import (
     CriterionSatisfied,
     DegenerateDirection,
     InternalError,
+    MassMismatchError,
     NotInOrbit,
     ValueNotAttained,
 )
@@ -46,9 +53,7 @@ from majorbit.measure import (
     ZERO,
     Refinement,
     SimpleFunction,
-    _fold_pairs,
     add_functions,
-    common_refinement,
     equal_ae,
     scale_function,
 )
@@ -65,6 +70,27 @@ from majorbit.witness import (
 # ---------------------------------------------------------------------------
 # scales
 # ---------------------------------------------------------------------------
+
+
+def merge(a, b) -> list:
+    """(a value, b value, length) over the common refinement of two lists of
+    (value, length) steps laid end to end: a two-pointer walk over their
+    running ends, which must meet at one total."""
+    out, t, i, j = [], ZERO, 0, 0
+    a_end, b_end = (steps[0][1] if steps else ZERO for steps in (a, b))
+    while i < len(a) and j < len(b):
+        end = min(a_end, b_end)
+        out.append((a[i][0], b[j][0], end - t))
+        t = end
+        if a_end == end:
+            i += 1
+            a_end += a[i][1] if i < len(a) else ZERO
+        if b_end == end:
+            j += 1
+            b_end += b[j][1] if j < len(b) else ZERO
+    if i < len(a) or j < len(b):
+        raise MassMismatchError("step lists cover different total lengths")
+    return out
 
 
 def rearrange(f: SimpleFunction) -> StepScale:
@@ -119,7 +145,7 @@ def scale_constant_on(scale: StepScale, t1: Fraction, t2: Fraction) -> Fraction 
 def majorise_check(x: StepScale, y: StepScale) -> MajorisationReport:
     slacks = []
     t = slack = ZERO
-    for x_value, y_value, length in common_refinement(x.steps, y.steps):
+    for x_value, y_value, length in merge(x.steps, y.steps):
         t += length
         slack += (y_value - x_value) * length
         slacks.append((t, slack))
@@ -201,7 +227,7 @@ def carriers(x: SimpleFunction, u: SimpleFunction):
     """(x value, u coefficient, mass) triples: atoms in space order, then
     the common refinement of the two piece lists."""
     out = [(x.atom_values[aid], u.atom_values[aid], w) for aid, w in x.space.atoms]
-    out.extend(common_refinement(x.diffuse_pieces, u.diffuse_pieces))
+    out.extend(merge(x.diffuse_pieces, u.diffuse_pieces))
     return out
 
 
@@ -221,7 +247,7 @@ def admissible_delta(x: SimpleFunction, y: SimpleFunction, u: SimpleFunction) ->
             if c_low > c_up:
                 bounds.append((upper - lower) / (c_low - c_up))
         base = drift = rhs = ZERO
-        for (v, signed_coeff), y_value, length in common_refinement(ordered, y_scale.steps):
+        for (v, signed_coeff), y_value, length in merge(ordered, y_scale.steps):
             base += v * length
             drift += signed_coeff * length
             rhs += y_value * length
@@ -400,7 +426,8 @@ def _tight_sets_span(x: SimpleFunction, y_scale: StepScale) -> bool:
     # masses are ints over den, x's values ints over its value fold's vden; on
     # y's step k, with both sides scaled by den * vden * y_den * y_vden,
     # the bound at a subset's mass is offsets[k] + slopes[k] * mass
-    den, masses = _fold_pairs([(w.numerator, w.denominator) for _, w in x.space.atoms])
+    den = lcm(*(w.denominator for _, w in x.space.atoms))
+    masses = [w.numerator * (den // w.denominator) for _, w in x.space.atoms]
     vden, values = x._values
     y_den, y_vden, y_ints = y_scale._profile
     # an int mass lies at or before a step end iff it lies at or before its floor

@@ -632,21 +632,11 @@ def test_hostile_extreme_folds_the_weights_once(tmp_path, capsys, monkeypatch):
     assert folds == [48 + 1]  # the weights and diffuse_mass
 
 
-def test_hostile_intervals_print_without_the_common_denominator(monkeypatch):
-    """The verdict prints each interval end as the running sum of its levels'
-    own reduced masses, whose denominators have about 8000 digits. No end is
-    reduced over the space's 96 000-digit common denominator D: every gcd
-    that the package or Fraction makes while the verdict serializes is
-    checked, and none has an operand a quarter of D's size."""
+def measured_gcds(monkeypatch) -> list[int]:
+    """From here on, the bit length of the larger operand of every gcd that
+    the package or Fraction makes, in the returned list."""
     import math
 
-    from majorbit import measure
-    from majorbit.extremality import check_extreme
-    from majorbit.measure import parse_function
-
-    measure._space_of.cache_clear()
-    x = parse_function(hostile_denominators_doc())
-    verdict = check_extreme(x, x)
     gcd, sizes = math.gcd, []
 
     def measuring(*args):
@@ -657,8 +647,43 @@ def test_hostile_intervals_print_without_the_common_denominator(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("majorbit") and getattr(module, "gcd", None) is gcd:
             monkeypatch.setattr(module, "gcd", measuring)
+    return sizes
+
+
+def test_hostile_intervals_print_without_the_common_denominator(monkeypatch):
+    """The verdict prints each interval end as the running sum of its levels'
+    own reduced masses, whose denominators have about 8000 digits. No end is
+    reduced over the space's 96 000-digit common denominator D: every gcd
+    that the package or Fraction makes while the verdict serializes is
+    checked, and none has an operand a quarter of D's size."""
+    from majorbit import measure
+    from majorbit.extremality import check_extreme
+    from majorbit.measure import parse_function
+
+    measure._space_of.cache_clear()
+    x = parse_function(hostile_denominators_doc())
+    verdict = check_extreme(x, x)
+    sizes = measured_gcds(monkeypatch)
     intervals = verdict.serialize()["intervals"]
     assert len(intervals) == 48 and intervals[-1]["t2"] == "1"
+    assert sizes and max(sizes) < x.space._masses[0].bit_length() // 4
+
+
+def test_hostile_breakpoints_sum_the_reduced_lengths(monkeypatch):
+    """A scale's breakpoints are the running sums of its steps' reduced
+    lengths, as the verdict prints its interval ends: no end is reduced over
+    the 96 000-digit common denominator D, so no gcd made while they are
+    computed has an operand a quarter of D's size."""
+    from majorbit import measure
+    from majorbit.measure import parse_function
+    from majorbit.scales import rearrange
+
+    measure._space_of.cache_clear()
+    x = parse_function(hostile_denominators_doc())
+    scale = rearrange(x)
+    sizes = measured_gcds(monkeypatch)
+    ends = scale.breakpoints
+    assert len(ends) == 48 and ends[-1] == 1
     assert sizes and max(sizes) < x.space._masses[0].bit_length() // 4
 
 

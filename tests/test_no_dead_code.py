@@ -3,8 +3,9 @@ either public API (listed in the ``_LAZY`` table of ``__init__.py`` or in a
 literal ``__all__``) or used somewhere in the package outside its own
 definition, every module-level import outside ``__init__.py``, in the
 package and in ``tests/``, is used by its module, and every default-valued
-parameter is passed by some call in ``src/`` or ``tests/``. The first guard
-leaves out methods, and module-level dunders such as a PEP 562
+parameter is passed by some call in ``src/`` or ``tests/``, and every
+parameter of a private function or method is read by its body. The first
+guard leaves out methods, and module-level dunders such as a PEP 562
 ``__getattr__``, which the interpreter calls."""
 
 import ast
@@ -202,4 +203,54 @@ def test_knob_guard_flags_a_never_passed_parameter(tmp_path):
     callers = [tmp_path / "a.py", caller]
     assert unused_knobs(tmp_path, callers) == [
         "a.api.spare", "a.api.flag", "a.helper.spare", "a.__init__.mode", "a.grow.by"
+    ]
+
+
+def unread_parameters(package: Path) -> list[str]:
+    """``module.function.parameter`` for each parameter that the body of a
+    private function or method (one leading underscore, not a dunder) never
+    loads. A method's ``self`` or ``cls`` is left out, and so is a parameter
+    whose own name starts with an underscore."""
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args
+            if id(node) in methods and not any(_callee(d) == "staticmethod"
+                                               for d in node.decorator_list):
+                params = params[1:]
+            params += args.kwonlyargs + [p for p in (args.vararg, args.kwarg) if p]
+            loaded = {name.id for statement in node.body for name in ast.walk(statement)
+                      if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.stem}.{node.name}.{p.arg}" for p in params
+                       if p.arg not in loaded and not p.arg.startswith("_")]
+    return unread
+
+
+def test_every_parameter_of_a_private_function_is_read():
+    assert unread_parameters(PACKAGE) == []
+
+
+def test_parameter_guard_flags_an_unread_parameter(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def api(x, spare):\n    return _helper(x, 1)\n\n"
+        "def _helper(x, step, spare, *rest, _ignored=None, **options):\n"
+        "    def inner():\n        return step\n    return x + inner()\n\n"
+        "def __getattr__(name):\n    raise AttributeError\n\n"
+        "class Thing:\n"
+        "    def __init__(self, size):\n        pass\n\n"
+        "    def _grow(self, by):\n        return Thing(1)\n\n"
+        "    @classmethod\n    def _make(cls, size):\n        return cls(size)\n\n"
+        "    @staticmethod\n    def _scaled(size, factor):\n        return size\n"
+    )
+    assert unread_parameters(tmp_path) == [
+        "a._helper.spare", "a._helper.rest", "a._helper.options", "a._grow.by",
+        "a._scaled.factor",
     ]

@@ -12,9 +12,11 @@ from majorbit import orbit
 from majorbit.errors import InternalError, NotInOrbit, SchemaError, SizeLimit
 from majorbit.extremality import check_extreme
 from majorbit.measure import (
+    ONE,
     MeasureSpace,
     SimpleFunction,
     add_functions,
+    refine_diffuse,
     scale_function,
     serialize_function,
 )
@@ -26,6 +28,7 @@ from majorbit.orbit import (
 )
 from majorbit.prng import SplitMix64
 from majorbit.scales import MajorisationReport, cumulative, majorise_check, rearrange
+from majorbit.witness import verify_witness
 
 from conftest import frac, mkatomic, mkdiffuse, simple_functions
 from reference_core import gray_oracle
@@ -322,6 +325,24 @@ def test_verdicts_invariant_under_relabelling_and_affine_maps(pair, random, a, b
     for x_image, y_image in images:
         assert oracle_extreme(x_image, y_image) == expected
         assert check_extreme(x_image, y_image).extreme == expected
+
+
+@given(simple_functions(max_atoms=4, max_pieces=0, min_atoms=2))
+def test_vertices_laid_out_on_an_atomless_space_follow_ryff(y):
+    """Each vertex x of the orbit of an atomic y, its carriers laid end to
+    end as the pieces of an atomless space, is equimeasurable with x. On an
+    atomless space the extreme points of the orbit are the functions
+    equimeasurable with y (Ryff), so on that function and on its
+    refinements the criterion and the oracle both give that answer, and
+    every non-extreme verdict's witness verifies. The levels there are
+    diffuse, so a level of one piece must not pass for a single atom."""
+    space = MeasureSpace((), ONE)
+    for x in enumerate_extreme(y):
+        moved = SimpleFunction(space, {}, tuple(x.weighted_values()))
+        for f in (moved, refine_diffuse(moved, 2), refine_diffuse(moved, 3)):
+            verdict = check_extreme(f, y)
+            assert verdict.extreme == oracle_extreme(f, y) == (rearrange(f) == rearrange(y))
+            assert verdict.extreme or verify_witness(f, y, verdict.witness)
 
 
 def test_oracle_errors():
