@@ -16,9 +16,10 @@ like any other (its interior meets (0,1)).
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotInOrbit, ValueNotAttained
-from .measure import ZERO, SimpleFunction, _Record, _carrier_table, _level_pairs
+from .measure import ZERO, SimpleFunction, _Record, _level_pairs
 from .rationals import _format_pair, _reduced, format_ratstr
 from .scales import _holds, _slack_walk, rearrange
 
@@ -59,7 +60,7 @@ class ExtremalityVerdict(_Record):
     witness: "object | None"
     _defaults = {"witness": None}
     _x = None
-    _fractions = {"intervals": lambda v: constancy_intervals(v._x)}
+    intervals = cached_property(lambda v: constancy_intervals(v._x))
 
     def _fold(self, extreme, x, conditions, witness=None):
         self.__dict__.update(extreme=extreme, _x=x, conditions=conditions, witness=witness)
@@ -99,7 +100,7 @@ def _tag(members, n: int) -> str:
 def _levels(x: SimpleFunction) -> list[tuple[tuple[int, int], tuple[int, int], tuple[int, ...]]]:
     """Per level of x: its value's and its end's reduced pairs, and its carrier indices. An end
     is the running sum of the levels' own reduced lengths, never reduced over the common D."""
-    table, end, levels = _carrier_table(x), (0, 1), []
+    table, end, levels = x._table, (0, 1), []
     pairs = _level_pairs(x.space, x._atoms, x._pieces, x._masses[0], table)
     for (value, (a, b)), (_, members, _) in zip(pairs, table):
         end = _reduced(end[0] * b + a * end[1], end[1] * b)
@@ -148,7 +149,7 @@ def evaluate_conditions(
     conditions: list[int | None] = []
     slacks = [0]
     points, end = iter(walk), 0
-    for (_, members, _), (_, length) in zip(_carrier_table(x), x_ints):
+    for (_, members, _), (_, length) in zip(x._table, x_ints):
         end += length
         start, flat = slacks[-1], True
         for t, slack in points:

@@ -8,6 +8,7 @@ Everything random is driven by the splitmix64 stream.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -112,7 +113,6 @@ class HermitianOperator:
             raise NotHermitian("matrix differs from its adjoint beyond tolerance")
         self.entries = a
         self.tol = float(tol)
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -128,10 +128,12 @@ class HermitianOperator:
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues descending and matching orthonormal eigenvectors."""
-        if self._eig is None:
-            w, v = np.linalg.eigh(0.5 * self.entries + 0.5 * self.entries.conj().T)
-            self._eig = (w[::-1].copy(), v[:, ::-1].copy())
         return self._eig
+
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        w, v = np.linalg.eigh(0.5 * self.entries + 0.5 * self.entries.conj().T)
+        return w[::-1].copy(), v[:, ::-1].copy()
 
     @classmethod
     def from_document(cls, doc, tol: float | None = None) -> "HermitianOperator":

@@ -11,7 +11,7 @@ the masses and keeps its carrier table and rearrangement once computed.
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from math import gcd
 from numbers import Rational
@@ -41,11 +41,11 @@ def _rational(q) -> bool:
 class _Record:
     """A frozen record, as a frozen dataclass: its annotated fields, in order, are its
     constructor's parameters, then ``__post_init__`` runs; they are its equality, hash and
-    repr. Defaults live in ``_defaults``, for trailing fields: a class attribute would shadow a
-    field derived on first read. ``_of`` builds a record from the arguments of its ``_fold``,
-    which keeps its integers, without the fields that ``_fractions`` derives on first read."""
+    repr. Defaults live in ``_defaults``, for trailing fields. ``_of`` builds a record from the
+    arguments of its ``_fold``, which keeps its integers; a field that ``_fold`` does not set is
+    a ``cached_property``, derived from them on first read."""
 
-    _defaults = _fractions = {}
+    _defaults = {}
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -70,13 +70,6 @@ class _Record:
         obj = object.__new__(cls)
         obj._fold(*args)
         return obj
-
-    def __getattr__(self, name):
-        if name not in type(self)._fractions:
-            raise AttributeError(name)
-        value = type(self)._fractions[name](self)
-        object.__setattr__(self, name, value)
-        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -106,8 +99,8 @@ class MeasureSpace(_Record):
 
     atoms: tuple[tuple[str, Fraction], ...]
     diffuse_mass: Fraction
-    _fractions = {"atoms": lambda s: tuple(zip(s.atom_ids, (Fraction(*w) for w in s._weights))),
-                  "diffuse_mass": lambda s: Fraction(*s._diffuse)}
+    atoms = cached_property(lambda s: tuple(zip(s.atom_ids, (Fraction(*w) for w in s._weights))))
+    diffuse_mass = cached_property(lambda s: Fraction(*s._diffuse))
 
     def __post_init__(self):
         if not all(_rational(q) for q in [w for _, w in self.atoms] + [self.diffuse_mass]):
@@ -163,12 +156,10 @@ class SimpleFunction(_Record):
     atom_values: Mapping[str, Fraction]
     diffuse_pieces: tuple[tuple[Fraction, Fraction], ...]
     _defaults = {"diffuse_pieces": ()}
-    # the decreasing rearrangement, filled by scales.rearrange on first use, and the integer
-    # carrier table (its levels), filled by _carrier_table on first use
-    _scale = _table = None
-    _fractions = {"atom_values": lambda f: {aid: Fraction(*q) for aid, q in f._atoms.items()},
-                  "diffuse_pieces": lambda f: tuple((Fraction(*v), Fraction(*m))
-                                                    for v, m in f._pieces)}
+    _scale = None  # the decreasing rearrangement, filled by scales.rearrange on first use
+    atom_values = cached_property(lambda f: {aid: Fraction(*q) for aid, q in f._atoms.items()})
+    diffuse_pieces = cached_property(lambda f: tuple((Fraction(*v), Fraction(*m))
+                                                     for v, m in f._pieces))
 
     def __post_init__(self):
         values = {aid: _exact(v) for aid, v in self.atom_values.items()}
@@ -200,6 +191,18 @@ class SimpleFunction(_Record):
         self.__dict__.update(space=space, _atoms=atoms, _pieces=pieces, _values=values,
                              _masses=masses)
 
+    @cached_property
+    def _table(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """The levels by value descending, (value, member indices, length): one stable sort
+        groups the carriers, and a length sums their mass numerators."""
+        values, masses = self._values[1], self._masses[1]
+        levels = []
+        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+        for value, group in groupby(order, key=values.__getitem__):
+            members = tuple(group)
+            levels.append((value, members, sum(map(masses.__getitem__, members))))
+        return tuple(levels)
+
     def weighted_values(self) -> list[tuple[Fraction, Fraction]]:
         """All (value, mass) carriers: atoms in space order, then pieces."""
         pairs = [(self.atom_values[aid], w) for aid, w in self.space.atoms]
@@ -226,20 +229,6 @@ def _fold_pairs(pairs, den: int = 1) -> tuple[int, list[int]]:
     for d in cofactors:
         cofactors[d] = den // d
     return den, [n * cofactors[d] for n, d in pairs]
-
-
-def _carrier_table(f: SimpleFunction) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """f's levels by value descending, (value, member indices, length), built on first use and
-    kept by f: one stable sort groups the carriers, and a length sums their mass numerators."""
-    if f._table is None:
-        values, masses = f._values[1], f._masses[1]
-        levels = []
-        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-        for value, group in groupby(order, key=values.__getitem__):
-            members = tuple(group)
-            levels.append((value, members, sum(map(masses.__getitem__, members))))
-        object.__setattr__(f, "_table", tuple(levels))
-    return f._table
 
 
 def _level_pairs(space, atoms, pieces, den, levels) -> tuple[tuple[tuple[int, int], ...], ...]:

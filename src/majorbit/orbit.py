@@ -65,7 +65,7 @@ the per-interval criterion it cross-checks.
 from itertools import accumulate, permutations
 
 from .errors import InternalError, NotAtomic, NotInOrbit, SchemaError, SizeLimit, UnknownAtomError
-from .measure import ZERO, SimpleFunction, _carrier_table
+from .measure import ZERO, SimpleFunction
 from .prng import SplitMix64
 from .scales import StepScale, _on_common, cumulative, rearrange
 
@@ -87,7 +87,7 @@ def _vertex(x: SimpleFunction, y_scale: StepScale) -> bool:
     ka = den // y_scale._profile[0] * kb
     n_atoms = len(x.space.atom_ids)
     sizes = []  # model carriers per level: its atoms, and two halves of any diffuse mass
-    for _, members, _ in _carrier_table(x):
+    for _, members, _ in x._table:
         atoms = sum(i < n_atoms for i in members)
         sizes.append(atoms + 2 * (atoms < len(members)))
     # the levels at some tight line's b_k (they make up E), and each tight

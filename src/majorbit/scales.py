@@ -9,13 +9,13 @@ denominator and is exact.
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .measure import (ZERO, SimpleFunction, _Record, _carrier_table, _fold_pairs, _level_pairs,
-                      _pair, abs_function, common_refinement)
+from .measure import (ZERO, SimpleFunction, _Record, _fold_pairs, _level_pairs, _pair,
+                      abs_function, common_refinement)
 from .rationals import _format_pair, _reduced, _shown
 
 
@@ -52,13 +52,12 @@ class StepScale(_Record):
     """
 
     steps: tuple[tuple[Fraction, Fraction], ...]
-    _fractions = {"_pairs": lambda s: s._derive() if s._derive else tuple(
-                      (_reduced(v, s._profile[1]), _reduced(l, s._profile[0]))
-                      for v, l in s._profile[2]),
-                  "steps": lambda s: tuple((Fraction(*v), Fraction(*l)) for v, l in s._pairs),
-                  "_lines": lambda s: tuple(
-                      (integral - value * end, value) for integral, end, (value, _) in
-                      zip(accumulate(v * l for v, l in s._profile[2]), s._ends, s._profile[2]))}
+    _pairs = cached_property(lambda s: s._derive() if s._derive else tuple(
+        (_reduced(v, s._profile[1]), _reduced(l, s._profile[0])) for v, l in s._profile[2]))
+    steps = cached_property(lambda s: tuple((Fraction(*v), Fraction(*l)) for v, l in s._pairs))
+    _lines = cached_property(lambda s: tuple(
+        (integral - value * end, value) for integral, end, (value, _) in
+        zip(accumulate(v * l for v, l in s._profile[2]), s._ends, s._profile[2])))
 
     def __post_init__(self):
         (vden, values), (den, lengths) = (_fold_pairs([_pair(s[k]) for s in self.steps])
@@ -128,9 +127,9 @@ class MajorisationReport(_Record):
     breakpoint_slacks: tuple[tuple[Fraction, Fraction], ...]
     total_gap: Fraction
     _walk = None
-    _fractions = {"breakpoint_slacks": lambda r: tuple((Fraction(*t), Fraction(*s))
-                                                      for t, s in r._walk_pairs()),
-                  "total_gap": lambda r: r.breakpoint_slacks[-1][1]}
+    breakpoint_slacks = cached_property(lambda r: tuple((Fraction(*t), Fraction(*s))
+                                                        for t, s in r._walk_pairs()))
+    total_gap = cached_property(lambda r: r.breakpoint_slacks[-1][1])
 
     def _fold(self, holds, walk):
         self.__dict__.update(holds=holds, _walk=walk)
@@ -159,7 +158,7 @@ def rearrange(f: SimpleFunction) -> StepScale:
     Its integer profile is f's carrier table's levels, and f keeps its scale
     once computed, so later calls return the same object."""
     if f._scale is None:
-        levels, den = _carrier_table(f), f._masses[0]
+        levels, den = f._table, f._masses[0]
         derive = partial(_level_pairs, f.space, f._atoms, f._pieces, den, levels)
         profile = (den, f._values[0], tuple((value, length) for value, _, length in levels))
         object.__setattr__(f, "_scale", StepScale._of(profile, derive))

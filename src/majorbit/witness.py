@@ -17,7 +17,6 @@ from .measure import (
     ZERO,
     SimpleFunction,
     _Record,
-    _carrier_table,
     _require_same_space,
     common_refinement,
     serialize_function,
@@ -211,7 +210,7 @@ def _witness_from(x: SimpleFunction, y: SimpleFunction, evaluation) -> WitnessPa
     if None not in conditions:
         raise CriterionSatisfied("x satisfies the extremality criterion")
     k = conditions.index(None)
-    levels = _carrier_table(x)  # one level per constancy interval
+    levels = x._table  # one level per constancy interval
 
     if _tag(levels[k][1], len(x.space.atom_ids)) != SINGLE_ATOM:
         u = _split_direction(x, levels[k])

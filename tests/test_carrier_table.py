@@ -26,7 +26,6 @@ from majorbit.extremality import (
 from majorbit.measure import (
     MeasureSpace,
     SimpleFunction,
-    _carrier_table,
     add_functions,
     parse_function,
     scale_function,
@@ -274,4 +273,4 @@ def test_verdict_printed_from_integers_matches_the_fraction_reference(kind):
             verdict = check_extreme(a, y)
             assert verdict.intervals == expected.intervals == ref.constancy_intervals(a)
             assert document(verdict) == document(expected)
-    assert not check_extreme(x, y).extreme and any(len(lv[1]) > 1 for lv in _carrier_table(x))
+    assert not check_extreme(x, y).extreme and any(len(lv[1]) > 1 for lv in x._table)

@@ -702,6 +702,15 @@ def test_birkhoff_stdout_is_pinned(tmp_path, capsys):
     )
 
 
+def test_birkhoff_on_the_zero_matrix_exits_2(tmp_path, capsys):
+    """Within --tol 1 the zero matrix passes validation, but it has no
+    doubly stochastic part to decompose: bad input, exit 2."""
+    path = write(tmp_path, "z.json", {"n": 2, "re": [[0.0, 0.0], [0.0, 0.0]]})
+    code, doc = run(capsys, ["birkhoff", "-f", path, "--tol", "1"])
+    assert code == 2
+    assert doc == {"error": "NotDoublyStochastic", "detail": "matrix has no doubly stochastic part"}
+
+
 def test_birkhoff_decomposes_a_rounded_matrix(tmp_path, capsys):
     """A doubly stochastic matrix printed to 12 decimals is accepted within
     the default tolerance; its greedy leftover has no perfect matching,

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 
 import majorbit.hermitian as hermitian
 import majorbit.witness as witness
+from majorbit import cli
 from majorbit.errors import (
     DimensionMismatch,
     InternalError,
@@ -233,6 +234,30 @@ def test_check_extreme_diag_matches_atomic_model():
         values = [x_model.atom_values[f"e{i}"] for i in range(n)]
         expected = check_extreme(x_model, y_model).extreme
         assert check_extreme_diag(diag_operator(values), y_op) == expected
+
+
+def test_check_extreme_diag_refuses_a_verdict_the_model_contradicts(tmp_path, capsys,
+                                                                     monkeypatch):
+    """With the matrix-side verdict negated, the atomic-model cross-check
+    disagrees on an extreme and on a non-extreme diagonal, and the CLI
+    reports that as an invariant failure, exit 3."""
+    equal = hermitian.scales_equal_within
+    monkeypatch.setattr(hermitian, "scales_equal_within", lambda *args: not equal(*args))
+    y = diag_operator([1, 0])
+    for x in (diag_operator([1, 0]), diag_operator([frac("1/2"), frac("1/2")])):
+        with pytest.raises(InternalError, match="disagrees with the atomic-model criterion"):
+            check_extreme_diag(x, y)
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(y.serialize()))
+    assert cli.main(["matrix-extreme", "-x", str(path), "-y", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "InternalError"
+
+
+def test_serialize_round_trips_a_complex_operator():
+    op = HermitianOperator([[2.0, 1.0 - 0.5j], [1.0 + 0.5j, -1.0]])
+    loaded = HermitianOperator.from_document(json.loads(json.dumps(op.serialize())))
+    assert np.array_equal(loaded.entries, op.entries) and loaded.tol == op.tol
+    assert np.iscomplexobj(op.entries) and op.entries.imag.any()
 
 
 # a float within 1e-13 of p/q, q up to twice the snap bound

@@ -7,6 +7,7 @@ import io
 import json
 import pickle
 from fractions import Fraction as F
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -241,7 +242,9 @@ def test_derived_records_compare_by_their_fields():
         pairs.append((verdict, public))
     assert [verdict.extreme for verdict, _ in pairs[-2:]] == [True, False]
     for derived, public in pairs:
-        assert not any(name in vars(derived) for name in derived._fractions)
+        derived_fields = [name for name, attr in vars(type(derived)).items()
+                          if isinstance(attr, cached_property)]
+        assert derived_fields and not any(name in vars(derived) for name in derived_fields)
         assert json.dumps(derived.serialize()) == json.dumps(public.serialize())
         assert derived == public and public == derived
         assert _hash_or_refusal(derived) == _hash_or_refusal(public)
@@ -255,18 +258,26 @@ def test_no_record_field_is_private():
 
 
 @pytest.mark.parametrize(
-    "steps, message",
+    "cls, steps, message",
     [
-        ((), "step lengths sum to 0, expected 1"),
-        (((F(0), F(1)), (F(1), F(0))), "step lengths must be > 0"),
-        (((F(1), F(1, 2)), (F(1), F(1, 2))), "step values must be strictly increasing"),
-        (((F(0), F(1, 4)), (F(1), F(1, 4))), "step lengths sum to 1/2, expected 1"),
+        (IncreasingScale, (), "step lengths sum to 0, expected 1"),
+        (IncreasingScale, ((F(0), F(1)), (F(1), F(0))), "step lengths must be > 0"),
+        (IncreasingScale, ((F(1), F(1, 2)), (F(1), F(1, 2))),
+         "step values must be strictly increasing"),
+        (IncreasingScale, ((F(0), F(1, 4)), (F(1), F(1, 4))), "step lengths sum to 1/2, expected 1"),
+        (StepScale, (), "a scale is never empty"),
+        (StepScale, ((F(1), F(1)), (F(0), F(0))), "step lengths must be > 0"),
+        (StepScale, ((F(1), F(1, 2)), (F(1), F(1, 2))), "step values must be strictly decreasing"),
+        (StepScale, ((F(1), F(1, 4)), (F(0), F(1, 4))), "step lengths sum to 1/2, expected 1"),
     ],
-    ids=["empty", "non-positive-length", "not-increasing", "total-not-one"],
+    ids=["empty", "non-positive-length", "not-increasing", "total-not-one", "decreasing-empty",
+         "decreasing-non-positive-length", "not-decreasing", "decreasing-total-not-one"],
 )
-def test_increasing_scale_refuses(steps, message):
+def test_increasing_scale_refuses(cls, steps, message):
+    """Both scale classes refuse malformed steps, each with InternalError and its message; the
+    first four ids are IncreasingScale's, the last four StepScale's."""
     with pytest.raises(InternalError) as error:
-        IncreasingScale(steps)
+        cls(steps)
     assert str(error.value) == message
 
 

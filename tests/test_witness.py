@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from majorbit.errors import CriterionSatisfied, DegenerateDirection
+from majorbit.errors import CriterionSatisfied, DegenerateDirection, SchemaError
 from majorbit.extremality import check_extreme, evaluate_conditions
 from majorbit.measure import (
     MeasureSpace,
@@ -174,6 +174,25 @@ def test_verify_witness_rejects_a_direction_on_three_levels():
     plus = add_functions(x, scale_function(u, delta))
     minus = add_functions(x, scale_function(u, -delta))
     assert not verify_witness(x, y, WitnessPair(plus, minus, Perturbation(u, delta, TWO_VALUES)))
+
+
+def test_witness_functions_on_another_space_are_refused():
+    """u, x+ and x- must live on x's space: the same atom ids with other
+    weights are another space, and both the bound and the check refuse it."""
+    x, y = mkatomic([2, 2]), mkatomic([3, 1])
+    w = build_witness(x, y)
+    moved = lambda f: mkatomic([f.atom_values["a0"], f.atom_values["a1"]], ["1/4", "3/4"])
+    u, delta, tag = w.perturbation.u, w.perturbation.delta, w.perturbation.case_tag
+    calls = [
+        lambda: admissible_delta(x, y, moved(u)),
+        lambda: verify_witness(x, y, WitnessPair(w.x_plus, w.x_minus,
+                                                 Perturbation(moved(u), delta, tag))),
+        lambda: verify_witness(x, y, WitnessPair(moved(w.x_plus), moved(w.x_minus),
+                                                 w.perturbation)),
+    ]
+    for call in calls:
+        with pytest.raises(SchemaError, match="^functions live on different spaces$"):
+            call()
 
 
 def test_split_level_on_single_diffuse_piece():
