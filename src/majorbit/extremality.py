@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotInOrbit, ValueNotAttained
-from .measure import ZERO, SimpleFunction, _Record, _level_pairs
-from .rationals import _format_pair, _reduced, format_ratstr
+from .measure import ZERO, SimpleFunction, _Record
+from .rationals import _format_pair, format_ratstr
 from .scales import _holds, _slack_walk, rearrange
 
 SINGLE_ATOM = "single_atom"
@@ -52,7 +52,8 @@ class ConstancyInterval(_Record):
 
 class ExtremalityVerdict(_Record):
     """Built by ``_of`` from x, a verdict derives its intervals on first read and prints them
-    from x's level pairs; evaluate_conditions and the witness read x's carrier table."""
+    from the pairs and end pairs that x's scale keeps; evaluate_conditions and the witness read
+    x's carrier table."""
 
     extreme: bool
     intervals: tuple[ConstancyInterval, ...]
@@ -72,11 +73,12 @@ class ExtremalityVerdict(_Record):
     def serialize(self, include_witness: bool = True) -> dict:
         from .witness import serialize_witness
 
-        if self._x is not None:  # printed from x's level pairs
-            levels, n = _levels(self._x), len(self._x.space.atom_ids)
-            ends = ["0", *(_format_pair(*end) for _, end, _ in levels)]
-            rows = [(t1, t2, _format_pair(*value), _tag(members, n))
-                    for t1, t2, (value, _, members) in zip(ends, ends[1:], levels)]
+        if self._x is not None:  # printed from x's scale and carrier table
+            x = self._x
+            scale, n = rearrange(x), len(x.space.atom_ids)
+            ends = ["0", *(_format_pair(*end) for end in scale._end_pairs)]
+            rows = [(t1, t2, _format_pair(*value), _tag(members, n)) for t1, t2, (value, _),
+                    (_, members, _) in zip(ends, ends[1:], scale._pairs, x._table)]
         else:
             rows = [(*map(format_ratstr, (iv.t1, iv.t2, iv.value)), iv.kind.tag)
                     for iv in self.intervals]
@@ -97,17 +99,6 @@ def _tag(members, n: int) -> str:
     return SINGLE_ATOM if atoms == 1 else MULTIPLE_ATOMS
 
 
-def _levels(x: SimpleFunction) -> list[tuple[tuple[int, int], tuple[int, int], tuple[int, ...]]]:
-    """Per level of x: its value's and its end's reduced pairs, and its carrier indices. An end
-    is the running sum of the levels' own reduced lengths, never reduced over the common D."""
-    table, end, levels = x._table, (0, 1), []
-    pairs = _level_pairs(x.space, x._atoms, x._pieces, x._masses[0], table)
-    for (value, (a, b)), (_, members, _) in zip(pairs, table):
-        end = _reduced(end[0] * b + a * end[1], end[1] * b)
-        levels.append((value, end, members))
-    return levels
-
-
 def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
     """How the level set {x = v} sits in the space: one atom, several atoms,
     diffuse pieces only, or a mixture."""
@@ -120,11 +111,11 @@ def classify_level(x: SimpleFunction, v: Fraction) -> LevelKind:
 
 def constancy_intervals(x: SimpleFunction) -> tuple[ConstancyInterval, ...]:
     """Maximal constancy intervals of the scale of x; they partition [0,1)."""
-    ids, levels = x.space.atom_ids, _levels(x)
-    ends = [ZERO, *(Fraction(*end) for _, end, _ in levels)]
+    ids, scale = x.space.atom_ids, rearrange(x)
+    ends = [ZERO, *scale.breakpoints]
     kind = lambda m: LevelKind(_tag(m, len(ids)), tuple(ids[i] for i in m if i < len(ids)))
-    return tuple(ConstancyInterval(t1, t2, Fraction(*value), kind(members))
-                 for t1, t2, (value, _, members) in zip(ends, ends[1:], levels))
+    return tuple(ConstancyInterval(t1, t2, value, kind(members)) for t1, t2, (value, _),
+                 (_, members, _) in zip(ends, ends[1:], scale.steps, x._table))
 
 
 def evaluate_conditions(

@@ -579,8 +579,8 @@ def identity_suite(seed: int, n: int, trials: int, tol: float = 1e-8) -> SuiteRe
         if value_random > phi_k + slack or abs(value_top - phi_k) > slack:
             bad["projection_supremum"] += 1
 
-        degenerate, deg_proj, deg_k = _degenerate_equality_case(rng, x, k)
-        cases = [(x, top, k), (degenerate, deg_proj, deg_k)]
+        degenerate, deg_proj = _degenerate_equality_case(rng, x, k)
+        cases = [(x, top, k), (degenerate, deg_proj, k)]
         if value_random >= phi_k - slack:
             cases.append((x, random_proj, k))
         for op, proj, cut in cases:
@@ -605,7 +605,7 @@ def _degenerate_equality_case(rng: SplitMix64, x: HermitianOperator, k: int):
     w, v = x.eigensystem()
     m = x.n
     if m == 1 or k >= m:
-        return x, _top_k_projection(v, k), k
+        return x, _top_k_projection(v, k)
     w2 = w.copy()
     mean = (w2[k - 1] + w2[k]) / 2.0
     w2[k - 1] = w2[k] = mean
@@ -615,7 +615,7 @@ def _degenerate_equality_case(rng: SplitMix64, x: HermitianOperator, k: int):
     theta = rng.random() * 2.0 * math.pi
     mix = math.cos(theta) * v[:, k - 1] + math.sin(theta) * v[:, k]
     proj = _top_k_projection(v, k - 1) + np.outer(mix, mix.conj())
-    return flat, proj, k
+    return flat, proj
 
 
 def _sandwich_holds(op: HermitianOperator, proj: np.ndarray, k: int, slack: float) -> bool:

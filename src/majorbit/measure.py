@@ -231,18 +231,6 @@ def _fold_pairs(pairs, den: int = 1) -> tuple[int, list[int]]:
     return den, [n * cofactors[d] for n, d in pairs]
 
 
-def _level_pairs(space, atoms, pieces, den, levels) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The reduced (value, length) pairs of a function's levels, from its pairs. Only a level
-    that joins carriers reduces its length over the common mass denominator: that costs a gcd
-    of the denominator's size, and a one-carrier level's mass is already reduced."""
-    ids = space.atom_ids
-    n = len(ids)
-    value = lambda i: atoms[ids[i]] if i < n else pieces[i - n][0]
-    mass = lambda i: space._weights[i] if i < n else pieces[i - n][1]
-    return tuple((value(first), _reduced(length, den) if rest else mass(first))
-                 for _, (first, *rest), length in levels)
-
-
 class Refinement(_Record):
     """Split instructions for diffuse pieces: piece index -> sub-masses."""
 

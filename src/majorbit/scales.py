@@ -14,8 +14,8 @@ from itertools import accumulate
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .measure import (ZERO, SimpleFunction, _Record, _fold_pairs, _level_pairs, _pair,
-                      abs_function, common_refinement)
+from .measure import (ZERO, SimpleFunction, _Record, _fold_pairs, _pair, abs_function,
+                      common_refinement)
 from .rationals import _format_pair, _reduced, _shown
 
 
@@ -33,6 +33,18 @@ def merge_pairs(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((v, l) for v, l in merged)
 
 
+def _level_pairs(space, atoms, pieces, den, levels) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The reduced (value, length) pairs of a function's levels, from its pairs. Only a level
+    that joins carriers reduces its length over the common mass denominator: that costs a gcd
+    of the denominator's size, and a one-carrier level's mass is already reduced."""
+    ids = space.atom_ids
+    n = len(ids)
+    value = lambda i: atoms[ids[i]] if i < n else pieces[i - n][0]
+    mass = lambda i: space._weights[i] if i < n else pieces[i - n][1]
+    return tuple((value(first), _reduced(length, den) if rest else mass(first))
+                 for _, (first, *rest), length in levels)
+
+
 def _rescaled(pairs, value_factor: int, length_factor: int) -> list[tuple[int, int]]:
     """(value, length) numerators brought to denominators larger by the
     given factors: one multiply per entry."""
@@ -46,15 +58,19 @@ class StepScale(_Record):
     numerators over V and D), and ``_ends``, each step's end over D. A scale given its steps
     folds them; one built by ``_of`` from its profile derives its reduced (value, length) pairs
     ``_pairs`` on first read, by ``_derive`` or by reducing the profile, and its steps from
-    them. A scale prints from ``_pairs``. Its cumulative is the least of the lines a_k + b_k s
-    in ``_lines``, derived on first read: b_k is step k's value over V, and a_k = P_k - b_k E_k
-    over D*V, with P_k the integral up to the step's end E_k.
+    them. A scale prints from ``_pairs``, and its breakpoints read ``_end_pairs``: each step's
+    end as the running sum of the reduced lengths, never reduced over D. Its cumulative is the
+    least of the lines a_k + b_k s in ``_lines``, derived on first read: b_k is step k's value
+    over V, and a_k = P_k - b_k E_k over D*V, with P_k the integral up to the step's end E_k.
     """
 
     steps: tuple[tuple[Fraction, Fraction], ...]
     _pairs = cached_property(lambda s: s._derive() if s._derive else tuple(
         (_reduced(v, s._profile[1]), _reduced(l, s._profile[0])) for v, l in s._profile[2]))
     steps = cached_property(lambda s: tuple((Fraction(*v), Fraction(*l)) for v, l in s._pairs))
+    _end_pairs = cached_property(lambda s: tuple(accumulate(
+        (l for _, l in s._pairs), lambda e, l: _reduced(e[0] * l[1] + l[0] * e[1], e[1] * l[1]))))
+    breakpoints = cached_property(lambda s: tuple(Fraction(*end) for end in s._end_pairs))
     _lines = cached_property(lambda s: tuple(
         (integral - value * end, value) for integral, end, (value, _) in
         zip(accumulate(v * l for v, l in s._profile[2]), s._ends, s._profile[2])))
@@ -83,11 +99,6 @@ class StepScale(_Record):
     def from_pairs(cls, pairs) -> "StepScale":
         ordered = sorted(pairs, key=lambda p: p[0], reverse=True)
         return cls(merge_pairs(ordered))
-
-    @property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        """Cumulative right endpoints of the steps; the last one is 1."""
-        return tuple(accumulate(length for _, length in self.steps))
 
     def value_at(self, t: Fraction) -> Fraction:
         t = Fraction(t)
@@ -120,30 +131,26 @@ class IncreasingScale(_Record):
 
 class MajorisationReport(_Record):
     """Built by ``_of`` from majorise_check's slack walk ``_walk`` = (D, V, (end, slack)
-    numerators over D and D*V), a report derives its Fraction fields on first read and prints
-    from the walk."""
+    numerators over D and D*V), a report derives its reduced (t, slack) pairs ``_rows`` and
+    from them its Fraction fields on first read, and prints from ``_rows``."""
 
     holds: bool
     breakpoint_slacks: tuple[tuple[Fraction, Fraction], ...]
     total_gap: Fraction
     _walk = None
     breakpoint_slacks = cached_property(lambda r: tuple((Fraction(*t), Fraction(*s))
-                                                        for t, s in r._walk_pairs()))
+                                                        for t, s in r._rows))
     total_gap = cached_property(lambda r: r.breakpoint_slacks[-1][1])
+    _rows = cached_property(lambda r: tuple(
+        (_reduced(t, r._walk[0]), _reduced(s, r._walk[0] * r._walk[1])) for t, s in r._walk[2])
+        if r._walk else tuple((_pair(t), _pair(s)) for t, s in r.breakpoint_slacks))
 
     def _fold(self, holds, walk):
         self.__dict__.update(holds=holds, _walk=walk)
 
-    def _walk_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """The walk's (t, slack) reduced pairs."""
-        den, vden, walk = self._walk
-        return [(_reduced(t, den), _reduced(s, den * vden)) for t, s in walk]
-
     def serialize(self) -> dict:
-        rows = self._walk_pairs() if self._walk else [(_pair(t), _pair(s))
-                                                      for t, s in self.breakpoint_slacks]
-        gap = rows[-1][1] if self._walk else _pair(self.total_gap)
-        slacks = [{"t": _format_pair(*t), "slack": _format_pair(*s)} for t, s in rows]
+        gap = self._rows[-1][1] if self._walk else _pair(self.total_gap)
+        slacks = [{"t": _format_pair(*t), "slack": _format_pair(*s)} for t, s in self._rows]
         return {"holds": self.holds, "breakpoint_slacks": slacks, "total_gap": _format_pair(*gap)}
 
 

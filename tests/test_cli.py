@@ -655,7 +655,8 @@ def test_hostile_intervals_print_without_the_common_denominator(monkeypatch):
     own reduced masses, whose denominators have about 8000 digits. No end is
     reduced over the space's 96 000-digit common denominator D: every gcd
     that the package or Fraction makes while the verdict serializes is
-    checked, and none has an operand a quarter of D's size."""
+    checked, and none has an operand a quarter of D's size; the same holds
+    while the verdict's intervals are derived from the scale's end pairs."""
     from majorbit import measure
     from majorbit.extremality import check_extreme
     from majorbit.measure import parse_function
@@ -665,7 +666,9 @@ def test_hostile_intervals_print_without_the_common_denominator(monkeypatch):
     verdict = check_extreme(x, x)
     sizes = measured_gcds(monkeypatch)
     intervals = verdict.serialize()["intervals"]
+    kept = verdict.intervals
     assert len(intervals) == 48 and intervals[-1]["t2"] == "1"
+    assert len(kept) == 48 and kept[-1].t2 == 1
     assert sizes and max(sizes) < x.space._masses[0].bit_length() // 4
 
 

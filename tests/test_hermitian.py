@@ -253,6 +253,22 @@ def test_check_extreme_diag_refuses_a_verdict_the_model_contradicts(tmp_path, ca
     assert json.loads(capsys.readouterr().out)["error"] == "InternalError"
 
 
+def test_check_extreme_diag_skips_the_model_on_an_unfaithful_snap(tmp_path, capsys):
+    """Entries 2e-9 off 1/2 snap to no rational within the snap tolerance, so
+    there is no atomic model to cross-check: the matrix-side verdict stands
+    alone, and the CLI prints it with exit 0."""
+    x_doc, y_doc = {"re": [[0.500000002, 0], [0, 0.499999998]]}, {"re": [[0.5, 0], [0, 0.5]]}
+    x, y = HermitianOperator.from_document(x_doc), HermitianOperator.from_document(y_doc)
+    assert check_extreme_diag(x, y) is False
+    assert hermitian._diag_model_verdict(x, y, max(x.tol, y.tol)) is None
+    paths = []
+    for name, doc in (("x.json", x_doc), ("y.json", y_doc)):
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths.append(str(tmp_path / name))
+    assert cli.main(["matrix-extreme", "-x", paths[0], "-y", paths[1]]) == 0
+    assert capsys.readouterr().out == '{"extreme": false}\n'
+
+
 def test_serialize_round_trips_a_complex_operator():
     op = HermitianOperator([[2.0, 1.0 - 0.5j], [1.0 + 0.5j, -1.0]])
     loaded = HermitianOperator.from_document(json.loads(json.dumps(op.serialize())))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 
 from majorbit.errors import (
+    DimensionMismatch,
+    DomainError,
     DuplicateAtomError,
     MajorbitError,
     MassMismatchError,
@@ -28,8 +30,11 @@ from majorbit.measure import (
     serialize_function,
     serialize_space,
 )
+from majorbit.hermitian import diag_operator, schur_horn_check
+from majorbit.orbit import partial_average
+from majorbit.prng import SplitMix64
 from majorbit.rationals import format_ratstr, parse_ratstr
-from majorbit.scales import majorise_check, rearrange
+from majorbit.scales import StepScale, majorise_check, rearrange
 
 from conftest import mkatomic, mkdiffuse, simple_functions
 
@@ -473,3 +478,33 @@ def test_objects_built_on_integers_survive_pickling():
         assert pickle.loads(pickle.dumps(obj)) == obj
     for obj in (scale, verdict, report):
         assert pickle.loads(pickle.dumps(obj)).serialize() == obj.serialize()
+
+
+MIXED = SimpleFunction(MeasureSpace((("a", Fraction(1, 2)),), Fraction(1, 2)),
+                       {"a": Fraction(1)}, ((Fraction(0), Fraction(1, 2)),))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: refine_diffuse(MIXED, 0), SchemaError, "k must be >= 1, got 0"),
+    (lambda: partial_average(MIXED, ["z"]), UnknownAtomError, "unknown atoms ['z']"),
+    (lambda: partial_average(MIXED, [], [5]), SchemaError, "piece index out of range"),
+    (lambda: rearrange(MIXED).value_at(1), DomainError, "scale evaluated outside [0,1): 1"),
+    (lambda: rearrange(MIXED).value_at(Fraction(-1, 2)), DomainError,
+     "scale evaluated outside [0,1): -1/2"),
+    (lambda: MIXED.space.weight("z"), UnknownAtomError, "no atom 'z'"),
+    (lambda: SplitMix64(1).randint(2, 1), ValueError, "empty range"),
+    (lambda: schur_horn_check(diag_operator([1, 0]), np.eye(3)), DimensionMismatch,
+     "unitary shape (3, 3) vs operator (2, 2)"),
+], ids=["refine-k-0", "average-unknown-atom", "average-piece-index", "value-at-1",
+        "value-at-negative", "weight-unknown-atom", "randint-empty", "schur-horn-shape"])
+def test_library_refuses_with_its_message(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def test_scale_from_pairs_drops_a_zero_length_pair():
+    pairs = [(Fraction(5), Fraction(0)), (Fraction(1), Fraction(1, 2)),
+             (Fraction(2), Fraction(1, 2))]
+    assert StepScale.from_pairs(pairs) == StepScale(((Fraction(2), Fraction(1, 2)),
+                                                      (Fraction(1), Fraction(1, 2))))

@@ -4,7 +4,15 @@ mutated source of one function is compiled, its code object replaces the
 function's ``__code__`` while the check runs, and the original is put
 back. Each check must pass on the unmutated code and fail on the mutant,
 by returning False rather than by raising; a sha256 digest is never the
-check."""
+check.
+
+Equivalent mutants, left out of the table:
+
+- deleting ``verify_witness``'s distinctness check (``if all(xp == xm ...):
+  return False``) decides no result. Once delta > 0 and every midpoint row
+  holds, x+ = x- on every cell means u is 0 on every cell, so no level is
+  touched and the touched-levels check that follows returns False anyway.
+"""
 
 import inspect
 import textwrap
@@ -14,11 +22,13 @@ from fractions import Fraction as F
 import pytest
 
 import majorbit.hermitian as hermitian
+import majorbit.orbit as orbit
+import majorbit.scales as scales
 import majorbit.witness as witness
 from majorbit.errors import InternalError, SchemaError
 from majorbit.scales import StepScale
 
-from conftest import mkatomic
+from conftest import mkatomic, mkdiffuse
 
 
 def refuses(call, error, message: str) -> bool:
@@ -28,6 +38,14 @@ def refuses(call, error, message: str) -> bool:
     except error as exc:
         return str(exc) == message
     return False
+
+
+def returns(call, value) -> bool:
+    """Whether call() returns ``value``; a call that raises does not."""
+    try:
+        return call() == value
+    except Exception:
+        return False
 
 
 def scale_refuses_equal_values() -> bool:
@@ -51,6 +69,23 @@ def model_cross_check_refuses_a_wrong_verdict() -> bool:
                        "matrix-side verdict disagrees with the atomic-model criterion")
 
 
+def unfaithful_snap_skips_the_model_check() -> bool:
+    x = hermitian.diag_operator([0.500000002, 0.499999998])
+    return returns(lambda: hermitian.check_extreme_diag(x, hermitian.diag_operator([0.5, 0.5])),
+                   False)
+
+
+def average_refuses_a_negative_piece_index() -> bool:
+    f = mkdiffuse([(2, "1/2"), (0, "1/2")])
+    return refuses(lambda: orbit.partial_average(f, [], [-1]), SchemaError,
+                   "piece index out of range")
+
+
+def averaged_breakpoints_end_at_one() -> bool:
+    x = orbit.partial_average(mkatomic([3, 1, 0]), ["a0", "a1"])
+    return scales.rearrange(x).breakpoints[-1] == 1
+
+
 # (id, function, source text, its replacement, the check that kills the mutant)
 MUTANTS = [
     ("scale-accepts-equal-values", StepScale._fold,
@@ -63,6 +98,16 @@ MUTANTS = [
     ("no-model-cross-check", hermitian.check_extreme_diag,
      "    if model is not None and model != verdict:\n",
      "    if False:\n", model_cross_check_refuses_a_wrong_verdict),
+    ("model-check-on-an-unfaithful-snap", hermitian._diag_model_verdict,
+     "    if x_vals is None or y_vals is None:\n        return None\n",
+     "", unfaithful_snap_skips_the_model_check),
+    ("average-skips-the-piece-index-check", orbit.partial_average,
+     "    if any(not 0 <= i < len(f.diffuse_pieces) for i in piece_indices):\n"
+     "        raise SchemaError(\"piece index out of range\")\n",
+     "", average_refuses_a_negative_piece_index),
+    ("level-length-is-its-first-mass", scales._level_pairs,
+     "_reduced(length, den) if rest else mass(first)", "mass(first)",
+     averaged_breakpoints_end_at_one),
 ]
 
 

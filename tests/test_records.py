@@ -235,7 +235,8 @@ def test_derived_records_compare_by_their_fields():
          MajorisationReport(True, ((F(1, 4), F(1, 4)), (F(1, 2), F(0)), (F(3, 4), F(1, 4)),
                                    (F(1), F(0))), F(0))),
     ]
-    for x, y in [(F1, F1), (averaged, F1)]:
+    f1 = SimpleFunction(SPACE, F1.atom_values, F1.diffuse_pieces)  # its scale not yet read
+    for x, y in [(f1, f1), (averaged, f1)]:
         verdict = check_extreme(x, y)
         public = ExtremalityVerdict(verdict.extreme, constancy_intervals(x), verdict.conditions,
                                     verdict.witness)
